@@ -10,13 +10,21 @@ Design, in brief:
   without recording anything. Inference uses this mode and produces values
   bit-identical to a recording tape, because there is exactly one code path
   for the math.
-- No broadcasting: elementwise ops require equal shapes, matmul supports the
-  (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,) cases only. Shape mismatches raise
-  immediately with both shapes in the message.
+- No implicit broadcasting: elementwise ops require equal shapes, matmul
+  supports the (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,) cases only. The row ops
+  (``linear_rows``, ``add_rows``, ...) take a stack of row vectors and apply
+  one vector to every row, by name. Shape mismatches raise immediately with
+  the shapes in the message.
+- Row ops are exact per row: each forward product is a stack of
+  matrix-vector products (``w[None] @ x[:, :, None]``) or of dot products
+  (``x[:, None, :] @ y[:, :, None]``), which numpy runs as one gemv or dot
+  call per row, the same BLAS call a single-vector ``matmul`` makes. A row of
+  the stack is therefore bit-identical to the same vector computed alone. One
+  gemm (``x @ w.T``) would round differently. Backward passes use gemm.
 
 Gradient conventions: ``backward`` accumulates with ``+=`` so shared subtrees
-sum naturally; ``max_select`` routes the gradient to the first argmax on ties;
-``relu`` has zero gradient at exactly zero.
+sum naturally; ``max_select`` and ``group_max`` route the gradient to the
+first argmax on ties; ``relu`` has zero gradient at exactly zero.
 """
 
 from __future__ import annotations
@@ -36,6 +44,18 @@ def as_array(value: object) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
     return arr
+
+
+def group_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Index into `values` of the first maximum of each group, where the
+    groups are consecutive runs of `sizes[g]` entries (np.argmax semantics
+    within a group: ties go to the earliest)."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    padded = np.full((len(sizes), int(sizes.max())), -np.inf)
+    padded[np.repeat(np.arange(len(sizes)), sizes),
+           np.arange(len(values)) - np.repeat(starts, sizes)] = values
+    return starts + padded.argmax(axis=1)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -81,6 +101,7 @@ class Tape:
         self.recording = recording
         self.nodes: list[Node] = []
         self._swept = False
+        self._params: dict[Parameter, Node] = {}
 
     def _make(self, value: np.ndarray, backward=None) -> Node:
         node = Node(value)
@@ -96,10 +117,16 @@ class Tape:
         return self._make(as_array(value))
 
     def param(self, p: Parameter) -> Node:
-        def back(node: Node) -> None:
-            p.grad += node.grad
+        """The leaf node of a parameter: one per parameter and tape, so each
+        parameter's gradient reaches ``p.grad`` in one addition."""
+        node = self._params.get(p)
+        if node is None:
 
-        return self._make(p.value, back)
+            def back(node: Node) -> None:
+                p.grad += node.grad
+
+            node = self._params[p] = self._make(p.value, back)
+        return node
 
     # -- elementwise -------------------------------------------------------
 
@@ -221,7 +248,8 @@ class Tape:
         return self._make(a.value[lo:hi].copy(), back)
 
     def take_row(self, a: Node, row: int) -> Node:
-        if a.value.ndim != 2 or not 0 <= row < a.value.shape[0]:
+        """Row `row` of a matrix, or entry `row` of a vector as a scalar."""
+        if a.value.ndim not in (1, 2) or not 0 <= row < a.value.shape[0]:
             raise ValueError(f"take_row: row {row} out of range for shape {a.value.shape}")
 
         def back(node: Node) -> None:
@@ -278,6 +306,154 @@ class Tape:
             chosen.grad += node.grad
 
         return self._make(chosen.value.copy(), back), idx
+
+    # -- row stacks ------------------------------------------------------------
+    #
+    # A stack is an (n, d) node whose rows are independent vectors; a row op
+    # computes each row exactly as the single-vector op would (module notes).
+
+    def linear_rows(self, x: Node, w: Node, b: Node) -> Node:
+        """``w @ x_i + b`` for every row: x (n, k) with w (m, k) and b (m,)
+        gives (n, m); a vector w (k,) with a scalar b gives (n,)."""
+        xv, wv, bv = x.value, w.value, b.value
+        if xv.ndim != 2 or wv.ndim not in (1, 2) or wv.shape[-1] != xv.shape[1] \
+                or bv.shape != wv.shape[:-1]:
+            raise ValueError(
+                f"linear_rows: incompatible shapes x {xv.shape}, w {wv.shape}, b {bv.shape}"
+            )
+        xc, wc = np.ascontiguousarray(xv), np.ascontiguousarray(wv)
+        if wv.ndim == 2:
+            prod = (wc[None] @ xc[:, :, None])[:, :, 0]
+
+            def back(node: Node) -> None:
+                g = node.grad
+                x.grad += g @ wv
+                w.grad += g.T @ xv
+                b.grad += g.sum(axis=0)
+
+        else:
+            prod = (wc[None, None, :] @ xc[:, :, None])[:, 0, 0]
+
+            def back(node: Node) -> None:
+                g = node.grad
+                x.grad += np.outer(g, wv)
+                w.grad += g @ xv
+                b.grad += g.sum()
+
+        return self._make(prod + bv, back)
+
+    def _rows_and_row(self, x: Node, v: Node, op: str) -> None:
+        if x.value.ndim != 2 or v.value.shape != x.value.shape[1:]:
+            raise ValueError(
+                f"{op}: need an (n, d) stack and a (d,) vector, got "
+                f"{x.value.shape} and {v.value.shape}"
+            )
+
+    def add_rows(self, x: Node, v: Node) -> Node:
+        """``x_i + v`` for every row."""
+        self._rows_and_row(x, v, "add_rows")
+
+        def back(node: Node) -> None:
+            x.grad += node.grad
+            v.grad += node.grad.sum(axis=0)
+
+        return self._make(x.value + v.value, back)
+
+    def hadamard_rows(self, x: Node, v: Node) -> Node:
+        """``x_i * v`` for every row."""
+        self._rows_and_row(x, v, "hadamard_rows")
+
+        def back(node: Node) -> None:
+            x.grad += node.grad * v.value
+            v.grad += (node.grad * x.value).sum(axis=0)
+
+        return self._make(x.value * v.value, back)
+
+    def squared_distance_rows(self, x: Node, v: Node) -> Node:
+        """``|x_i - v|^2`` for every row, shape (n,)."""
+        self._rows_and_row(x, v, "squared_distance_rows")
+        diff = x.value - v.value
+
+        def back(node: Node) -> None:
+            g = 2.0 * node.grad[:, None] * diff
+            x.grad += g
+            v.grad -= g.sum(axis=0)
+
+        return self._make((diff[:, None, :] @ diff[:, :, None])[:, 0, 0], back)
+
+    def l2_normalize_rows(self, x: Node, eps: float = NORMALIZE_EPS) -> Node:
+        """``l2_normalize`` of every row."""
+        if x.value.ndim != 2:
+            raise ValueError(f"l2_normalize_rows needs an (n, d) stack, got shape {x.value.shape}")
+        xc = np.ascontiguousarray(x.value)
+        norm = np.sqrt((xc[:, None, :] @ xc[:, :, None])[:, 0, 0])
+        denom = np.maximum(norm, eps)[:, None]
+        out = xc / denom
+        big = (norm >= eps)[:, None]
+
+        def back(node: Node) -> None:
+            g = node.grad
+            radial = np.where(big, (g * out).sum(axis=1, keepdims=True) * out, 0.0)
+            x.grad += (g - radial) / denom
+
+        return self._make(out, back)
+
+    def gather_rows(self, parts: Sequence[tuple[Node, np.ndarray | None]]) -> Node:
+        """Stack of n rows, each the concatenation of one row from every
+        part. A part is (node, rows): an (m, d) node with an index array of
+        length n gives its indexed rows (repeats allowed); an (n, d) node
+        with None gives its rows as they are; a (d,) node with None gives
+        itself in every row."""
+        if not parts:
+            raise ValueError("gather_rows of zero parts")
+        blocks = []
+        for node, rows in parts:
+            v = node.value
+            if rows is not None and v.ndim == 2:
+                blocks.append(v[rows])
+            elif rows is None and v.ndim in (1, 2):
+                blocks.append(v)
+            else:
+                index = "an index" if rows is not None else "no index"
+                raise ValueError(f"gather_rows: a part of shape {v.shape} cannot take {index}")
+        n_rows = {b.shape[0] for b in blocks if b.ndim == 2}
+        if len(n_rows) != 1:
+            raise ValueError(
+                f"gather_rows: parts disagree on the row count: {[b.shape for b in blocks]}"
+            )
+        (n,) = n_rows
+        blocks = [np.broadcast_to(b, (n, b.shape[0])) if b.ndim == 1 else b for b in blocks]
+        offsets = np.cumsum([0] + [b.shape[1] for b in blocks])
+
+        def back(node: Node) -> None:
+            for (p, rows), lo, hi in zip(parts, offsets, offsets[1:]):
+                g = node.grad[:, lo:hi]
+                if rows is not None:
+                    np.add.at(p.grad, rows, g)
+                elif p.value.ndim == 1:
+                    p.grad += g.sum(axis=0)
+                else:
+                    p.grad += g
+
+        return self._make(np.concatenate(blocks, axis=1), back)
+
+    def group_max(self, x: Node, sizes: Sequence[int]) -> tuple[Node, np.ndarray]:
+        """Max over each group of a vector's entries, the groups being
+        consecutive runs of `sizes[g]` entries. Ties go to the earliest entry
+        of the group, which alone receives the gradient. Returns the (groups,)
+        node and the index of each group's chosen entry."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if x.value.ndim != 1 or sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1) \
+                or int(sizes.sum()) != x.value.shape[0]:
+            raise ValueError(
+                f"group_max: group sizes {sizes.tolist()} do not partition shape {x.value.shape}"
+            )
+        rows = group_argmax(x.value, sizes)
+
+        def back(node: Node) -> None:
+            x.grad[rows] += node.grad
+
+        return self._make(x.value[rows], back), rows
 
 
 def backward(tape: Tape, root: Node) -> None:

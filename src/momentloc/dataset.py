@@ -625,7 +625,9 @@ def save_corpus(out_dir: str, synthetic: SyntheticCorpus) -> str:
 
 def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
     """Load one split through the manifest, keeping only the videos that the
-    split's queries reference plus every video of the split prefix."""
+    split's queries reference. Videos of the split that no query names are
+    dropped, so inter-video training negatives come from the referenced
+    videos alone."""
     base = os.path.dirname(manifest_path)
     feature_paths: dict[str, str] = {}
     annotation_paths: dict[str, str] = {}

@@ -19,8 +19,8 @@ import numpy as np
 from .autodiff import Tape
 from .dataset import Corpus, TemporalQuery, tokenize
 from .encoders import SegmentFeatureTable, encode_query
-from .model import ModelBundle, ScoredMoment, conform_context, score_base
-from .temporal import Moment, context_set, enumerate_moments, iou, segment_iou
+from .model import ModelBundle, ScoredMoment, conform_context, score_grid
+from .temporal import Moment, context_sets, enumerate_moments, iou, segment_iou
 
 BUCKET_ORDER = ("none", "before", "after", "then", "while")
 EVAL_MODES = ("latent", "gt_context")
@@ -146,14 +146,16 @@ def rank_moments(
     n = next(iter(video.values())).n_segments
     ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
     fl = encode_query(tape, ids, params)
-    scored = []
-    for base in enumerate_moments(n):
-        if mode == "gt_context":
-            contexts = [conform_context(query.context, base, cfg.context_slots)]
-        else:
-            contexts = context_set(cfg.context_mode, base, n)
-        node, chosen = score_base(tape, cache, video, fl, base, contexts, cfg, params)
-        scored.append(ScoredMoment(base, float(node.value), contexts[chosen]))
+    bases = enumerate_moments(n)
+    if mode == "gt_context":
+        contexts = [[conform_context(query.context, b, cfg.context_slots)] for b in bases]
+    else:
+        contexts = context_sets(cfg.context_mode, bases, n)
+    fused, chosen = score_grid(tape, cache, video, fl, bases, contexts, cfg, params)
+    scored = [
+        ScoredMoment(base, float(value), cands[i])
+        for base, value, cands, i in zip(bases, fused.value, contexts, chosen)
+    ]
     return sorted(scored, key=lambda s: -s.score)
 
 

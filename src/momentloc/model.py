@@ -20,6 +20,7 @@ from .autodiff import (
     Node,
     Parameter,
     Tape,
+    group_argmax,
     load_checkpoint,
     save_checkpoint,
 )
@@ -29,19 +30,17 @@ from .encoders import (
     encode_query,
     fusion_weights,
     load_vocabulary,
-    mean_pool,
-    mlp2,
-    pool_context,
     save_vocabulary,
-    tef_block,
     tef_length,
 )
 from .temporal import (
     CONTEXT_MODES,
+    PAD_TEF,
     ContextMoment,
     Moment,
     context_set,
     context_slot_count,
+    validate_moment,
 )
 
 SIMILARITIES = ("distance", "mult", "normalized_mult", "tall_sim")
@@ -293,67 +292,166 @@ def conform_context(context: ContextMoment, base: Moment, n_slots: int) -> Conte
     )
 
 
-def _branch_mlp(tape, cache, key, vec, params, prefix):
-    if cache is not None and key in cache:
-        return cache[key]
-    node = mlp2(
-        tape, tape.constant(vec),
-        params[f"{prefix}.w1"], params[f"{prefix}.b1"],
-        params[f"{prefix}.w2"], params[f"{prefix}.b2"],
-    )
-    if cache is not None:
-        cache[key] = node
-    return node
+def _moment_row(moment: Moment, n_segments: int) -> int:
+    """Position of a moment in enumerate_moments(n_segments)."""
+    validate_moment(moment, n_segments)
+    s = moment.start_seg
+    return s * n_segments - s * (s - 1) // 2 + moment.end_seg - s
 
 
-def _fv_projected(tape, cache, table, base, context, cfg, params, modality):
-    """Projected (and, for normalized_mult, normalized) visual vector.
+def _grid_pairs(
+    bases: Sequence[Moment],
+    contexts: Sequence[Sequence[ContextMoment]],
+    n_segments: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (base, context) pairs to score, base by base: each pair's base
+    moment row, its context's moment row per slot (-1 for a padded slot), and
+    the number of candidates of each base."""
+    if not bases or len(contexts) != len(bases):
+        raise ValueError(f"need one candidate list per base, got {len(contexts)} for {len(bases)}")
+    sizes = np.array([len(c) for c in contexts], dtype=np.intp)
+    if not sizes.all():
+        raise ValueError("no candidate contexts")
 
-    Query-independent, so cached per (video, modality, base, context) within a
-    tape's lifetime; on recording tapes reuse is plain subgraph sharing.
-    """
+    def slot_rows(candidates):
+        return np.array(
+            [[-1 if m is None else _moment_row(m, n_segments) for m in c.slots] for c in candidates],
+            dtype=np.intp,
+        )
+
+    shared = contexts[0]
+    if all(c is shared for c in contexts):
+        slots = np.tile(slot_rows(shared), (len(bases), 1))
+    else:
+        slots = np.concatenate([slot_rows(c) for c in contexts])
+    base_rows = np.array([_moment_row(b, n_segments) for b in bases], dtype=np.intp)
+    return np.repeat(base_rows, sizes), slots, sizes
+
+
+def _moment_features(cache, table, modality):
+    """Mean-pooled and endpoint features of every moment of the video, in
+    enumerate_moments order, plus a last row for a padded context slot (zero
+    features, PAD_TEF); cached per video for the cache's lifetime."""
+    key = ("moments", table.video_id, modality)
+    if key not in cache:
+        n, feats = table.n_segments, table.features
+        spans = [(s, e) for s in range(n) for e in range(s, n)]
+        # mean_pool and tef written out without Moment objects: this runs
+        # for every video that a training batch touches
+        pooled = np.stack([feats[s : e + 1].mean(axis=0) for s, e in spans] + [np.zeros(table.dim)])
+        tefs = np.array([(s / n, (e + 1) / n) for s, e in spans] + [PAD_TEF])
+        cache[key] = pooled, tefs
+    return cache[key]
+
+
+def _mlp_rows(tape, x, params, prefix):
+    h = tape.relu(tape.linear_rows(
+        x, tape.param(params[f"{prefix}.w1"]), tape.param(params[f"{prefix}.b1"]),
+    ))
+    return tape.linear_rows(h, tape.param(params[f"{prefix}.w2"]), tape.param(params[f"{prefix}.b2"]))
+
+
+def _branch_rows(tape, cache, table, modality, pooled, params, branch):
+    """A branch MLP over every moment of the video, once per cache."""
+    key = (branch, table.video_id, modality)
+    if key not in cache:
+        cache[key] = _mlp_rows(tape, tape.constant(pooled), params, f"{modality}.{branch}")
+    return cache[key]
+
+
+def _projected_rows(tape, cache, table, base_rows, slot_rows, cfg, params, modality):
+    """Projected (and, for normalized_mult, normalized) visual vectors of the
+    pairs, one row each. Query-independent, so cached per (video, modality,
+    pairs) for the cache's lifetime; on recording tapes reuse is plain
+    subgraph sharing."""
     m = modality
-    key = ("fv", table.video_id, m, base, context)
-    if cache is not None and key in cache:
+    key = ("fv", table.video_id, m, base_rows.tobytes(), slot_rows.tobytes())
+    if key in cache:
         return cache[key]
-    base_out = _branch_mlp(
-        tape, cache, ("base", table.video_id, m, base),
-        mean_pool(table, base), params, f"{m}.base",
-    )
-    ctx_out = _branch_mlp(
-        tape, cache, ("ctx", table.video_id, m, context),
-        pool_context(table, context), params, f"{m}.ctx",
-    )
-    parts = [base_out, ctx_out]
-    block = tef_block(base, context, table.n_segments, cfg.tef_mode)
-    if block.size:
-        parts.append(tape.constant(block))
-    fv = tape.add(
-        tape.matmul(tape.param(params[f"{m}.proj_w"]), tape.concat(parts)),
-        tape.param(params[f"{m}.proj_b"]),
+    pooled, tefs = _moment_features(cache, table, m)
+    parts = [(_branch_rows(tape, cache, table, m, pooled, params, "base"), base_rows)]
+    if cfg.context_slots == 1:
+        parts.append((_branch_rows(tape, cache, table, m, pooled, params, "ctx"), slot_rows[:, 0]))
+    else:
+        ctx_in = tape.constant(pooled[slot_rows].reshape(len(slot_rows), -1))
+        parts.append((_mlp_rows(tape, ctx_in, params, f"{m}.ctx"), None))
+    if cfg.tef_mode != "none":
+        block = tefs[base_rows]
+        if cfg.tef_mode == "contef":
+            block = np.concatenate([block, tefs[slot_rows].reshape(len(slot_rows), -1)], axis=1)
+        parts.append((tape.constant(block), None))
+    fv = tape.linear_rows(
+        tape.gather_rows(parts), tape.param(params[f"{m}.proj_w"]), tape.param(params[f"{m}.proj_b"]),
     )
     if cfg.similarity == "normalized_mult":
-        fv = tape.l2_normalize(fv)
-    if cache is not None:
-        cache[key] = fv
+        fv = tape.l2_normalize_rows(fv)
+    cache[key] = fv
     return fv
 
 
-def _sim_from_projected(tape, fv, fl_ready, cfg, params, modality):
+def _similarity_rows(tape, fv, fl_ready, cfg, params, modality):
     m = modality
     kind = cfg.similarity
     if kind == "distance":
-        return tape.scale(tape.squared_distance(fv, fl_ready), -1.0)
+        return tape.scale(tape.squared_distance_rows(fv, fl_ready), -1.0)
     if kind in ("mult", "normalized_mult"):
-        x = tape.hadamard(fv, fl_ready)
+        x = tape.hadamard_rows(fv, fl_ready)
     elif kind == "tall_sim":
-        x = tape.concat([fv, fl_ready, tape.hadamard(fv, fl_ready), tape.add(fv, fl_ready)])
+        x = tape.gather_rows([
+            (fv, None), (fl_ready, None),
+            (tape.hadamard_rows(fv, fl_ready), None), (tape.add_rows(fv, fl_ready), None),
+        ])
     else:
         raise ValueError(f"unknown similarity {kind!r}")
-    hid = tape.relu(
-        tape.add(tape.matmul(tape.param(params[f"{m}.sim.w1"]), x), tape.param(params[f"{m}.sim.b1"]))
-    )
-    return tape.add(tape.matmul(tape.param(params[f"{m}.sim.w2"]), hid), tape.param(params[f"{m}.sim.b2"]))
+    return _mlp_rows(tape, x, params, f"{m}.sim")
+
+
+def score_grid(
+    tape: Tape,
+    cache: dict,
+    video: Mapping[str, SegmentFeatureTable],
+    fl: Node,
+    bases: Sequence[Moment],
+    contexts: Sequence[Sequence[ContextMoment]],
+    cfg: ModelConfig,
+    params: ModelParams,
+) -> tuple[Node, np.ndarray]:
+    """Score each base moment of one video against its candidate contexts.
+
+    `contexts[g]` lists the candidates of `bases[g]`; when every base gets the
+    same list object, that list is read once. Every (base, context) pair is
+    one row of the stacked computation, each row bit-identical to scoring the
+    pair alone. Returns the fused scores, one entry per base (late fusion of
+    the per-modality maxima; the training loss backpropagates through it), and
+    per base the index of the candidate that maximizes the fused per-context
+    score (ties to the earliest candidate).
+    """
+    n = next(iter(video.values())).n_segments
+    base_rows, slot_rows, sizes = _grid_pairs(bases, contexts, n)
+    if slot_rows.shape[1] != cfg.context_slots:
+        raise ValueError(
+            f"contexts have {slot_rows.shape[1]} slots, the configuration expects {cfg.context_slots}"
+        )
+    fl_ready = fl
+    if cfg.similarity == "normalized_mult":
+        # The node itself is the key: id() would dangle once a previous
+        # query's node is collected and its address reused.
+        fl_key = ("fl", fl)
+        if fl_key not in cache:
+            cache[fl_key] = tape.l2_normalize(fl)
+        fl_ready = cache[fl_key]
+    weights = fusion_weights(cfg.modalities, cfg.fusion_lambda)
+    fused: Node | None = None
+    fused_per_pair = np.zeros(len(base_rows))
+    for m in cfg.modalities:
+        fv = _projected_rows(tape, cache, video[m], base_rows, slot_rows, cfg, params, m)
+        sims = _similarity_rows(tape, fv, fl_ready, cfg, params, m)
+        best, _ = tape.group_max(sims, sizes)
+        weighted = tape.scale(best, weights[m])
+        fused = weighted if fused is None else tape.add(fused, weighted)
+        fused_per_pair += weights[m] * sims.value
+    chosen = group_argmax(fused_per_pair, sizes) - (np.cumsum(sizes) - sizes)
+    return fused, chosen
 
 
 def score_base(
@@ -366,44 +464,13 @@ def score_base(
     cfg: ModelConfig,
     params: ModelParams,
 ) -> tuple[Node, int]:
-    """Score one base moment against its candidate contexts.
-
-    Returns the fused score node (late fusion of per-modality maxima; the
-    training loss backpropagates through it) and the index of the context that
-    maximizes the fused per-context score (ties to the earliest candidate).
-    """
-    if not contexts:
-        raise ValueError("no candidate contexts")
-    weights = fusion_weights(cfg.modalities, cfg.fusion_lambda)
-    fused_node: Node | None = None
-    fused_per_ctx = np.zeros(len(contexts))
-    for m in cfg.modalities:
-        table = video[m]
-        fl_ready = fl
-        if cfg.similarity == "normalized_mult":
-            # The node itself is the key: id() would dangle once a previous
-            # query's node is collected and its address reused.
-            fl_key = ("fl", fl)
-            if cache is not None and fl_key in cache:
-                fl_ready = cache[fl_key]
-            else:
-                fl_ready = tape.l2_normalize(fl)
-                if cache is not None:
-                    cache[fl_key] = fl_ready
-        sims = [
-            _sim_from_projected(
-                tape,
-                _fv_projected(tape, cache, table, base, ctx, cfg, params, m),
-                fl_ready, cfg, params, m,
-            )
-            for ctx in contexts
-        ]
-        best, _ = tape.max_select(sims)
-        weighted = tape.scale(best, weights[m])
-        fused_node = weighted if fused_node is None else tape.add(fused_node, weighted)
-        fused_per_ctx += weights[m] * np.array([float(s.value) for s in sims])
-    chosen = int(np.argmax(fused_per_ctx))
-    return fused_node, chosen
+    """Score one base moment against its candidate contexts: `score_grid`
+    for a single base. Returns the fused score node and the index of the
+    chosen context."""
+    node, chosen = score_grid(
+        tape, {} if cache is None else cache, video, fl, [base], [contexts], cfg, params,
+    )
+    return tape.take_row(node, 0), int(chosen[0])
 
 
 def score(

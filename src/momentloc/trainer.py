@@ -7,6 +7,7 @@ an identical parameter trajectory.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -26,6 +27,7 @@ from .model import (
     log_logistic_loss,
     ranking_loss,
     score_base,
+    score_grid,
 )
 from .temporal import Moment, context_set, enumerate_moments, validate_moment
 
@@ -73,16 +75,26 @@ class Negatives:
     inter: list[tuple[str, Moment]]
 
 
+def videos_longer_than(corpus: Corpus) -> list[list[str]]:
+    """Entry k: the sorted ids of the videos with more than k segments, the
+    ones that can hold a moment ending at segment k."""
+    ids = corpus.video_ids()
+    lengths = [corpus.n_segments(v) for v in ids]
+    return [[v for v, n in zip(ids, lengths) if n > k] for k in range(max(lengths, default=0))]
+
+
 def sample_negatives(
     rng: np.random.Generator,
     corpus: Corpus,
     example: TrainingExample,
     n_intra: int,
     n_inter: int,
+    longer: list[list[str]] | None = None,
 ) -> Negatives:
     """Intra: uniform non-ground-truth moments of the example's video. Inter:
     the same moment coordinates in a uniformly drawn other video that is long
-    enough (skipped when no such video exists)."""
+    enough (skipped when no such video exists). `longer` is
+    `videos_longer_than(corpus)`, built here when not given."""
     n = corpus.n_segments(example.video_id)
     pool = [m for m in enumerate_moments(n) if m != example.moment]
     intra: list[Moment] = []
@@ -92,14 +104,21 @@ def sample_negatives(
         intra = [pool[int(i)] for i in picks]
     inter: list[tuple[str, Moment]] = []
     if n_inter:
-        others = [
-            v for v in corpus.video_ids()
-            if v != example.video_id and corpus.n_segments(v) > example.moment.end_seg
-        ]
+        if longer is None:
+            longer = videos_longer_than(corpus)
+        end = example.moment.end_seg
+        eligible = longer[end] if end < len(longer) else []
+        # draw among the eligible videos other than the example's own
+        own = bisect.bisect_left(eligible, example.video_id)
+        has_own = own < len(eligible) and eligible[own] == example.video_id
+        count = len(eligible) - has_own
         for _ in range(n_inter):
-            if not others:
+            if not count:
                 break
-            inter.append((others[int(rng.integers(len(others)))], example.moment))
+            j = int(rng.integers(count))
+            if has_own and j >= own:
+                j += 1
+            inter.append((eligible[j], example.moment))
     return Negatives(intra, inter)
 
 
@@ -140,29 +159,26 @@ def example_scores(
     vocab: Vocabulary,
 ) -> ExampleScores:
     """Positive and negative fused scores for one training example. The query
-    is encoded once and shared by all candidates."""
+    is encoded once and shared by all candidates; the positive and the
+    intra-video negatives are scored in one grid over the example's video."""
     video = corpus.features[example.video_id]
     n = corpus.n_segments(example.video_id)
     validate_moment(example.moment, n)
     fl = encode_query(tape, vocab.encode(example.tokens), params)
-    pos, _ = score_base(
-        tape, cache, video, fl, example.moment,
-        _contexts_for(example, example.moment, n, cfg), cfg, params,
+    bases = [example.moment, *negatives.intra]
+    own, _ = score_grid(
+        tape, cache, video, fl, bases,
+        [_contexts_for(example, b, n, cfg) for b in bases], cfg, params,
     )
-    intra = [
-        score_base(tape, cache, video, fl, neg,
-                   _contexts_for(example, neg, n, cfg), cfg, params)[0]
-        for neg in negatives.intra
-    ]
     inter = []
     for vid, neg in negatives.inter:
-        other = corpus.features[vid]
         other_n = corpus.n_segments(vid)
         inter.append(
-            score_base(tape, cache, other, fl, neg,
+            score_base(tape, cache, corpus.features[vid], fl, neg,
                        _contexts_for(example, neg, other_n, cfg), cfg, params)[0]
         )
-    return ExampleScores(pos, intra, inter)
+    scores = [tape.take_row(own, i) for i in range(len(bases))]
+    return ExampleScores(scores[0], scores[1:], inter)
 
 
 def batch_loss(tape: Tape, scored: Sequence[ExampleScores], cfg: ModelConfig) -> Node:
@@ -198,7 +214,9 @@ def train(
     """Run SGD to train_cfg.epochs; returns the bundle and per-epoch history.
 
     Resume by passing the loaded params as `init` with the epoch to continue
-    from; the schedule is a function of the absolute epoch index.
+    from; the schedule is a function of the absolute epoch index. A batch
+    whose loss, or a step that leaves a trainable parameter, not finite stops
+    the run with a ValueError naming the epoch and the batch index.
     """
     if not corpus.queries:
         raise ValueError("corpus has no training queries")
@@ -210,15 +228,16 @@ def train(
     params = init if init is not None else init_params(cfg, rng, embedding)
     n_inter = 0 if cfg.loss == "tall" else train_cfg.negatives_inter
     examples = list(corpus.queries)
+    longer = videos_longer_than(corpus)
     history: list[dict] = []
     for epoch in range(start_epoch, train_cfg.epochs):
         lr = lr_at(epoch, train_cfg)
         order = rng.permutation(len(examples))
         loss_sum = 0.0
-        for lo in range(0, len(order), train_cfg.batch_size):
+        for b, lo in enumerate(range(0, len(order), train_cfg.batch_size)):
             batch = [examples[int(i)] for i in order[lo : lo + train_cfg.batch_size]]
             negatives = [
-                sample_negatives(rng, corpus, ex, train_cfg.negatives_intra, n_inter)
+                sample_negatives(rng, corpus, ex, train_cfg.negatives_intra, n_inter, longer)
                 for ex in batch
             ]
             tape = Tape()
@@ -228,8 +247,17 @@ def train(
                 for ex, neg in zip(batch, negatives)
             ]
             loss = batch_loss(tape, scored, cfg)
+            if not np.isfinite(loss.value):
+                raise ValueError(f"epoch {epoch} batch {b}: loss is not finite ({float(loss.value)})")
             backward(tape, loss)
             sgd_step(params.parameters(), lr)
+            bad = [p.name for p in params.parameters()
+                   if p.trainable and not np.all(np.isfinite(p.value))]
+            if bad:
+                raise ValueError(
+                    f"epoch {epoch} batch {b}: parameters not finite after the "
+                    f"SGD step: {', '.join(bad)}"
+                )
             loss_sum += float(loss.value) * len(batch)
         mean_loss = loss_sum / len(examples)
         history.append({"epoch": epoch, "loss": mean_loss, "lr": lr})

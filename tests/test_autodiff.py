@@ -282,3 +282,137 @@ def test_checkpoint_corruption_detected(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
         load_checkpoint(str(trailing))
+
+
+# -- row-stack ops -------------------------------------------------------------------
+
+
+def _check_rows_op(build, shapes, seed, what, n_points=20):
+    """Finite-difference check of a row op: `build(tape, nodes)` returns any
+    node, reduced to a scalar through fixed random weights so every output
+    entry carries a distinct gradient."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_points):
+        params = [Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+        weights = {}
+
+        def run(recording):
+            tape = Tape(recording=recording)
+            out = build(tape, [tape.param(p) for p in params])
+            if out.value.shape not in weights:
+                weights[out.value.shape] = rng.normal(size=out.value.shape)
+            w = tape.constant(weights[out.value.shape])
+            return tape, tape.sum_all(tape.hadamard(out, w))
+
+        tape, root = run(True)
+        backward(tape, root)
+        analytic = [p.grad.copy() for p in params]
+        numeric = numeric_gradients(lambda: float(run(False)[1].value), [p.value for p in params])
+        assert_gradients_close(analytic, numeric, what)
+
+
+@pytest.mark.parametrize(
+    "what, shapes, build",
+    [
+        ("linear_rows matrix", [(5, 4), (3, 4), (3,)],
+         lambda t, ns: t.linear_rows(ns[0], ns[1], ns[2])),
+        ("linear_rows vector", [(5, 4), (4,), ()],
+         lambda t, ns: t.linear_rows(ns[0], ns[1], ns[2])),
+        ("add_rows", [(5, 3), (3,)], lambda t, ns: t.add_rows(ns[0], ns[1])),
+        ("hadamard_rows", [(5, 3), (3,)], lambda t, ns: t.hadamard_rows(ns[0], ns[1])),
+        ("squared_distance_rows", [(5, 3), (3,)],
+         lambda t, ns: t.squared_distance_rows(ns[0], ns[1])),
+        ("l2_normalize_rows", [(5, 3)], lambda t, ns: t.l2_normalize_rows(ns[0])),
+        ("gather_rows", [(4, 3), (2,), (6, 2)],
+         lambda t, ns: t.gather_rows([(ns[0], np.array([3, 0, 3, 1, 1, 2])), (ns[1], None), (ns[2], None)])),
+        ("take_row vector", [(4,)], lambda t, ns: t.take_row(ns[0], 2)),
+    ],
+)
+def test_row_op_gradients(what, shapes, build):
+    _check_rows_op(build, shapes, seed=len(what), what=what)
+
+
+def test_group_max_gradient_away_from_ties():
+    rng = np.random.default_rng(7)
+    sizes = [3, 1, 4]
+    for _ in range(20):
+        vals = rng.normal(size=8)
+        for lo, hi in ((0, 3), (4, 8)):  # keep each group's top two apart
+            top = lo + int(np.argmax(vals[lo:hi]))
+            vals[top] += 0.1
+        p = Parameter("p", vals)
+        w = rng.normal(size=3)
+
+        def build(tape):
+            best, _ = tape.group_max(tape.param(p), sizes)
+            return tape.matmul(best, tape.constant(w))
+
+        tape = Tape()
+        backward(tape, build(tape))
+        numeric = numeric_gradients(lambda: float(build(Tape(recording=False)).value), [p.value])
+        assert_gradients_close([p.grad.copy()], numeric, "group_max")
+
+
+def test_group_max_ties_route_to_first_argmax():
+    p = Parameter("p", [1.0, 3.0, 3.0, 2.0, 5.0, 5.0])
+    tape = Tape()
+    best, rows = tape.group_max(tape.param(p), [3, 1, 2])
+    assert rows.tolist() == [1, 3, 4]
+    assert best.value.tolist() == [3.0, 2.0, 5.0]
+    backward(tape, tape.sum_all(best))
+    assert p.grad.tolist() == [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]
+
+
+def test_row_ops_match_single_vector_ops_exactly():
+    """Every row of a stacked op equals the single-vector op on that row,
+    bit for bit: the grid scorer's exactness rests on this."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n, k, m = (int(v) for v in rng.integers(1, 40, size=3))
+        x, w, b = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(size=m)
+        v, s = rng.normal(size=k), rng.normal()
+        t = Tape(recording=False)
+        xs = t.constant(x)
+        lin = t.linear_rows(xs, t.constant(w), t.constant(b)).value
+        dot = t.linear_rows(xs, t.constant(v), t.constant(s)).value
+        norm = t.l2_normalize_rows(xs).value
+        dist = t.squared_distance_rows(xs, t.constant(v)).value
+        for i in range(n):
+            row = t.constant(x[i])
+            assert np.array_equal(lin[i], t.add(t.matmul(t.constant(w), row), t.constant(b)).value)
+            assert dot[i] == t.add(t.matmul(t.constant(v), row), t.constant(s)).value
+            assert np.array_equal(norm[i], t.l2_normalize(row).value)
+            assert dist[i] == t.squared_distance(row, t.constant(v)).value
+
+
+def test_row_op_shape_mismatch_errors():
+    tape = Tape()
+    stack = tape.constant(np.ones((4, 3)))
+    vec3, vec2 = tape.constant(np.ones(3)), tape.constant(np.ones(2))
+    with pytest.raises(ValueError, match="linear_rows"):
+        tape.linear_rows(stack, tape.constant(np.ones((2, 2))), vec2)
+    with pytest.raises(ValueError, match="linear_rows"):
+        tape.linear_rows(stack, tape.constant(np.ones((2, 3))), vec3)
+    with pytest.raises(ValueError, match="linear_rows"):
+        tape.linear_rows(vec3, tape.constant(np.ones((2, 3))), vec2)
+    for op in (tape.add_rows, tape.hadamard_rows, tape.squared_distance_rows):
+        with pytest.raises(ValueError, match=op.__name__):
+            op(stack, vec2)
+        with pytest.raises(ValueError, match=op.__name__):
+            op(vec3, vec3)
+    with pytest.raises(ValueError, match="l2_normalize_rows"):
+        tape.l2_normalize_rows(vec3)
+    with pytest.raises(ValueError, match="gather_rows"):
+        tape.gather_rows([(stack, np.array([0, 1])), (tape.constant(np.ones((3, 2))), None)])
+    with pytest.raises(ValueError, match="gather_rows"):
+        tape.gather_rows([(vec3, np.array([0]))])
+    with pytest.raises(ValueError, match="gather_rows"):
+        tape.gather_rows([])
+    with pytest.raises(ValueError, match="group_max"):
+        tape.group_max(tape.constant(np.ones(5)), [2, 2])
+    with pytest.raises(ValueError, match="group_max"):
+        tape.group_max(tape.constant(np.ones(4)), [4, 0])
+    with pytest.raises(ValueError, match="group_max"):
+        tape.group_max(stack, [4])
+    with pytest.raises(ValueError, match="take_row"):
+        tape.take_row(vec3, 3)

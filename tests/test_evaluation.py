@@ -135,6 +135,36 @@ def test_rank_moments_orders_all_candidates(rng):
         assert alone.chosen_context == entry.chosen_context
 
 
+@pytest.mark.parametrize("mode", ["latent", "gt_context"])
+@pytest.mark.parametrize("modalities", [("rgb",), ("rgb", "flow")])
+@pytest.mark.parametrize("context_mode", ["global", "before_after", "latent"])
+def test_rank_moments_matches_score_exactly(rng, mode, modalities, context_mode):
+    """The grid ranking of a whole video gives every moment the score and the
+    chosen context of scoring that moment alone, bit for bit, for every
+    similarity head and endpoint-feature mode. Constant features make
+    contexts tie, and the tie must go to the same (earliest) context."""
+    video = tiny_video(rng, 5, modalities=modalities)
+    flat = tiny_video(rng, 5, modalities=modalities)
+    for table in flat.values():
+        table.features[:] = table.features[0]
+    query = TemporalQuery("v0", "A before b.", Moment(1, 2), "before",
+                          ContextMoment.single(Moment(3, 4)), "b")
+    for sim in ("distance", "mult", "normalized_mult", "tall_sim"):
+        for tef_mode in ("none", "tef", "contef"):
+            bundle = make_bundle([query], similarity=sim, tef_mode=tef_mode,
+                                 context_mode=context_mode, modalities=modalities,
+                                 fusion_lambda=0.35)
+            ids = bundle.vocab.encode(query.tokens)
+            gt = query.context if mode == "gt_context" else None
+            for feats in (video, flat):
+                ranking = rank_moments(feats, query, bundle, mode)
+                assert len(ranking) == 15
+                for entry in ranking:
+                    alone = score(feats, ids, entry.moment, bundle.config, bundle.params, gt)
+                    assert (alone.score, alone.chosen_context) == (
+                        entry.score, entry.chosen_context)
+
+
 def test_rank_moments_gt_context_mode(rng):
     video = tiny_video(rng, 4)
     ctx = ContextMoment.single(Moment(2, 2))

@@ -5,17 +5,21 @@ import pytest
 
 from momentloc.autodiff import Tape
 from momentloc.dataset import Corpus, TemporalQuery
-from momentloc.model import conform_context
+from momentloc.encoders import Vocabulary
+from momentloc.model import conform_context, init_params
 from momentloc.temporal import ContextMoment, Moment, context_set
 from momentloc.trainer import (
     ExampleScores,
+    Negatives,
     TrainConfig,
     _contexts_for,
     batch_loss,
+    example_scores,
     lr_at,
     sample_negatives,
     save_history,
     train,
+    videos_longer_than,
 )
 
 from helpers import tiny_model_config, tiny_video
@@ -82,6 +86,73 @@ def test_sample_negatives_oversized_and_short_videos(rng):
     assert len(negs.intra) == 12  # pool only has 9, sampled with replacement
     # v1 has 2 segments, cannot hold a moment ending at 3
     assert all(vid == "v2" for vid, _ in negs.inter)
+
+
+def _reference_inter_draws(rng, corpus, example, n_inter):
+    """Inter-video draws as the per-example list comprehension makes them."""
+    others = [
+        v for v in corpus.video_ids()
+        if v != example.video_id and corpus.n_segments(v) > example.moment.end_seg
+    ]
+    return [others[int(rng.integers(len(others)))] for _ in range(n_inter) if others]
+
+
+def test_sample_negatives_inter_draws_match_reference(rng):
+    """Inter-video draws from the once-built eligibility lists equal those of
+    filtering every video per example, draw for draw, on corpora that mix
+    video lengths (including videos too short for some moments)."""
+    for trial in range(6):
+        lengths = [int(n) for n in rng.integers(1, 7, size=int(rng.integers(1, 9)))]
+        features = {
+            f"v{i:02d}": tiny_video(rng, n, 3, ("rgb",), f"v{i:02d}")
+            for i, n in enumerate(lengths)
+        }
+        queries = []
+        for vid, n in zip(sorted(features), lengths):
+            start = int(rng.integers(0, n))
+            queries.append(TemporalQuery(vid, "q.", Moment(start, int(rng.integers(start, n)))))
+        corpus = Corpus(features, queries)
+        longer = videos_longer_than(corpus)
+        for seed in range(5):
+            for example in queries:
+                new_rng = np.random.default_rng([trial, seed])
+                ref_rng = np.random.default_rng([trial, seed])
+                for given in (longer, None):
+                    got = sample_negatives(new_rng, corpus, example, 0, 3, given)
+                    want = _reference_inter_draws(ref_rng, corpus, example, 3)
+                    assert [vid for vid, _ in got.inter] == want
+                assert new_rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
+@pytest.mark.parametrize("lr, sim, message", [
+    (1e300, "distance", "epoch 0 batch 1: loss is not finite"),
+    (1e308, "normalized_mult", "epoch 0 batch 0: parameters not finite after the SGD step: lang.proj_b"),
+])
+def test_train_stops_on_non_finite_values(lr, sim, message):
+    """An absurd learning rate blows the run up; training stops naming the
+    epoch and the batch instead of carrying NaNs on."""
+    corpus = small_corpus(np.random.default_rng(0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        train(corpus, tiny_model_config(similarity=sim),
+              TrainConfig(epochs=2, batch_size=1, lr=lr, seed=0))
+
+
+def test_latent_weak_example_records_few_tape_nodes(rng):
+    """The grid scorer records a handful of stacked nodes per candidate set;
+    scoring each (moment, context) pair on its own recorded about 2000 nodes
+    for this example, so a silent fall-back to per-pair scoring shows here."""
+    features = {v: tiny_video(rng, 6, 3, ("rgb",), v) for v in ("a", "b")}
+    example = TemporalQuery("a", "One before two three.", Moment(1, 2), "before",
+                            ContextMoment.single(Moment(3, 4)), "two three")
+    corpus = Corpus(features, [example])
+    vocab = Vocabulary.from_token_lists([example.tokens])
+    cfg = tiny_model_config(context_supervision="weak", vocab_size=vocab.size)
+    params = init_params(cfg, rng)
+    tape = Tape()
+    negatives = Negatives([Moment(0, 0), Moment(2, 5)], [("b", Moment(1, 2))])
+    scored = example_scores(tape, {}, corpus, example, negatives, cfg, params, vocab)
+    batch_loss(tape, [scored], cfg)
+    assert len(tape.nodes) < 300
 
 
 def test_contexts_for_strong_substitutes_ground_truth(rng):
