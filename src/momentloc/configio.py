@@ -12,11 +12,17 @@ import os
 import typing
 
 
-def parse_flat_config(text: str, source: str = "<config>") -> dict[str, str]:
+def _parse(lines, source: str, include=None) -> dict[str, str]:
+    """The line loop of both readers. `include(target, lineno)` returns the
+    mapping an `include` line splices in; without it such a line is an
+    error like any other line without '='."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if include is not None and (line.startswith("include ") or line.startswith("include\t")):
+            out.update(include(line.split(None, 1)[1].strip(), lineno))
             continue
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
@@ -25,22 +31,28 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
+def parse_flat_config(text: str, source: str = "<config>") -> dict[str, str]:
+    return _parse(text.splitlines(), source)
+
+
 def load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+    return _load(path, ())
+
+
+def _load(path: str, chain: tuple[str, ...]) -> dict[str, str]:
+    """`chain` lists the files whose includes led to `path`, outermost first."""
+    chain = chain + (path,)
+
+    def include(target: str, lineno: int) -> dict[str, str]:
+        full = os.path.join(os.path.dirname(path), target)
+        if any(os.path.realpath(full) == os.path.realpath(p) for p in chain):
+            raise ValueError(f"{path}:{lineno}: include cycle: {' -> '.join(chain + (full,))}")
+        if not os.path.isfile(full):
+            raise ValueError(f"{path}:{lineno}: included file {full} does not exist")
+        return _load(full, chain)
+
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("include ") or line.startswith("include\t"):
-                target = line.split(None, 1)[1].strip()
-                out.update(load_config_file(os.path.join(os.path.dirname(path), target)))
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+        return _parse(fh.read().splitlines(), path, include)
 
 
 def _coerce(value: str, typ, key: str):

@@ -1,22 +1,21 @@
-"""Visual and language encoders plus their on-disk formats.
+"""Per-video segment features, the query encoder, and their on-disk formats.
 
-The visual side is deliberately small: mean-pool the segment features of a
-moment (or of each context region), push the pooled vectors through per-branch
-MLPs, and append normalized endpoint features. The language side is a
-single-layer LSTM over learned (or pretrained, frozen) token embeddings whose
-final hidden state is projected into the joint space.
+A video arrives as one table of per-segment feature rows per modality; the
+pooling of moments, the branch MLPs and the endpoint features that turn those
+rows into visual vectors live in the model's grid scorer. The language side
+is a single-layer LSTM over learned (or pretrained, frozen) token embeddings
+whose final hidden state is projected into the joint space.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape, as_array
-from .temporal import ContextMoment, Moment, context_tefs, tef, validate_moment
 
 UNK_TOKEN = "<unk>"
 
@@ -46,43 +45,10 @@ class SegmentFeatureTable:
         return self.features.shape[1]
 
 
-def mean_pool(table: SegmentFeatureTable, moment: Moment) -> np.ndarray:
-    """Average the feature rows a moment covers."""
-    validate_moment(moment, table.n_segments)
-    return table.features[moment.start_seg : moment.end_seg + 1].mean(axis=0)
-
-
-def pool_context(table: SegmentFeatureTable, context: ContextMoment) -> np.ndarray:
-    """Concatenation of per-slot means; a padded slot contributes zeros."""
-    parts = [
-        np.zeros(table.dim) if m is None else mean_pool(table, m)
-        for m in context.slots
-    ]
-    return np.concatenate(parts)
-
-
-def tef_block(
-    base: Moment, context: ContextMoment, n_segments: int, tef_mode: str
-) -> np.ndarray:
-    """Endpoint features appended to the visual vector.
-
-    none: empty. tef: the base moment's endpoints. contef: base endpoints
-    followed by each context slot's endpoints ((-1, -1) for padded slots).
-    """
-    if tef_mode == "none":
-        return np.zeros(0)
-    base_tef = tef(base, n_segments)
-    if tef_mode == "tef":
-        return np.array(base_tef)
-    if tef_mode == "contef":
-        flat = list(base_tef)
-        for pair in context_tefs(context, n_segments):
-            flat.extend(pair)
-        return np.array(flat)
-    raise ValueError(f"unknown tef mode {tef_mode!r}")
-
-
 def tef_length(tef_mode: str, n_context_slots: int) -> int:
+    """Length of the endpoint block appended to each visual vector. none:
+    empty. tef: the base moment's endpoints. contef: base endpoints followed
+    by each context slot's endpoints ((-1, -1) for a padded slot)."""
     if tef_mode == "none":
         return 0
     if tef_mode == "tef":
@@ -90,41 +56,6 @@ def tef_length(tef_mode: str, n_context_slots: int) -> int:
     if tef_mode == "contef":
         return 2 + 2 * n_context_slots
     raise ValueError(f"unknown tef mode {tef_mode!r}")
-
-
-def mlp2(tape: Tape, x: Node, w1: Parameter, b1: Parameter, w2: Parameter, b2: Parameter) -> Node:
-    """Two-layer MLP with a relu hidden layer and linear output."""
-    h = tape.relu(tape.add(tape.matmul(tape.param(w1), x), tape.param(b1)))
-    return tape.add(tape.matmul(tape.param(w2), h), tape.param(b2))
-
-
-def visual_feature(
-    tape: Tape,
-    table: SegmentFeatureTable,
-    base: Moment,
-    context: ContextMoment,
-    tef_mode: str,
-    params: Mapping[str, Parameter],
-    modality: str,
-) -> Node:
-    """Raw visual vector for a (base, context) pair in one modality:
-    concat(MLP(pool(base)), MLP(pool(context)), endpoint block)."""
-    m = modality
-    base_out = mlp2(
-        tape, tape.constant(mean_pool(table, base)),
-        params[f"{m}.base.w1"], params[f"{m}.base.b1"],
-        params[f"{m}.base.w2"], params[f"{m}.base.b2"],
-    )
-    ctx_out = mlp2(
-        tape, tape.constant(pool_context(table, context)),
-        params[f"{m}.ctx.w1"], params[f"{m}.ctx.b1"],
-        params[f"{m}.ctx.w2"], params[f"{m}.ctx.b2"],
-    )
-    parts = [base_out, ctx_out]
-    block = tef_block(base, context, table.n_segments, tef_mode)
-    if block.size:
-        parts.append(tape.constant(block))
-    return tape.concat(parts)
 
 
 # -- language ----------------------------------------------------------------
@@ -196,13 +127,6 @@ def encode_query(
         tape.matmul(tape.param(params["lang.proj_w"]), h),
         tape.param(params["lang.proj_b"]),
     )
-
-
-def late_fusion(score_a: float, score_b: float, fusion_lambda: float) -> float:
-    """lambda * score_a + (1 - lambda) * score_b."""
-    if not 0.0 <= fusion_lambda <= 1.0:
-        raise ValueError(f"fusion lambda must lie in [0, 1], got {fusion_lambda}")
-    return fusion_lambda * score_a + (1.0 - fusion_lambda) * score_b
 
 
 def fusion_weights(modalities: Sequence[str], fusion_lambda: float) -> dict[str, float]:

@@ -9,6 +9,7 @@ unweighted mean over buckets so rare words weigh as much as common ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -175,16 +176,26 @@ def evaluate(
 def iter_rankings(corpus: Corpus, bundle: ModelBundle, mode: str = "latent"):
     """(query, ranking) pairs, sharing one inference tape per video so
     query-independent visual work is reused."""
+    for query, rank in _by_video(corpus, bundle):
+        q_mode = mode if (mode == "latent" or query.context is not None) else "latent"
+        yield query, rank(q_mode)
+
+
+def _by_video(corpus: Corpus, bundle: ModelBundle, words: Sequence[str] | None = None):
+    """Group the queries by video (only those of `words`, when given) and
+    walk the videos in sorted id order. Yields each query with its ranker:
+    `rank(mode="latent", tokens=None)` calls rank_moments on the video's
+    shared inference tape and cache."""
     by_video: dict[str, list[TemporalQuery]] = {}
     for q in corpus.queries:
-        by_video.setdefault(q.video_id, []).append(q)
+        if words is None or q.temporal_word in words:
+            by_video.setdefault(q.video_id, []).append(q)
     for vid in sorted(by_video):
         video = corpus.features[vid]
         tape = Tape(recording=False)
         cache: dict = {}
         for query in by_video[vid]:
-            q_mode = mode if (mode == "latent" or query.context is not None) else "latent"
-            yield query, rank_moments(video, query, bundle, q_mode, tape, cache)
+            yield query, functools.partial(rank_moments, video, query, bundle, tape=tape, cache=cache)
 
 
 # -- context analyses --------------------------------------------------------------
@@ -211,29 +222,18 @@ def context_conditioned_delta(
     Queries lacking a stored context or fragment are excluded and counted.
     """
     out: dict = {}
-    by_video: dict[str, list[TemporalQuery]] = {}
-    for q in corpus.queries:
-        if q.temporal_word in words:
-            by_video.setdefault(q.video_id, []).append(q)
     rows: dict[str, dict[str, list]] = {w: {"all": [], "subset": []} for w in words}
     excluded = 0
-    for vid in sorted(by_video):
-        video = corpus.features[vid]
-        tape = Tape(recording=False)
-        cache: dict = {}
-        for q in by_video[vid]:
-            if q.context is None or q.context_sentence is None or len(q.context.regions) != 1:
-                excluded += 1
-                continue
-            ranking = rank_moments(video, q, bundle, "latent", tape, cache)
-            result = QueryResult(q.temporal_word, tuple(s.moment for s in ranking), (q.moment,))
-            rows[q.temporal_word]["all"].append(result)
-            frag_ranking = rank_moments(
-                video, q, bundle, "latent", tape, cache,
-                tokens=tokenize(q.context_sentence),
-            )
-            if frag_ranking[0].moment == q.context.regions[0]:
-                rows[q.temporal_word]["subset"].append(result)
+    for q, rank in _by_video(corpus, bundle, words):
+        if q.context is None or q.context_sentence is None or len(q.context.regions) != 1:
+            excluded += 1
+            continue
+        ranking = rank()
+        result = QueryResult(q.temporal_word, tuple(s.moment for s in ranking), (q.moment,))
+        rows[q.temporal_word]["all"].append(result)
+        frag_ranking = rank(tokens=tokenize(q.context_sentence))
+        if frag_ranking[0].moment == q.context.regions[0]:
+            rows[q.temporal_word]["subset"].append(result)
     for word in words:
         all_results = rows[word]["all"]
         subset = rows[word]["subset"]
@@ -267,35 +267,17 @@ def context_fragment_eval(
     frag_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
     chosen_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
     excluded = 0
-    by_video: dict[str, list[TemporalQuery]] = {}
-    for q in corpus.queries:
-        if q.temporal_word in words:
-            by_video.setdefault(q.video_id, []).append(q)
-    for vid in sorted(by_video):
-        video = corpus.features[vid]
-        tape = Tape(recording=False)
-        cache: dict = {}
-        for q in by_video[vid]:
-            if q.context is None or q.context_sentence is None:
-                excluded += 1
-                continue
-            gt_set = q.context.segment_set()
-            frag_ranking = rank_moments(
-                video, q, bundle, "latent", tape, cache,
-                tokens=tokenize(q.context_sentence),
-            )
-            top = frag_ranking[0].moment
-            frag_rows[q.temporal_word].append(
-                (
-                    float(frozenset(top.segments()) == gt_set),
-                    segment_iou(frozenset(top.segments()), gt_set),
-                )
-            )
-            full_ranking = rank_moments(video, q, bundle, "latent", tape, cache)
-            pred_ctx = full_ranking[0].chosen_context.segment_set()
-            chosen_rows[q.temporal_word].append(
-                (float(pred_ctx == gt_set), segment_iou(pred_ctx, gt_set))
-            )
+    for q, rank in _by_video(corpus, bundle, words):
+        if q.context is None or q.context_sentence is None:
+            excluded += 1
+            continue
+        gt_set = q.context.segment_set()
+        top = frozenset(rank(tokens=tokenize(q.context_sentence))[0].moment.segments())
+        frag_rows[q.temporal_word].append((float(top == gt_set), segment_iou(top, gt_set)))
+        pred_ctx = rank()[0].chosen_context.segment_set()
+        chosen_rows[q.temporal_word].append(
+            (float(pred_ctx == gt_set), segment_iou(pred_ctx, gt_set))
+        )
 
     def summarize(rows: dict[str, list[tuple[float, float]]]) -> dict:
         out = {}

@@ -233,42 +233,6 @@ class ScoredMoment:
     chosen_context: ContextMoment
 
 
-def similarity(
-    tape: Tape,
-    fv_raw: Node,
-    fl: Node,
-    cfg: ModelConfig,
-    params: ModelParams,
-    modality: str,
-) -> Node:
-    """Scalar similarity between a raw visual vector and the encoded query.
-
-    The visual vector is first projected into the joint space. `distance` is
-    the negated squared distance so that higher is uniformly better; the other
-    kinds feed a combination vector through a small MLP.
-    """
-    m = modality
-    fv = tape.add(
-        tape.matmul(tape.param(params[f"{m}.proj_w"]), fv_raw),
-        tape.param(params[f"{m}.proj_b"]),
-    )
-    kind = cfg.similarity
-    if kind == "distance":
-        return tape.scale(tape.squared_distance(fv, fl), -1.0)
-    if kind == "mult":
-        x = tape.hadamard(fv, fl)
-    elif kind == "normalized_mult":
-        x = tape.hadamard(tape.l2_normalize(fv), tape.l2_normalize(fl))
-    elif kind == "tall_sim":
-        x = tape.concat([fv, fl, tape.hadamard(fv, fl), tape.add(fv, fl)])
-    else:
-        raise ValueError(f"unknown similarity {kind!r}")
-    hid = tape.relu(
-        tape.add(tape.matmul(tape.param(params[f"{m}.sim.w1"]), x), tape.param(params[f"{m}.sim.b1"]))
-    )
-    return tape.add(tape.matmul(tape.param(params[f"{m}.sim.w2"]), hid), tape.param(params[f"{m}.sim.b2"]))
-
-
 def conform_context(context: ContextMoment, base: Moment, n_slots: int) -> ContextMoment:
     """Fit a stored context to the configured slot count.
 
@@ -336,7 +300,7 @@ def _moment_features(cache, table, modality):
     if key not in cache:
         n, feats = table.n_segments, table.features
         spans = [(s, e) for s in range(n) for e in range(s, n)]
-        # mean_pool and tef written out without Moment objects: this runs
+        # spans as plain (start, end) pairs, not Moment objects: this runs
         # for every video that a training batch touches
         pooled = np.stack([feats[s : e + 1].mean(axis=0) for s, e in spans] + [np.zeros(table.dim)])
         tefs = np.array([(s / n, (e + 1) / n) for s, e in spans] + [PAD_TEF])

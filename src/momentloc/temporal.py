@@ -82,17 +82,6 @@ def enumerate_moments(n_segments: int) -> list[Moment]:
     ]
 
 
-def tef(moment: Moment, n_segments: int) -> tuple[float, float]:
-    """Normalized endpoint pair (start/n, (end+1)/n), each in (0, 1]."""
-    validate_moment(moment, n_segments)
-    return (moment.start_seg / n_segments, (moment.end_seg + 1) / n_segments)
-
-
-def context_tefs(context: ContextMoment, n_segments: int) -> list[tuple[float, float]]:
-    """Per-slot endpoint pairs; padded slots yield the (-1, -1) sentinel."""
-    return [PAD_TEF if m is None else tef(m, n_segments) for m in context.slots]
-
-
 def context_slot_count(context_mode: str) -> int:
     if context_mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {context_mode!r}")

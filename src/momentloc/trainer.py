@@ -31,8 +31,6 @@ from .model import (
 )
 from .temporal import Moment, context_set, enumerate_moments, validate_moment
 
-TrainingExample = TemporalQuery
-
 
 @dataclass
 class TrainConfig:
@@ -86,7 +84,7 @@ def videos_longer_than(corpus: Corpus) -> list[list[str]]:
 def sample_negatives(
     rng: np.random.Generator,
     corpus: Corpus,
-    example: TrainingExample,
+    example: TemporalQuery,
     n_intra: int,
     n_inter: int,
     longer: list[list[str]] | None = None,
@@ -130,7 +128,7 @@ class ExampleScores:
 
 
 def _contexts_for(
-    example: TrainingExample,
+    example: TemporalQuery,
     base: Moment,
     n_segments: int,
     cfg: ModelConfig,
@@ -152,7 +150,7 @@ def example_scores(
     tape: Tape,
     cache: dict,
     corpus: Corpus,
-    example: TrainingExample,
+    example: TemporalQuery,
     negatives: Negatives,
     cfg: ModelConfig,
     params: ModelParams,

@@ -8,17 +8,11 @@ from momentloc.encoders import (
     Vocabulary,
     encode_query,
     fusion_weights,
-    late_fusion,
     load_embeddings,
     load_features,
-    mean_pool,
-    pool_context,
     save_features,
-    tef_block,
     tef_length,
-    visual_feature,
 )
-from momentloc.temporal import ContextMoment, Moment
 
 
 def table(rng, n=4, d=3, vid="v0", mod="rgb"):
@@ -34,63 +28,11 @@ def test_feature_table_validation():
         SegmentFeatureTable("v", "rgb", np.array([[1.0, np.nan]]))
 
 
-def test_mean_pool(rng):
-    t = table(rng)
-    got = mean_pool(t, Moment(1, 2))
-    assert np.array_equal(got, t.features[1:3].mean(axis=0))
-    assert np.array_equal(mean_pool(t, Moment(0, 0)), t.features[0])
-    with pytest.raises(ValueError):
-        mean_pool(t, Moment(2, 4))
-
-
-def test_pool_context_zero_padding(rng):
-    t = table(rng)
-    cm = ContextMoment.pair(None, Moment(2, 3))
-    pooled = pool_context(t, cm)
-    assert pooled.shape == (6,)
-    assert np.array_equal(pooled[:3], np.zeros(3))
-    assert np.array_equal(pooled[3:], t.features[2:4].mean(axis=0))
-    single = pool_context(t, ContextMoment.single(Moment(0, 3)))
-    assert np.array_equal(single, t.features.mean(axis=0))
-
-
 def test_tef_block_modes():
-    base = Moment(1, 2)
-    ctx = ContextMoment.pair(Moment(0, 0), None)
-    assert tef_block(base, ctx, 4, "none").size == 0
-    assert np.array_equal(tef_block(base, ctx, 4, "tef"), [0.25, 0.75])
-    assert np.array_equal(
-        tef_block(base, ctx, 4, "contef"),
-        [0.25, 0.75, 0.0, 0.25, -1.0, -1.0],
-    )
     assert tef_length("none", 2) == 0
     assert tef_length("tef", 2) == 2
     assert tef_length("contef", 1) == 4
     assert tef_length("contef", 2) == 6
-
-
-def test_visual_feature_layout(rng):
-    t = table(rng, n=4, d=3)
-    params = {
-        "rgb.base.w1": Parameter("rgb.base.w1", rng.normal(size=(5, 3))),
-        "rgb.base.b1": Parameter("rgb.base.b1", np.zeros(5)),
-        "rgb.base.w2": Parameter("rgb.base.w2", rng.normal(size=(2, 5))),
-        "rgb.base.b2": Parameter("rgb.base.b2", np.zeros(2)),
-        "rgb.ctx.w1": Parameter("rgb.ctx.w1", rng.normal(size=(5, 3))),
-        "rgb.ctx.b1": Parameter("rgb.ctx.b1", np.zeros(5)),
-        "rgb.ctx.w2": Parameter("rgb.ctx.w2", rng.normal(size=(2, 5))),
-        "rgb.ctx.b2": Parameter("rgb.ctx.b2", np.zeros(2)),
-    }
-    tape = Tape(recording=False)
-    base, ctx = Moment(1, 2), ContextMoment.single(Moment(0, 0))
-    node = visual_feature(tape, t, base, ctx, "contef", params, "rgb")
-    # 2 (base MLP) + 2 (ctx MLP) + 2 (base tef) + 2 (ctx tef)
-    assert node.value.shape == (8,)
-    expected_base = params["rgb.base.w2"].value @ np.maximum(
-        params["rgb.base.w1"].value @ t.features[1:3].mean(axis=0), 0.0
-    )
-    assert np.allclose(node.value[:2], expected_base)
-    assert np.array_equal(node.value[4:], [0.25, 0.75, 0.0, 0.25])
 
 
 def test_vocabulary_roundtrip():
@@ -150,10 +92,6 @@ def test_encode_query_rejects_bad_ids(rng):
 
 
 def test_late_fusion():
-    assert late_fusion(2.0, 4.0, 0.5) == 3.0
-    assert late_fusion(2.0, 4.0, 1.0) == 2.0
-    with pytest.raises(ValueError):
-        late_fusion(1.0, 1.0, 1.5)
     assert fusion_weights(("rgb", "flow"), 0.25) == {"rgb": 0.25, "flow": 0.75}
     assert fusion_weights(("rgb",), 0.3) == {"rgb": 1.0}
     with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from momentloc.model import (
     save_model,
     score,
     score_base,
-    similarity,
 )
 from momentloc.temporal import ContextMoment, Moment, context_set
 
@@ -77,37 +76,33 @@ def test_init_params_deterministic_and_shaped():
     assert np.array_equal(a["lang.b"].value, np.zeros(4 * cfg.lstm_hidden))
 
 
-def test_distance_similarity_is_negated_squared_distance(rng):
-    cfg = tiny_model_config(similarity="distance")
-    params = init_params(cfg, rng)
-    tape = Tape(recording=False)
-    fv_raw = tape.constant(rng.normal(size=2 * cfg.visual_out_dim + cfg.tef_len))
-    fl = tape.constant(rng.normal(size=cfg.joint_dim))
-    node = similarity(tape, fv_raw, fl, cfg, params, "rgb")
-    fv = params["rgb.proj_w"].value @ fv_raw.value + params["rgb.proj_b"].value
-    diff = fv - fl.value
-    assert float(node.value) == -float(np.dot(diff, diff))
-    # identical vectors score highest
-    tape2 = Tape(recording=False)
-    same = similarity(tape2, fv_raw, tape2.constant(fv), cfg, params, "rgb")
-    assert float(same.value) == 0.0
-    assert float(same.value) > float(node.value)
+# Ids: tef_mode-similarity, with a -context_mode suffix except for latent.
+ORACLE_CASES = [
+    pytest.param(tef_mode, sim, mode, id="-".join([tef_mode, sim] + ([mode] if mode != "latent" else [])))
+    for mode in ("global", "before_after", "latent")
+    for sim in ("distance", "mult", "normalized_mult", "tall_sim")
+    for tef_mode in ("none", "tef", "contef")
+]
 
 
-@pytest.mark.parametrize("sim", ["distance", "mult", "normalized_mult", "tall_sim"])
-@pytest.mark.parametrize("tef_mode", ["none", "tef", "contef"])
-def test_score_matches_numpy_oracle(rng, sim, tef_mode):
-    cfg = tiny_model_config(similarity=sim, tef_mode=tef_mode,
+@pytest.mark.parametrize("tef_mode,sim,context_mode", ORACLE_CASES)
+def test_score_matches_numpy_oracle(rng, tef_mode, sim, context_mode):
+    """Exact agreement with the per-pair numpy scorer. In before_after mode the
+    bases (0, 0) and (0, 3) have a padded before slot and (0, 3) a padded after
+    slot: zero pooled features and PAD_TEF endpoints."""
+    cfg = tiny_model_config(context_mode=context_mode, similarity=sim, tef_mode=tef_mode,
                             modalities=("rgb", "flow"), fusion_lambda=0.35)
     params = init_params(cfg, rng)
     video = tiny_video(rng, n_segments=4, dim=cfg.visual_dim, modalities=("rgb", "flow"))
     arrays = params.arrays()
     for base in (Moment(0, 0), Moment(1, 2), Moment(0, 3)):
-        contexts = context_set("latent", base, 4)
+        contexts = context_set(context_mode, base, 4)
         got = score(video, [1, 3, 2], base, cfg, params)
         want_score, want_idx = np_score(video, [1, 3, 2], base, contexts, cfg, arrays)
         assert got.score == want_score
         assert got.chosen_context == contexts[want_idx]
+    with pytest.raises(ValueError, match="exceeds"):
+        score(video, [1], Moment(2, 4), cfg, params)
 
 
 def test_score_gt_context_only_scores_supplied_context(rng):

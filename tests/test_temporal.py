@@ -3,14 +3,11 @@ import pytest
 from momentloc.temporal import (
     ContextMoment,
     Moment,
-    PAD_TEF,
     context_set,
     context_slot_count,
-    context_tefs,
     enumerate_moments,
     iou,
     segment_iou,
-    tef,
 )
 
 
@@ -35,19 +32,6 @@ def test_enumerate_moments_counts_and_order():
         assert len(ms) == n * (n + 1) // 2
         assert len(set(ms)) == len(ms)
         assert ms == sorted(ms, key=lambda m: (m.start_seg, m.end_seg))
-
-
-def test_tef_values():
-    assert tef(Moment(0, 5), 6) == (0.0, 1.0)
-    assert tef(Moment(2, 3), 6) == (2 / 6, 4 / 6)
-    assert tef(Moment(5, 5), 6) == (5 / 6, 1.0)
-    with pytest.raises(ValueError):
-        tef(Moment(0, 6), 6)
-
-
-def test_context_tefs_padding():
-    cm = ContextMoment.pair(None, Moment(4, 5))
-    assert context_tefs(cm, 6) == [PAD_TEF, (4 / 6, 1.0)]
 
 
 def test_context_moment_validation():
