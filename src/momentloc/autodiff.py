@@ -34,6 +34,8 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .configio import atomic_open
+
 NORMALIZE_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"MLLC1"
@@ -491,7 +493,7 @@ def sgd_step(params: Iterable[Parameter], lr: float) -> None:
 
 
 def save_checkpoint(path: str, tensors: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(tensors)))
         for name in sorted(tensors):

@@ -2,15 +2,16 @@
 
 Subcommands: gen (synthetic corpus or template composition), train, eval,
 ablate (config grid), inspect (per-query ranking view), stats (temporal word
-counts). Every command that writes artifacts records a `manifest.json`
-describing inputs and outputs; wall-clock timing goes to a separate
-`timing.json` so the primary outputs of identical runs are byte-identical.
+counts). `main` owns the run record: it creates `--out`, runs the command,
+and, when the command returns its `(inputs, outputs)`, writes a
+`manifest.json` describing them and a `timing.json` with the wall-clock time,
+kept apart so the primary outputs of identical runs are byte-identical.
+`inspect`, and `stats` without `--out`, write nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -20,86 +21,42 @@ from .encoders import load_embeddings
 from .model import ModelConfig, load_model, save_model
 from .temporal import Moment
 
-_GEN_OUTPUTS = ("corpus.manifest", "truth.json")
+# What an artifact-writing command returns: its manifest inputs and outputs.
+Record = tuple[dict, list[str]] | None
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _config(cls, path: str | None, **overrides):
+    """`cls` from the flat config file at `path` (defaults without one), with
+    the overrides that are not None applied on top."""
+    mapping = configio.load_config_file(path) if path else {}
+    mapping.update((k, str(v)) for k, v in overrides.items() if v is not None)
+    return cls.from_mapping(mapping, source=path or "defaults")
 
 
-def _write_manifest(out_dir: str, command: str, inputs: dict, outputs: list[str]) -> None:
-    _write_json(
-        os.path.join(out_dir, "manifest.json"),
-        {
-            "schema": 1,
-            "command": command,
-            "inputs": inputs,
-            "outputs": sorted(outputs),
-            "version": __version__,
-        },
-    )
-
-
-def _write_timing(out_dir: str, started: float) -> None:
-    _write_json(
-        os.path.join(out_dir, "timing.json"),
-        {"schema": 1, "wall_seconds": time.monotonic() - started},
-    )
-
-
-def _load_config_mapping(path: str | None) -> dict[str, str]:
-    return configio.load_config_file(path) if path else {}
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    os.makedirs(args.out, exist_ok=True)
+def cmd_gen(args: argparse.Namespace) -> Record:
     if args.compose:
-        queries = dataset.generate_template_queries(
-            [
-                dataset.BaseAnnotation(q.video_id, q.sentence, q.moment)
-                for q in dataset.load_annotations(args.compose)
-            ]
-        )
+        bases = [dataset.BaseAnnotation(q.video_id, q.sentence, q.moment)
+                 for q in dataset.load_annotations(args.compose)]
+        queries = dataset.generate_template_queries(bases)
         out_path = os.path.join(args.out, "queries_composed.json")
         dataset.save_annotations(out_path, queries)
         counts = dataset.word_stats(q.sentence for q in queries)
-        _write_json(os.path.join(args.out, "stats.json"), {"schema": 1, "word_counts": counts})
-        _write_manifest(args.out, "gen", {"compose": args.compose},
-                        ["queries_composed.json", "stats.json"])
-        _write_timing(args.out, started)
+        configio.write_json(os.path.join(args.out, "stats.json"), {"schema": 1, "word_counts": counts})
         print(f"composed {len(queries)} queries -> {out_path}")
-        return 0
-    mapping = _load_config_mapping(args.config)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
-    cfg = dataset.SyntheticCorpusConfig.from_mapping(mapping, source=args.config or "defaults")
+        return {"compose": args.compose}, ["queries_composed.json", "stats.json"]
+    cfg = _config(dataset.SyntheticCorpusConfig, args.config, seed=args.seed)
     synthetic = dataset.generate_synthetic(cfg)
     manifest_path = dataset.save_corpus(args.out, synthetic)
-    outputs = sorted(f for f in os.listdir(args.out) if f not in ("manifest.json", "timing.json"))
-    _write_manifest(args.out, "gen", {"config": args.config, "seed": cfg.seed}, outputs)
-    _write_timing(args.out, started)
-    print(
-        f"generated {len(synthetic.train.queries)} train / "
-        f"{len(synthetic.test.queries)} test queries -> {manifest_path}"
-    )
-    return 0
+    print(f"generated {len(synthetic.train.queries)} train / "
+          f"{len(synthetic.test.queries)} test queries -> {manifest_path}")
+    return {"config": args.config, "seed": cfg.seed}, dataset.corpus_files(manifest_path)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    os.makedirs(args.out, exist_ok=True)
+def cmd_train(args: argparse.Namespace) -> Record:
     corpus = dataset.load_corpus(args.corpus, split=args.split)
-    train_mapping = _load_config_mapping(args.train_config)
-    if args.seed is not None:
-        train_mapping["seed"] = str(args.seed)
-    train_cfg = trainer.TrainConfig.from_mapping(train_mapping, source=args.train_config or "defaults")
-    init = None
-    vocab = None
+    train_cfg = _config(trainer.TrainConfig, args.train_config, seed=args.seed)
+    init = vocab = embedding = None
     start_epoch = 0
-    embedding = None
     if args.resume:
         if args.model_config:
             raise ValueError("--model-config cannot be combined with --resume")
@@ -107,11 +64,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         model_cfg, init, vocab = prev.config, prev.params, prev.vocab
         start_epoch = args.start_epoch
     else:
-        mapping = _load_config_mapping(args.model_config)
         if args.embeddings:
             vocab, embedding = load_embeddings(args.embeddings)
-            mapping["embed_dim"] = str(embedding.shape[1])
-        model_cfg = ModelConfig.from_mapping(mapping, source=args.model_config or "defaults")
+        model_cfg = _config(ModelConfig, args.model_config,
+                            embed_dim=None if embedding is None else embedding.shape[1])
     log = None if args.quiet else lambda line: print(line, flush=True)
     bundle, history = trainer.train(
         corpus, model_cfg, train_cfg,
@@ -119,68 +75,41 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     save_model(args.out, bundle)
     trainer.save_history(os.path.join(args.out, "history.csv"), history)
-    _write_manifest(
-        args.out, "train",
-        {
-            "corpus": args.corpus,
-            "split": args.split,
-            "model_config": args.model_config,
-            "train_config": args.train_config,
-            "seed": train_cfg.seed,
-            "resume": args.resume,
-        },
-        ["checkpoint.bin", "model.cfg", "vocab.json", "history.csv"],
-    )
-    _write_timing(args.out, started)
     final = history[-1]["loss"] if history else float("nan")
     print(f"trained {len(history)} epochs, final loss {final:.6f} -> {args.out}")
-    return 0
+    inputs = {"corpus": args.corpus, "split": args.split, "model_config": args.model_config,
+              "train_config": args.train_config, "seed": train_cfg.seed, "resume": args.resume}
+    return inputs, ["checkpoint.bin", "model.cfg", "vocab.json", "history.csv"]
 
 
-def _eval_rows(args, corpus, bundle) -> tuple[list, dict]:
+def cmd_eval(args: argparse.Namespace) -> Record:
+    corpus = dataset.load_corpus(args.corpus, split=args.split)
+    bundle = load_model(args.model)
     rows = [(f"model[{args.mode}]", evaluation.evaluate(corpus, bundle, mode=args.mode))]
-    analyses: dict = {}
     if args.baseline_prior:
         train_split = dataset.load_corpus(args.corpus, split="train")
         prior = evaluation.FrequencyPrior.fit(train_split.queries)
         rows.append(("frequency_prior", prior.evaluate(corpus)))
-    if args.context_delta:
-        analyses["context_conditioned_delta"] = evaluation.context_conditioned_delta(corpus, bundle)
-    if args.fragment_eval:
-        analyses["context_fragment_eval"] = evaluation.context_fragment_eval(corpus, bundle)
-    return rows, analyses
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    os.makedirs(args.out, exist_ok=True)
-    corpus = dataset.load_corpus(args.corpus, split=args.split)
-    bundle = load_model(args.model)
-    rows, analyses = _eval_rows(args, corpus, bundle)
     doc = {
         "schema": 1,
         "split": args.split,
         "mode": args.mode,
         "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
     }
-    doc.update(analyses)
-    _write_json(os.path.join(args.out, "metrics.json"), doc)
+    if args.context_delta:
+        doc["context_conditioned_delta"] = evaluation.context_conditioned_delta(corpus, bundle)
+    if args.fragment_eval:
+        doc["context_fragment_eval"] = evaluation.context_fragment_eval(corpus, bundle)
+    configio.write_json(os.path.join(args.out, "metrics.json"), doc)
     table = evaluation.format_comparison_table(rows)
-    with open(os.path.join(args.out, "metrics.txt"), "w", encoding="utf-8") as fh:
+    with configio.atomic_open(os.path.join(args.out, "metrics.txt")) as fh:
         fh.write(table)
-    _write_manifest(
-        args.out, "eval",
-        {"corpus": args.corpus, "model": args.model, "split": args.split, "mode": args.mode},
-        ["metrics.json", "metrics.txt"],
-    )
-    _write_timing(args.out, started)
     print(table, end="")
-    return 0
+    inputs = {"corpus": args.corpus, "model": args.model, "split": args.split, "mode": args.mode}
+    return inputs, ["metrics.json", "metrics.txt"]
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    os.makedirs(args.out, exist_ok=True)
+def cmd_ablate(args: argparse.Namespace) -> Record:
     grid = configio.load_config_file(args.grid)
     if "cells" not in grid:
         raise ValueError(f"{args.grid}: grid file needs a 'cells' key")
@@ -195,10 +124,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             overrides[cell][field] = value
         else:
             shared[key] = value
-    train_mapping = _load_config_mapping(args.train_config)
-    if args.seed is not None:
-        train_mapping["seed"] = str(args.seed)
-    train_cfg = trainer.TrainConfig.from_mapping(train_mapping, source=args.train_config or "defaults")
+    train_cfg = _config(trainer.TrainConfig, args.train_config, seed=args.seed)
     train_split = dataset.load_corpus(args.corpus, split="train")
     eval_split = dataset.load_corpus(args.corpus, split=args.split)
     rows = []
@@ -212,7 +138,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         except Exception as exc:
             raise RuntimeError(f"ablation cell {cell!r} failed: {exc}") from exc
     table = evaluation.format_comparison_table(rows)
-    _write_json(
+    configio.write_json(
         os.path.join(args.out, "ablation.json"),
         {
             "schema": 1,
@@ -221,17 +147,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
         },
     )
-    with open(os.path.join(args.out, "ablation.txt"), "w", encoding="utf-8") as fh:
+    with configio.atomic_open(os.path.join(args.out, "ablation.txt")) as fh:
         fh.write(table)
-    _write_manifest(
-        args.out, "ablate",
-        {"corpus": args.corpus, "grid": args.grid, "train_config": args.train_config,
-         "seed": train_cfg.seed, "split": args.split},
-        ["ablation.json", "ablation.txt"] + [f"cells/{c}" for c in cells],
-    )
-    _write_timing(args.out, started)
     print(table, end="")
-    return 0
+    inputs = {"corpus": args.corpus, "grid": args.grid, "train_config": args.train_config,
+              "seed": train_cfg.seed, "split": args.split}
+    return inputs, ["ablation.json", "ablation.txt"] + [f"cells/{c}" for c in cells]
 
 
 def _timeline(n: int, base: Moment, ctx_segments: frozenset[int]) -> str:
@@ -243,7 +164,7 @@ def _timeline(n: int, base: Moment, ctx_segments: frozenset[int]) -> str:
     return "".join(chars)
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
+def cmd_inspect(args: argparse.Namespace) -> Record:
     corpus = dataset.load_corpus(args.corpus, split=args.split)
     bundle = load_model(args.model)
     if not 0 <= args.query < len(corpus.queries):
@@ -272,24 +193,22 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             f"{'':6}{regions:<18} {_timeline(n, sm.moment, sm.chosen_context.segment_set())}"
         )
     print("\n".join(lines))
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> Record:
     queries = dataset.load_annotations(args.annotations)
     counts = dataset.word_stats(q.sentence for q in queries)
     width = max(len(w) for w in counts)
     for word, count in counts.items():
         print(f"{word:<{width}}  {count}")
     print(f"{'total queries':<{width}}  {len(queries)}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(
-            os.path.join(args.out, "stats.json"),
-            {"schema": 1, "word_counts": counts, "total_queries": len(queries)},
-        )
-        _write_manifest(args.out, "stats", {"annotations": args.annotations}, ["stats.json"])
-    return 0
+    if not args.out:
+        return None
+    configio.write_json(
+        os.path.join(args.out, "stats.json"),
+        {"schema": 1, "word_counts": counts, "total_queries": len(queries)},
+    )
+    return {"annotations": args.annotations}, ["stats.json"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,18 +274,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="temporal word counts over an annotation file")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--out", help="also write stats.json here")
+    p.add_argument("--out", help="also write stats.json and the run record here")
     p.set_defaults(fn=cmd_stats)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
+    out = getattr(args, "out", None)
     try:
-        return args.fn(args)
+        if out:
+            os.makedirs(out, exist_ok=True)
+        record = args.fn(args)
+        if record is not None:
+            inputs, outputs = record
+            manifest = {"schema": 1, "command": args.command, "inputs": inputs,
+                        "outputs": sorted(outputs), "version": __version__}
+            configio.write_json(os.path.join(out, "manifest.json"), manifest)
+            configio.write_json(os.path.join(out, "timing.json"),
+                                {"schema": 1, "wall_seconds": time.monotonic() - started})
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,56 @@
-"""Flat key=value config files shared by the model, trainer, and generator.
+"""Config files and the one write path and JSON reader of every artifact.
 
+Flat key=value config files are shared by the model, trainer, and generator.
 Syntax: one `key = value` per line; blank lines and `#` comments ignored;
 `include <path>` splices another file (relative to the including file), with
 later assignments overriding earlier ones.
+
+Every file the package writes goes through `atomic_open` (JSON through
+`write_json`): it is written beside its target and renamed into place, so a
+failed write leaves the previous file as it was. Every JSON file is read
+through `read_json`, whose errors name `file:line:col`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
 import os
 import typing
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kw):
+    """Open `path + ".tmp"` for writing and `os.replace` it onto `path` when
+    the block succeeds; on any exception the temp file is deleted and `path`
+    is untouched. Text mode defaults to UTF-8."""
+    if "b" not in mode:
+        kw.setdefault("encoding", "utf-8")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path: str, doc, indent: int = 1) -> None:
+    """Key-sorted JSON plus a final newline, written atomically."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
 def _parse(lines, source: str, include=None) -> dict[str, str]:

@@ -12,7 +12,6 @@ at generator internals; it re-parses the sentence.
 
 from __future__ import annotations
 
-import json
 import os
 import string
 from collections import Counter
@@ -130,25 +129,27 @@ def adjacent_pairs(
     return pairs
 
 
-def _pair_queries(x: BaseAnnotation, y: BaseAnnotation) -> list[TemporalQuery]:
-    """The five queries composed from one adjacent pair (x earlier, y later).
+def _compose(kind: str, video_id: str, sentence: str,
+             x: Moment, x_text: str, y: Moment, y_text: str) -> TemporalQuery:
+    """One query over moments x (earlier) and y (later), described by x_text
+    and y_text: "before" grounds to x with y as context, "after" to y with x
+    as context, "then" to the union span of x and y with y as context."""
+    base, ctx, ctx_text = {
+        "before": (x, y, y_text),
+        "after": (y, x, x_text),
+        "then": (Moment(x.start_seg, y.end_seg), y, y_text),
+    }[kind]
+    return TemporalQuery(video_id, sentence, base, kind, ContextMoment.single(ctx), ctx_text)
 
-    "before" queries ground to the earlier moment with the later as context;
-    "after" queries ground to the later moment with the earlier as context;
-    "then" grounds to the union span with the second constituent as context.
-    """
-    out = []
-    for s in template_sentences("before", x.sentence, y.sentence):
-        out.append(TemporalQuery(x.video_id, s, x.moment, "before",
-                                 ContextMoment.single(y.moment), _fragment(y.sentence)))
-    for s in template_sentences("after", x.sentence, y.sentence):
-        out.append(TemporalQuery(x.video_id, s, y.moment, "after",
-                                 ContextMoment.single(x.moment), _fragment(x.sentence)))
-    union = Moment(x.moment.start_seg, y.moment.end_seg)
-    for s in template_sentences("then", x.sentence, y.sentence):
-        out.append(TemporalQuery(x.video_id, s, union, "then",
-                                 ContextMoment.single(y.moment), _fragment(y.sentence)))
-    return out
+
+def _pair_queries(x: BaseAnnotation, y: BaseAnnotation) -> list[TemporalQuery]:
+    """The five queries composed from one adjacent pair (x earlier, y later)."""
+    x_text, y_text = _fragment(x.sentence), _fragment(y.sentence)
+    return [
+        _compose(kind, x.video_id, s, x.moment, x_text, y.moment, y_text)
+        for kind in ("before", "after", "then")
+        for s in template_sentences(kind, x.sentence, y.sentence)
+    ]
 
 
 def generate_template_queries(annotations: Sequence[BaseAnnotation]) -> list[TemporalQuery]:
@@ -376,10 +377,6 @@ def resolve_event(token: str) -> str:
     return token
 
 
-def _token_runs(tokens: Sequence[str]) -> list[tuple[str, Moment]]:
-    return SymbolicGroundTruth({"_": list(tokens)}).runs("_")
-
-
 def _sample_video_tokens(rng: np.random.Generator, cfg: SyntheticCorpusConfig) -> list[str]:
     """Distinct events per segment; with probability repeat_prob one event is
     duplicated at two non-adjacent positions (the planted ambiguity)."""
@@ -441,15 +438,7 @@ def _try_temporal_query(
                 surf_a = event_alias(tok_a)
         sentences = template_sentences(kind, surf_a, surf_b)
         sentence = sentences[int(rng.integers(len(sentences)))]
-        if kind == "before":
-            q = TemporalQuery(video_id, sentence, mom_a, "before",
-                              ContextMoment.single(mom_b), surf_b)
-        elif kind == "after":
-            q = TemporalQuery(video_id, sentence, mom_b, "after",
-                              ContextMoment.single(mom_a), surf_a)
-        else:
-            q = TemporalQuery(video_id, sentence, Moment(mom_a.start_seg, mom_b.end_seg),
-                              "then", ContextMoment.single(mom_b), surf_b)
+        q = _compose(kind, video_id, sentence, mom_a, surf_a, mom_b, surf_b)
         try:
             answer = oracle_localize(q, truth)
         except OracleError:
@@ -547,36 +536,35 @@ def query_to_record(q: TemporalQuery) -> dict:
 
 
 def record_to_query(rec: dict, where: str) -> TemporalQuery:
+    """One annotation record as a query; every malformed field raises a
+    ValueError that starts with `where`."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: expected an object, got {type(rec).__name__}")
     try:
-        vid = rec["video_id"]
-        sentence = rec["sentence"]
         moment = Moment(int(rec["start_seg"]), int(rec["end_seg"]))
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing key {exc}") from None
-    word = rec.get("temporal_word", "none")
-    context = None
-    if "ctx_regions" in rec and rec["ctx_regions"]:
-        regions = [Moment(int(s), int(e)) for s, e in rec["ctx_regions"]]
+        regions = [Moment(int(s), int(e)) for s, e in rec.get("ctx_regions") or ()]
+        context = None
         if len(regions) == 1:
             context = ContextMoment.single(regions[0])
         elif len(regions) == 2:
-            context = ContextMoment.pair(regions[0], regions[1])
-        else:
-            raise ValueError(f"{where}: a context has 1 or 2 regions, got {len(regions)}")
-    return TemporalQuery(vid, sentence, moment, word, context, rec.get("context_sentence"))
+            context = ContextMoment.pair(*regions)
+        elif regions:
+            raise ValueError(f"a context has 1 or 2 regions, got {len(regions)}")
+        return TemporalQuery(rec["video_id"], rec["sentence"], moment,
+                             rec.get("temporal_word", "none"), context, rec.get("context_sentence"))
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_annotations(path: str, queries: Sequence[TemporalQuery]) -> None:
-    doc = {"schema": 1, "records": [query_to_record(q) for q in queries]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    configio.write_json(path, {"schema": 1, "records": [query_to_record(q) for q in queries]})
 
 
 def load_annotations(path: str) -> list[TemporalQuery]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    records = doc["records"] if isinstance(doc, dict) else doc
+    doc = configio.read_json(path)
+    records = doc.get("records") if isinstance(doc, dict) else doc
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a record array")
     return [record_to_query(rec, f"{path}: record {i}") for i, rec in enumerate(records)]
@@ -584,15 +572,14 @@ def load_annotations(path: str) -> list[TemporalQuery]:
 
 def save_truth(path: str, truth: SymbolicGroundTruth) -> None:
     doc = {"schema": 1, "videos": {v: list(toks) for v, toks in sorted(truth.events.items())}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    configio.write_json(path, doc)
 
 
 def load_truth(path: str) -> SymbolicGroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    videos = doc["videos"] if ("schema" in doc and "videos" in doc) else doc
+    doc = configio.read_json(path)
+    videos = doc["videos"] if isinstance(doc, dict) and "schema" in doc and "videos" in doc else doc
+    if not isinstance(videos, dict):
+        raise ValueError(f"{path}: expected a video -> event list mapping")
     return SymbolicGroundTruth({v: list(toks) for v, toks in videos.items()})
 
 
@@ -618,9 +605,36 @@ def save_corpus(out_dir: str, synthetic: SyntheticCorpus) -> str:
     save_truth(os.path.join(out_dir, "truth.json"), synthetic.truth)
     lines.append("truth truth.json")
     manifest = os.path.join(out_dir, MANIFEST_NAME)
-    with open(manifest, "w", encoding="utf-8") as fh:
+    with configio.atomic_open(manifest) as fh:
         fh.write("\n".join(lines) + "\n")
     return manifest
+
+
+def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
+    """The entries of a corpus manifest as (kind, key, file) triples: `key` is
+    the modality of a features line, the split of an annotations line and
+    None for the truth line; `file` is relative to the manifest's directory.
+    Blank and `#` lines are skipped; any other line is a `file:line` error."""
+    entries = []
+    with open(manifest_path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] in ("features", "annotations") and len(parts) == 3:
+                entries.append((parts[0], parts[1], parts[2]))
+            elif parts[0] == "truth" and len(parts) == 2:
+                entries.append(("truth", None, parts[1]))
+            else:
+                raise ValueError(f"{manifest_path}:{lineno}: cannot parse {line!r}")
+    return entries
+
+
+def corpus_files(manifest_path: str) -> list[str]:
+    """The manifest's file name and every file it lists, as `save_corpus`
+    wrote them (relative to the manifest's directory)."""
+    return [os.path.basename(manifest_path)] + [f for _, _, f in _read_manifest(manifest_path)]
 
 
 def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
@@ -629,22 +643,9 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
     dropped, so inter-video training negatives come from the referenced
     videos alone."""
     base = os.path.dirname(manifest_path)
-    feature_paths: dict[str, str] = {}
-    annotation_paths: dict[str, str] = {}
-    with open(manifest_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "features" and len(parts) == 3:
-                feature_paths[parts[1]] = os.path.join(base, parts[2])
-            elif parts[0] == "annotations" and len(parts) == 3:
-                annotation_paths[parts[1]] = os.path.join(base, parts[2])
-            elif parts[0] == "truth" and len(parts) == 2:
-                pass
-            else:
-                raise ValueError(f"{manifest_path}:{lineno}: cannot parse {raw!r}")
+    entries = _read_manifest(manifest_path)
+    feature_paths = {k: os.path.join(base, f) for kind, k, f in entries if kind == "features"}
+    annotation_paths = {k: os.path.join(base, f) for kind, k, f in entries if kind == "annotations"}
     if not feature_paths:
         raise ValueError(f"{manifest_path}: no feature files listed")
     if split not in annotation_paths:
@@ -668,10 +669,7 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
 
 
 def load_truth_for(manifest_path: str) -> SymbolicGroundTruth:
-    base = os.path.dirname(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if parts and parts[0] == "truth" and len(parts) == 2:
-                return load_truth(os.path.join(base, parts[1]))
+    for kind, _, f in _read_manifest(manifest_path):
+        if kind == "truth":
+            return load_truth(os.path.join(os.path.dirname(manifest_path), f))
     raise ValueError(f"{manifest_path}: no truth file listed")

@@ -9,13 +9,13 @@ whose final hidden state is projected into the joint space.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape, as_array
+from .configio import atomic_open, read_json, write_json
 
 UNK_TOKEN = "<unk>"
 
@@ -91,8 +91,11 @@ class Vocabulary:
         return {"schema": 1, "tokens": list(self._tokens)}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Vocabulary":
-        return cls(doc["tokens"] if isinstance(doc, dict) else doc)
+    def from_json(cls, doc: dict, where: str = "vocabulary") -> "Vocabulary":
+        tokens = doc.get("tokens") if isinstance(doc, dict) else doc
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError(f"{where}: expected a 'tokens' list of strings")
+        return cls(tokens)
 
 
 # Gates are stacked [input, forget, output, cell] along the first axis of the
@@ -150,7 +153,7 @@ def fusion_weights(modalities: Sequence[str], fusion_lambda: float) -> dict[str,
 
 
 def save_features(path: str, tables: Mapping[str, SegmentFeatureTable]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for vid in sorted(tables):
             t = tables[vid]
             fh.write(f"{t.video_id} {t.n_segments} {t.dim}\n")
@@ -231,11 +234,8 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
 
 
 def save_vocabulary(path: str, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_json(), fh, indent=0, sort_keys=True)
-        fh.write("\n")
+    write_json(path, vocab.to_json(), indent=0)
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return Vocabulary.from_json(json.load(fh))
+    return Vocabulary.from_json(read_json(path), path)

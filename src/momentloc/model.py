@@ -533,7 +533,7 @@ class ModelBundle:
 def save_model(out_dir: str, bundle: ModelBundle) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, CHECKPOINT_FILE), bundle.params.arrays())
-    with open(os.path.join(out_dir, CONFIG_FILE), "w", encoding="utf-8") as fh:
+    with configio.atomic_open(os.path.join(out_dir, CONFIG_FILE)) as fh:
         fh.write(bundle.config.to_text())
     save_vocabulary(os.path.join(out_dir, VOCAB_FILE), bundle.vocab)
 

@@ -280,7 +280,7 @@ def _check_corpus(corpus: Corpus, cfg: ModelConfig) -> None:
 
 
 def save_history(path: str, history: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with configio.atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "lr"])
         writer.writeheader()
         for row in history:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import pytest
 
@@ -67,6 +68,21 @@ def ws(tmp_path_factory):
     }
 
 
+def assert_run_record(out, command):
+    """`manifest.json` lists exactly the files the command wrote under `out`
+    (a listed directory stands for every file in it), and `timing.json` is
+    there too."""
+    def files(root):
+        return {p.relative_to(out).as_posix() for p in [root, *root.rglob("*")] if p.is_file()}
+
+    doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["command"] == command
+    assert all((out / name).exists() for name in doc["outputs"])
+    listed = set().union(*(files(out / name) for name in doc["outputs"]))
+    assert listed == files(out) - {"manifest.json", "timing.json"}
+    assert json.loads((out / "timing.json").read_text(encoding="utf-8"))["wall_seconds"] >= 0
+
+
 def test_gen_outputs(ws):
     names = set(os.listdir(ws["corpus"]))
     assert {
@@ -78,6 +94,19 @@ def test_gen_outputs(ws):
     assert doc["schema"] == 1
     assert "timing.json" not in doc["outputs"]
     assert doc["outputs"] == sorted(doc["outputs"])
+    assert_run_record(ws["corpus"], "gen")
+
+
+def test_gen_lists_only_its_own_files(ws, tmp_path, capsys):
+    out = tmp_path / "busy"
+    out.mkdir()
+    (out / "stray.txt").write_text("not from gen\n", encoding="utf-8")
+    assert main(["gen", "--config", str(ws["root"] / "gen.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    fresh = json.loads((ws["corpus"] / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["outputs"] == fresh["outputs"]
+    assert "stray.txt" not in doc["outputs"]
 
 
 def test_gen_rerun_byte_identical(ws, tmp_path):
@@ -114,6 +143,7 @@ def test_train_outputs(ws):
     cfg_text = (ws["model"] / "model.cfg").read_text(encoding="utf-8")
     assert "context_mode = latent" in cfg_text
     assert "vocab_size = 0" not in cfg_text  # persisted with the real vocabulary size
+    assert_run_record(ws["model"], "train")
 
 
 def test_eval_command(ws, tmp_path, capsys):
@@ -133,6 +163,7 @@ def test_eval_command(ws, tmp_path, capsys):
     assert "context_conditioned_delta" in doc
     assert "context_fragment_eval" in doc
     assert (out / "metrics.txt").read_text(encoding="utf-8") == printed
+    assert_run_record(out, "eval")
 
 
 def test_eval_gt_context_mode(ws, tmp_path, capsys):
@@ -156,7 +187,9 @@ def test_eval_missing_corpus_fails(ws, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_inspect_command(ws, capsys):
+def test_inspect_command(ws, tmp_path, monkeypatch, capsys):
+    before = {d: sorted(os.listdir(ws[d])) for d in ("corpus", "model")}
+    monkeypatch.chdir(tmp_path)
     assert main([
         "inspect", "--corpus", ws["manifest"], "--model", str(ws["model"]),
         "--split", "test", "--query", "0", "--top", "3",
@@ -168,6 +201,8 @@ def test_inspect_command(ws, capsys):
     assert any(set(line.split()[-1]) <= set("■▲◆·") for line in body[2:] if line)
     ranked = [line for line in body if line and line.split()[0].isdigit()]
     assert len(ranked) == 3
+    assert os.listdir(tmp_path) == []  # inspect writes nothing
+    assert {d: sorted(os.listdir(ws[d])) for d in ("corpus", "model")} == before
 
 
 def test_inspect_bad_index(ws, capsys):
@@ -189,6 +224,14 @@ def test_stats_command(ws, tmp_path, capsys):
     doc = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert doc["total_queries"] == 12
     assert set(doc["word_counts"]) >= {"before", "after", "then", "while"}
+    assert_run_record(out, "stats")
+
+
+def test_stats_without_out_writes_nothing(ws, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", "--annotations", str(ws["corpus"] / "queries_train.json")]) == 0
+    assert "total queries" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
 
 
 def test_gen_compose(tmp_path, capsys):
@@ -209,6 +252,7 @@ def test_gen_compose(tmp_path, capsys):
     queries = load_annotations(str(out / "queries_composed.json"))
     assert len(queries) == 5
     assert all(q.context is not None for q in queries)
+    assert_run_record(out, "gen")
 
 
 def test_train_resume(ws, tmp_path, capsys):
@@ -280,6 +324,7 @@ def test_ablate_command(ws, tmp_path, capsys):
     assert [row["label"] for row in doc["rows"]] == ["ctx_global", "ctx_pair"]
     assert (out / "cells" / "ctx_global" / "checkpoint.bin").exists()
     assert (out / "cells" / "ctx_pair" / "model.cfg").exists()
+    assert_run_record(out, "ablate")
 
 
 def test_ablate_bad_grid(ws, tmp_path, capsys):
@@ -303,6 +348,60 @@ def test_ablate_failing_cell_names_it(ws, tmp_path, capsys):
         "--train-config", str(tmp_path / "one.cfg"), "--out", str(tmp_path / "y"),
     ]) == 1
     assert "ablation cell 'broken'" in capsys.readouterr().err
+
+
+def _eval_fails_naming(tmp_path, capsys, corpus, model, name):
+    code = main([
+        "eval", "--corpus", str(corpus / "corpus.manifest"), "--model", str(model),
+        "--out", str(tmp_path / "eval"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+    return err
+
+
+def _broken_queries(ws, tmp_path, edit):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(ws["corpus"], corpus)
+    path = corpus / "queries_test.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(edit(doc), encoding="utf-8")
+    return corpus
+
+
+def test_invalid_json_names_file_line_and_column(ws, tmp_path, capsys):
+    corpus = _broken_queries(ws, tmp_path, lambda doc: "{\n  records\n")
+    err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
+    assert "queries_test.json:2:3: Expecting property name" in err
+
+
+def test_non_integer_segment_names_file_and_record(ws, tmp_path, capsys):
+    def edit(doc):
+        doc["records"][1]["start_seg"] = "x"
+        return json.dumps(doc)
+
+    corpus = _broken_queries(ws, tmp_path, edit)
+    err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
+    assert "record 1: invalid literal for int()" in err
+
+
+def test_list_record_names_file_and_record(ws, tmp_path, capsys):
+    def edit(doc):
+        doc["records"][2] = ["v", "a sentence", 0, 1]
+        return json.dumps(doc)
+
+    corpus = _broken_queries(ws, tmp_path, edit)
+    err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
+    assert "record 2: expected an object, got list" in err
+
+
+def test_vocabulary_without_tokens_names_file(ws, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(ws["model"], model)
+    (model / "vocab.json").write_text('{"schema": 1}\n', encoding="utf-8")
+    _eval_fails_naming(tmp_path, capsys, ws["corpus"], model, "vocab.json")
 
 
 def test_version_and_usage():

@@ -328,6 +328,16 @@ def test_corpus_roundtrip(tmp_path):
         load_corpus(manifest, split="validation")
 
 
+def test_manifest_line_errors_name_file_and_line(tmp_path):
+    manifest = save_corpus(str(tmp_path), generate_synthetic(CFG))
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("# comment lines are skipped\ntruth\n")
+    lineno = len(open(manifest, encoding="utf-8").read().splitlines())
+    for load in (load_truth_for, load_corpus):
+        with pytest.raises(ValueError, match=f"corpus.manifest:{lineno}: cannot parse 'truth'"):
+            load(manifest)
+
+
 def test_corpus_integrity_missing_video(tmp_path):
     syn = generate_synthetic(SyntheticCorpusConfig(n_train_videos=2, n_test_videos=1, seed=1))
     manifest = save_corpus(str(tmp_path), syn)
