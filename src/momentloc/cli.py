@@ -2,19 +2,24 @@
 
 Subcommands: gen (synthetic corpus or template composition), train, eval,
 ablate (config grid), inspect (per-query ranking view), stats (temporal word
-counts). `main` owns the run record: it creates `--out`, runs the command,
-and, when the command returns its `(inputs, outputs)`, writes a
-`manifest.json` describing them and a `timing.json` with the wall-clock time,
-kept apart so the primary outputs of identical runs are byte-identical.
-`inspect`, and `stats` without `--out`, write nothing.
+counts). `main` owns the run record: it creates `--out`, deletes any
+`manifest.json` there, runs the command, and, when the command returns its
+`(inputs, outputs)`, writes a `timing.json` with the wall-clock time and then
+a `manifest.json` describing them. The timing is kept apart so the primary
+outputs of identical runs are byte-identical, and the manifest comes last, so
+a directory without one holds an incomplete or failed run. `inspect`, and
+`stats` without `--out`, write nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import __version__, configio, dataset, evaluation, trainer
 from .encoders import load_embeddings
@@ -30,7 +35,7 @@ def _config(cls, path: str | None, **overrides):
     the overrides that are not None applied on top."""
     mapping = configio.load_config_file(path) if path else {}
     mapping.update((k, str(v)) for k, v in overrides.items() if v is not None)
-    return cls.from_mapping(mapping, source=path or "defaults")
+    return configio.dataclass_from_mapping(cls, mapping, path or "defaults")
 
 
 def cmd_gen(args: argparse.Namespace) -> Record:
@@ -52,33 +57,48 @@ def cmd_gen(args: argparse.Namespace) -> Record:
     return {"config": args.config, "seed": cfg.seed}, dataset.corpus_files(manifest_path)
 
 
+def _resume(args: argparse.Namespace, vocab, embedding):
+    """The saved model and history that `--resume` continues. A model trained
+    with `--embeddings` resumes only with the same file."""
+    if args.model_config:
+        raise ValueError("--model-config cannot be combined with --resume")
+    prev = load_model(args.resume)
+    manifest = os.path.join(args.resume, "manifest.json")
+    named = os.path.exists(manifest) and configio.read_json(manifest).get("inputs", {}).get("embeddings")
+    if named and embedding is None:
+        raise ValueError(f"{manifest} names the embeddings input {named}; pass --embeddings")
+    if embedding is not None:
+        same = np.array_equal(embedding, prev.params["lang.embed"].value)
+        if not same or vocab.tokens != prev.vocab.tokens:
+            raise ValueError(f"{args.embeddings} does not match the vocab.json and "
+                             f"checkpoint.bin lang.embed in {args.resume}")
+    return prev, trainer.load_history(os.path.join(args.resume, "history.csv"))
+
+
 def cmd_train(args: argparse.Namespace) -> Record:
     corpus = dataset.load_corpus(args.corpus, split=args.split)
     train_cfg = _config(trainer.TrainConfig, args.train_config, seed=args.seed)
-    init = vocab = embedding = None
-    start_epoch = 0
+    vocab, embedding = load_embeddings(args.embeddings) if args.embeddings else (None, None)
+    init, done = None, []
     if args.resume:
-        if args.model_config:
-            raise ValueError("--model-config cannot be combined with --resume")
-        prev = load_model(args.resume)
+        prev, done = _resume(args, vocab, embedding)
         model_cfg, init, vocab = prev.config, prev.params, prev.vocab
-        start_epoch = args.start_epoch
     else:
-        if args.embeddings:
-            vocab, embedding = load_embeddings(args.embeddings)
         model_cfg = _config(ModelConfig, args.model_config,
                             embed_dim=None if embedding is None else embedding.shape[1])
     log = None if args.quiet else lambda line: print(line, flush=True)
-    bundle, history = trainer.train(
+    bundle, new = trainer.train(
         corpus, model_cfg, train_cfg,
-        vocab=vocab, init=init, start_epoch=start_epoch, embedding=embedding, log=log,
+        vocab=vocab, init=init, start_epoch=len(done), embedding=embedding, log=log,
     )
+    history = done + new
     save_model(args.out, bundle)
     trainer.save_history(os.path.join(args.out, "history.csv"), history)
     final = history[-1]["loss"] if history else float("nan")
-    print(f"trained {len(history)} epochs, final loss {final:.6f} -> {args.out}")
+    print(f"trained {len(new)} epochs, final loss {final:.6f} -> {args.out}")
     inputs = {"corpus": args.corpus, "split": args.split, "model_config": args.model_config,
-              "train_config": args.train_config, "seed": train_cfg.seed, "resume": args.resume}
+              "train_config": args.train_config, "seed": train_cfg.seed, "resume": args.resume,
+              "embeddings": args.embeddings}
     return inputs, ["checkpoint.bin", "model.cfg", "vocab.json", "history.csv"]
 
 
@@ -113,9 +133,13 @@ def cmd_ablate(args: argparse.Namespace) -> Record:
     grid = configio.load_config_file(args.grid)
     if "cells" not in grid:
         raise ValueError(f"{args.grid}: grid file needs a 'cells' key")
-    cells = [c.strip() for c in grid.pop("cells").split(",") if c.strip()]
-    if not cells:
+    cells = [c.strip() for c in grid.pop("cells").split(",")]
+    if cells == [""]:
         raise ValueError(f"{args.grid}: empty cell list")
+    for cell in cells:
+        # each name becomes a directory under cells/
+        if cell in ("", ".", "..") or os.path.basename(cell) != cell:
+            raise ValueError(f"{args.grid}: cell name {cell!r} is not a plain path component")
     overrides: dict[str, dict[str, str]] = {c: {} for c in cells}
     shared: dict[str, str] = {}
     for key, value in grid.items():
@@ -130,10 +154,12 @@ def cmd_ablate(args: argparse.Namespace) -> Record:
     rows = []
     for cell in cells:
         try:
-            cfg = ModelConfig.from_mapping({**shared, **overrides[cell]}, source=f"cell {cell}")
-            bundle, _ = trainer.train(train_split, cfg, train_cfg, log=None)
+            cfg = configio.dataclass_from_mapping(ModelConfig, {**shared, **overrides[cell]},
+                                                  f"cell {cell}")
+            bundle, history = trainer.train(train_split, cfg, train_cfg, log=None)
             cell_dir = os.path.join(args.out, "cells", cell)
             save_model(cell_dir, bundle)
+            trainer.save_history(os.path.join(cell_dir, "history.csv"), history)
             rows.append((cell, evaluation.evaluate(eval_split, bundle)))
         except Exception as exc:
             raise RuntimeError(f"ablation cell {cell!r} failed: {exc}") from exc
@@ -233,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-config", help="flat key=value model config")
     p.add_argument("--train-config", help="flat key=value training config")
     p.add_argument("--embeddings", help="pretrained token embedding file (frozen)")
-    p.add_argument("--resume", metavar="MODEL_DIR", help="continue from a saved model")
-    p.add_argument("--start-epoch", type=int, default=0)
+    p.add_argument("--resume", metavar="MODEL_DIR",
+                   help="continue a saved model from the epoch after the last row of its history.csv")
     p.add_argument("--seed", type=int, default=None, help="override the training seed")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True)
@@ -285,15 +311,19 @@ def main(argv: list[str] | None = None) -> int:
     out = getattr(args, "out", None)
     try:
         if out:
+            if getattr(args, "resume", None) and os.path.realpath(args.resume) == os.path.realpath(out):
+                raise ValueError("--out must differ from --resume, whose manifest is an input")
             os.makedirs(out, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(out, "manifest.json"))
         record = args.fn(args)
         if record is not None:
             inputs, outputs = record
+            configio.write_json(os.path.join(out, "timing.json"),
+                                {"schema": 1, "wall_seconds": time.monotonic() - started})
             manifest = {"schema": 1, "command": args.command, "inputs": inputs,
                         "outputs": sorted(outputs), "version": __version__}
             configio.write_json(os.path.join(out, "manifest.json"), manifest)
-            configio.write_json(os.path.join(out, "timing.json"),
-                                {"schema": 1, "wall_seconds": time.monotonic() - started})
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

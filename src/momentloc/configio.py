@@ -101,13 +101,6 @@ def _coerce(value: str, typ, key: str):
     if origin is tuple:
         items = [v.strip() for v in value.split(",") if v.strip()]
         return tuple(items)
-    if typ is bool:
-        low = value.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {key!r}: cannot parse bool from {value!r}")
     try:
         if typ is int:
             return int(value)

@@ -305,10 +305,6 @@ class SyntheticCorpusConfig:
         if any(w < 0 for w in mix) or sum(mix) <= 0:
             raise ValueError("query mix weights must be non-negative and not all zero")
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str], source: str = "corpus config") -> "SyntheticCorpusConfig":
-        return configio.dataclass_from_mapping(cls, mapping, source)
-
 
 @dataclass
 class Corpus:
@@ -667,9 +663,3 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
     corpus.validate()
     return corpus
 
-
-def load_truth_for(manifest_path: str) -> SymbolicGroundTruth:
-    for kind, _, f in _read_manifest(manifest_path):
-        if kind == "truth":
-            return load_truth(os.path.join(os.path.dirname(manifest_path), f))
-    raise ValueError(f"{manifest_path}: no truth file listed")

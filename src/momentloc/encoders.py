@@ -203,8 +203,7 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
     Row 0 of the matrix is the all-zero unknown vector; row k embeds the k-th
     token of the file. The caller freezes the resulting parameter.
     """
-    tokens: list[str] = []
-    vectors: list[list[float]] = []
+    vectors: dict[str, list[float]] = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -220,17 +219,16 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
                 )
-            if tok in tokens:
+            if tok in vectors:
                 raise ValueError(f"{path}:{lineno}: duplicate token {tok!r}")
             try:
-                vectors.append([float(c) for c in comps])
+                vectors[tok] = [float(c) for c in comps]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric component") from None
-            tokens.append(tok)
     if dim is None:
         raise ValueError(f"{path}: empty embedding file")
-    matrix = np.vstack([np.zeros((1, dim)), np.array(vectors)])
-    return Vocabulary(tokens), matrix
+    matrix = np.vstack([np.zeros((1, dim)), np.array(list(vectors.values()))])
+    return Vocabulary(list(vectors)), matrix
 
 
 def save_vocabulary(path: str, vocab: Vocabulary) -> None:

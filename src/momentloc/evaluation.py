@@ -38,15 +38,11 @@ def consensus(annotations: Sequence[Moment]) -> list[Moment]:
         raise ValueError("no annotations")
     if len(annotations) < 4:
         return list(annotations)
-    best_total = -1.0
-    best: tuple[Moment, ...] | None = None
-    for combo in itertools.combinations(range(len(annotations)), 3):
-        moments = [annotations[i] for i in combo]
-        total = sum(iou(a, b) for a, b in itertools.combinations(moments, 2))
-        if total > best_total:
-            best_total = total
-            best = tuple(moments)
-    assert best is not None
+    # max keeps the first of equal totals
+    best = max(
+        itertools.combinations(annotations, 3),
+        key=lambda moments: sum(iou(a, b) for a, b in itertools.combinations(moments, 2)),
+    )
     return list(best)
 
 
@@ -201,16 +197,6 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, words: Sequence[str] | None =
 # -- context analyses --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FragmentRow:
-    r_at_1: float
-    miou: float
-    count: int
-
-    def to_dict(self) -> dict:
-        return {"r_at_1": self.r_at_1, "miou": self.miou, "count": self.count}
-
-
 def context_conditioned_delta(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
 ) -> dict:
@@ -280,15 +266,11 @@ def context_fragment_eval(
         )
 
     def summarize(rows: dict[str, list[tuple[float, float]]]) -> dict:
-        out = {}
-        for word, vals in rows.items():
-            if vals:
-                out[word] = FragmentRow(
-                    float(np.mean([v[0] for v in vals])),
-                    float(np.mean([v[1] for v in vals])),
-                    len(vals),
-                ).to_dict()
-        return out
+        return {
+            word: {"r_at_1": float(np.mean([v[0] for v in vals])),
+                   "miou": float(np.mean([v[1] for v in vals])), "count": len(vals)}
+            for word, vals in rows.items() if vals
+        }
 
     return {
         "fragment_as_query": summarize(frag_rows),

@@ -118,11 +118,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str, source: str = "<model config>") -> "ModelConfig":
-        return cls.from_mapping(configio.parse_flat_config(text, source), source)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str], source: str = "model config") -> "ModelConfig":
-        return configio.dataclass_from_mapping(cls, mapping, source)
+        return configio.dataclass_from_mapping(cls, configio.parse_flat_config(text, source), source)
 
 
 class ModelParams:
@@ -134,9 +130,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -145,14 +138,6 @@ class ModelParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {n: self._params[n].value for n in self.names()}
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            {
-                n: Parameter(n, p.value.copy(), trainable=p.trainable)
-                for n, p in self._params.items()
-            }
-        )
 
 
 def expected_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -460,7 +445,7 @@ def score(
 # -- losses --------------------------------------------------------------------
 
 
-def _mean(tape: Tape, nodes: Sequence[Node]) -> Node:
+def mean(tape: Tape, nodes: Sequence[Node]) -> Node:
     total = nodes[0]
     for n in nodes[1:]:
         total = tape.add(total, n)
@@ -487,7 +472,7 @@ def ranking_loss(
             tape.relu(tape.add(margin_node, tape.sub(neg, positive)))
             for neg in group
         ]
-        class_means.append(_mean(tape, hinges))
+        class_means.append(mean(tape, hinges))
     total = class_means[0]
     for extra in class_means[1:]:
         total = tape.add(total, extra)
@@ -509,13 +494,13 @@ def log_logistic_loss(
     if not positives:
         raise ValueError("log-logistic loss needs at least one positive score")
     loss = tape.scale(
-        _mean(tape, [tape.softplus(tape.scale(p, -1.0)) for p in positives]),
+        mean(tape, [tape.softplus(tape.scale(p, -1.0)) for p in positives]),
         alpha_c,
     )
     if negatives:
         loss = tape.add(
             loss,
-            tape.scale(_mean(tape, [tape.softplus(n) for n in negatives]), alpha_w),
+            tape.scale(mean(tape, [tape.softplus(n) for n in negatives]), alpha_w),
         )
     return loss
 
@@ -538,18 +523,16 @@ def save_model(out_dir: str, bundle: ModelBundle) -> None:
     save_vocabulary(os.path.join(out_dir, VOCAB_FILE), bundle.vocab)
 
 
-def load_model(model_dir: str, frozen: Sequence[str] = ()) -> ModelBundle:
+def load_model(model_dir: str) -> ModelBundle:
     with open(os.path.join(model_dir, CONFIG_FILE), encoding="utf-8") as fh:
         cfg = ModelConfig.from_text(fh.read(), source=os.path.join(model_dir, CONFIG_FILE))
     vocab = load_vocabulary(os.path.join(model_dir, VOCAB_FILE))
     arrays = load_checkpoint(os.path.join(model_dir, CHECKPOINT_FILE))
-    params = params_from_arrays(cfg, arrays, frozen)
+    params = params_from_arrays(cfg, arrays)
     return ModelBundle(cfg, params, vocab)
 
 
-def params_from_arrays(
-    cfg: ModelConfig, arrays: Mapping[str, np.ndarray], frozen: Sequence[str] = ()
-) -> ModelParams:
+def params_from_arrays(cfg: ModelConfig, arrays: Mapping[str, np.ndarray]) -> ModelParams:
     """Wrap raw checkpoint tensors, validating names and shapes against the
     configuration."""
     shapes = expected_param_shapes(cfg)
@@ -566,10 +549,4 @@ def params_from_arrays(
     ]
     if bad:
         raise ValueError("checkpoint/config shape mismatch: " + "; ".join(bad))
-    frozen_set = set(frozen)
-    return ModelParams(
-        {
-            n: Parameter(n, np.array(arrays[n]), trainable=n not in frozen_set)
-            for n in shapes
-        }
-    )
+    return ModelParams({n: Parameter(n, np.array(arrays[n])) for n in shapes})

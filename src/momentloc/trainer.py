@@ -2,7 +2,8 @@
 
 One seeded generator drives everything stochastic: parameter initialization,
 epoch shuffling, and negative sampling. Identical corpus + configs + seed give
-an identical parameter trajectory.
+an identical parameter trajectory, and a resumed run replays the draws of the
+epochs it skips, so stopping and resuming changes nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import (
     conform_context,
     init_params,
     log_logistic_loss,
+    mean,
     ranking_loss,
     score_base,
     score_grid,
@@ -56,10 +58,6 @@ class TrainConfig:
             raise ValueError("negative counts must be >= 0")
         if self.negatives_intra + self.negatives_inter == 0:
             raise ValueError("need at least one negative per example")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str], source: str = "train config") -> "TrainConfig":
-        return configio.dataclass_from_mapping(cls, mapping, source)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -185,14 +183,8 @@ def batch_loss(tape: Tape, scored: Sequence[ExampleScores], cfg: ModelConfig) ->
     if not scored:
         raise ValueError("empty batch")
     if cfg.loss == "ranking":
-        per_example = [
-            ranking_loss(tape, s.positive, s.intra, s.inter, cfg.margin)
-            for s in scored
-        ]
-        total = per_example[0]
-        for node in per_example[1:]:
-            total = tape.add(total, node)
-        return tape.scale(total, 1.0 / len(per_example))
+        return mean(tape, [ranking_loss(tape, s.positive, s.intra, s.inter, cfg.margin)
+                           for s in scored])
     positives = [s.positive for s in scored]
     negs = [n for s in scored for n in s.intra]
     return log_logistic_loss(tape, positives, negs, cfg.tall_alpha_c, cfg.tall_alpha_w)
@@ -209,12 +201,16 @@ def train(
     embedding: np.ndarray | None = None,
     log: Callable[[str], None] | None = None,
 ) -> tuple[ModelBundle, list[dict]]:
-    """Run SGD to train_cfg.epochs; returns the bundle and per-epoch history.
+    """Run SGD to train_cfg.epochs; returns the bundle and the history of the
+    epochs from `start_epoch` on.
 
-    Resume by passing the loaded params as `init` with the epoch to continue
-    from; the schedule is a function of the absolute epoch index. A batch
-    whose loss, or a step that leaves a trainable parameter, not finite stops
-    the run with a ValueError naming the epoch and the batch index.
+    Resume a run stopped after `start_epoch` epochs by passing its params as
+    `init`, with the same corpus, configs and `embedding`: the initial draws
+    still run (only their frozen flags are kept) and the earlier epochs draw
+    their shuffles and negatives without training, so the result equals one
+    uninterrupted run. A batch whose loss, or a step that leaves a trainable
+    parameter, not finite stops the run with a ValueError naming the epoch
+    and the batch index.
     """
     if not corpus.queries:
         raise ValueError("corpus has no training queries")
@@ -223,12 +219,16 @@ def train(
     if vocab is None:
         vocab = Vocabulary.from_token_lists(q.tokens for q in corpus.queries)
     cfg = replace(model_cfg, vocab_size=vocab.size)
-    params = init if init is not None else init_params(cfg, rng, embedding)
+    params = init_params(cfg, rng, embedding)
+    if init is not None:
+        for p in init.parameters():
+            p.trainable = params[p.name].trainable
+        params = init
     n_inter = 0 if cfg.loss == "tall" else train_cfg.negatives_inter
     examples = list(corpus.queries)
     longer = videos_longer_than(corpus)
     history: list[dict] = []
-    for epoch in range(start_epoch, train_cfg.epochs):
+    for epoch in range(train_cfg.epochs):
         lr = lr_at(epoch, train_cfg)
         order = rng.permutation(len(examples))
         loss_sum = 0.0
@@ -238,6 +238,8 @@ def train(
                 sample_negatives(rng, corpus, ex, train_cfg.negatives_intra, n_inter, longer)
                 for ex in batch
             ]
+            if epoch < start_epoch:
+                continue
             tape = Tape()
             cache: dict = {}
             scored = [
@@ -257,6 +259,8 @@ def train(
                     f"SGD step: {', '.join(bad)}"
                 )
             loss_sum += float(loss.value) * len(batch)
+        if epoch < start_epoch:
+            continue
         mean_loss = loss_sum / len(examples)
         history.append({"epoch": epoch, "loss": mean_loss, "lr": lr})
         if log is not None:
@@ -279,9 +283,32 @@ def _check_corpus(corpus: Corpus, cfg: ModelConfig) -> None:
                 )
 
 
+HISTORY_FIELDS = ["epoch", "loss", "lr"]
+
+
 def save_history(path: str, history: Sequence[dict]) -> None:
     with configio.atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "lr"])
-        writer.writeheader()
-        for row in history:
-            writer.writerow({k: row[k] for k in ("epoch", "loss", "lr")})
+        writer = csv.writer(fh)
+        writer.writerow(HISTORY_FIELDS)
+        writer.writerows([row[k] for k in HISTORY_FIELDS] for row in history)
+
+
+def load_history(path: str) -> list[dict]:
+    """The rows `save_history` wrote. Row k must be epoch k, so a history
+    records every epoch its model was trained for; errors name `file:line`."""
+    history: list[dict] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != HISTORY_FIELDS:
+            raise ValueError(f"{path}:1: expected the header {','.join(HISTORY_FIELDS)}")
+        for fields in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                epoch, loss, lr = fields
+                row = {"epoch": int(epoch), "loss": float(loss), "lr": float(lr)}
+            except ValueError:
+                raise ValueError(f"{where}: expected 'epoch,loss,lr', got {fields}") from None
+            if row["epoch"] != len(history):
+                raise ValueError(f"{where}: expected epoch {len(history)}, got {row['epoch']}")
+            history.append(row)
+    return history

@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import assert_gradients_close, numeric_gradients
 from momentloc.autodiff import (
@@ -247,6 +250,24 @@ def test_checkpoint_roundtrip(tmp_path):
     for name, arr in tensors.items():
         assert loaded[name].shape == arr.shape
         assert np.array_equal(loaded[name], arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors=st.dictionaries(
+    st.text(max_size=8),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    max_size=4,
+))
+def test_checkpoint_roundtrip_property(tmp_path_factory, tensors):
+    """Any names and float64 tensors, 0-d, empty, NaN and -0.0 included,
+    come back with the same shapes and the same bytes."""
+    path = str(tmp_path_factory.mktemp("ck") / "ck.bin")
+    save_checkpoint(path, tensors)
+    loaded = load_checkpoint(path)
+    assert sorted(loaded) == sorted(tensors)
+    for name, arr in tensors.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_checkpoint_wire_format(tmp_path):

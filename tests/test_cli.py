@@ -255,29 +255,81 @@ def test_gen_compose(tmp_path, capsys):
     assert_run_record(out, "gen")
 
 
+def _train(ws, tmp_path, out, epochs, *extra):
+    cfg = tmp_path / f"epochs{epochs}.cfg"
+    cfg.write_text(f"epochs = {epochs}\nbatch_size = 4\nlr = 0.05\nseed = 1\n", encoding="utf-8")
+    if "--resume" not in extra:
+        extra = ("--model-config", str(ws["root"] / "model.cfg"), *extra)
+    return main(["train", "--corpus", ws["manifest"], "--train-config", str(cfg),
+                 *extra, "--quiet", "--out", str(out)])
+
+
+def _same_model(a, b):
+    return all((a / f).read_bytes() == (b / f).read_bytes()
+               for f in ("checkpoint.bin", "model.cfg", "vocab.json", "history.csv"))
+
+
 def test_train_resume(ws, tmp_path, capsys):
-    (tmp_path / "resume.cfg").write_text(
-        "epochs = 4\nbatch_size = 8\nlr = 0.05\nseed = 1\n", encoding="utf-8",
-    )
-    out = tmp_path / "resumed"
-    assert main([
-        "train", "--corpus", ws["manifest"],
-        "--train-config", str(tmp_path / "resume.cfg"),
-        "--resume", str(ws["model"]), "--start-epoch", "3",
-        "--quiet", "--out", str(out),
-    ]) == 0
+    """The start epoch is the row count of the resumed directory's
+    history.csv; 2 + 2 epochs give the files of 4 straight epochs."""
+    assert _train(ws, tmp_path, tmp_path / "straight", 4) == 0
+    assert _train(ws, tmp_path, tmp_path / "two", 2) == 0
+    assert _train(ws, tmp_path, tmp_path / "four", 4, "--resume", str(tmp_path / "two")) == 0
+    assert "trained 2 epochs" in capsys.readouterr().out
+    assert _same_model(tmp_path / "straight", tmp_path / "four")
+    assert_run_record(tmp_path / "four", "train")
+    # a history cut back to one row restarts at epoch 1 from the same checkpoint
+    cut = tmp_path / "cut"
+    shutil.copytree(tmp_path / "two", cut)
+    lines = (cut / "history.csv").read_bytes().splitlines(keepends=True)
+    (cut / "history.csv").write_bytes(b"".join(lines[:2]))
+    assert _train(ws, tmp_path, tmp_path / "from1", 3, "--resume", str(cut)) == 0
+    with open(tmp_path / "from1" / "history.csv", newline="") as fh:
+        assert [r["epoch"] for r in csv.DictReader(fh)] == ["0", "1", "2"]
     capsys.readouterr()
-    with open(out / "history.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["epoch"] for r in rows] == ["3"]
     code = main([
         "train", "--corpus", ws["manifest"],
         "--model-config", str(ws["root"] / "model.cfg"),
-        "--train-config", str(tmp_path / "resume.cfg"),
         "--resume", str(ws["model"]), "--quiet", "--out", str(tmp_path / "bad"),
     ])
     assert code == 1
     assert "--resume" in capsys.readouterr().err
+
+
+def test_train_resume_history_errors(ws, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(ws["model"], model)
+    (model / "history.csv").write_text("epoch,loss,lr\n0,0.5,0.05\n1,bad,0.05\n", encoding="utf-8")
+    assert _train(ws, tmp_path, tmp_path / "out", 4, "--resume", str(model)) == 1
+    assert f"{model / 'history.csv'}:3: expected 'epoch,loss,lr'" in capsys.readouterr().err
+    (model / "history.csv").unlink()
+    assert _train(ws, tmp_path, tmp_path / "out", 4, "--resume", str(model)) == 1
+    assert str(model / "history.csv") in capsys.readouterr().err
+    # resuming into the resumed directory would delete its manifest first
+    assert _train(ws, tmp_path, ws["model"], 4, "--resume", str(ws["model"])) == 1
+    assert "--out must differ from --resume" in capsys.readouterr().err
+    assert (ws["model"] / "manifest.json").exists()
+
+
+def test_train_resume_with_embeddings(ws, tmp_path, capsys):
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("before 0.1 0.2 0.3\nafter -0.1 0.0 0.2\n", encoding="utf-8")
+    assert _train(ws, tmp_path, tmp_path / "straight", 4, "--embeddings", str(emb)) == 0
+    assert _train(ws, tmp_path, tmp_path / "two", 2, "--embeddings", str(emb)) == 0
+    doc = json.loads((tmp_path / "two" / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["inputs"]["embeddings"] == str(emb)
+    two = str(tmp_path / "two")
+    capsys.readouterr()
+    assert _train(ws, tmp_path, tmp_path / "x", 4, "--resume", two) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json names the embeddings input" in err and str(emb) in err
+    other = tmp_path / "other.txt"
+    other.write_text("before 0.1 0.2 0.3\nafter -0.1 0.0 0.25\n", encoding="utf-8")
+    assert _train(ws, tmp_path, tmp_path / "x", 4, "--resume", two, "--embeddings", str(other)) == 1
+    err = capsys.readouterr().err
+    assert f"{other} does not match the vocab.json and checkpoint.bin lang.embed in {two}" in err
+    assert _train(ws, tmp_path, tmp_path / "four", 4, "--resume", two, "--embeddings", str(emb)) == 0
+    assert _same_model(tmp_path / "straight", tmp_path / "four")
 
 
 def test_train_with_embeddings(ws, tmp_path, capsys):
@@ -325,6 +377,53 @@ def test_ablate_command(ws, tmp_path, capsys):
     assert (out / "cells" / "ctx_global" / "checkpoint.bin").exists()
     assert (out / "cells" / "ctx_pair" / "model.cfg").exists()
     assert_run_record(out, "ablate")
+
+
+def test_ablate_cells_resume(ws, tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("cells = a\n" + MODEL_CFG, encoding="utf-8")
+    (tmp_path / "one.cfg").write_text("epochs = 1\nbatch_size = 4\nlr = 0.05\nseed = 1\n",
+                                      encoding="utf-8")
+    assert main(["ablate", "--corpus", ws["manifest"], "--grid", str(grid),
+                 "--train-config", str(tmp_path / "one.cfg"), "--out", str(tmp_path / "abl")]) == 0
+    cell = tmp_path / "abl" / "cells" / "a"
+    assert (cell / "history.csv").exists()
+    assert _train(ws, tmp_path, tmp_path / "two", 2) == 0
+    assert _train(ws, tmp_path, tmp_path / "resumed", 2, "--resume", str(cell)) == 0
+    assert _same_model(tmp_path / "two", tmp_path / "resumed")
+
+
+def test_failed_rerun_leaves_no_manifest(ws, tmp_path, capsys):
+    """A rerun into the same --out that fails leaves no manifest.json, so the
+    directory reads as incomplete instead of describing the first run."""
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("cells = a, b\n" + MODEL_CFG, encoding="utf-8")
+    (tmp_path / "one.cfg").write_text("epochs = 1\nbatch_size = 8\n", encoding="utf-8")
+    out = tmp_path / "abl"
+
+    def ablate(seed):
+        return main(["ablate", "--corpus", ws["manifest"], "--grid", str(grid), "--seed", seed,
+                     "--train-config", str(tmp_path / "one.cfg"), "--out", str(out)])
+
+    assert ablate("1") == 0
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]["seed"] == 1
+    grid.write_text("cells = a, b\n" + MODEL_CFG + "b.visual_dim = 7\n", encoding="utf-8")
+    assert ablate("2") == 1
+    assert "ablation cell 'b'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("cells", ["../../escaped", "a, ..", ".", "a,,b", "a/b", "a,"])
+def test_ablate_rejects_cell_names_that_are_not_path_components(ws, tmp_path, capsys, cells):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"cells = {cells}\n" + MODEL_CFG, encoding="utf-8")
+    (tmp_path / "one.cfg").write_text("epochs = 1\n", encoding="utf-8")
+    out = tmp_path / "abl2" / "run"
+    assert main(["ablate", "--corpus", ws["manifest"], "--grid", str(grid),
+                 "--train-config", str(tmp_path / "one.cfg"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{grid}: cell name" in err and "is not a plain path component" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["abl2", "grid.cfg", "one.cfg", "run"]
 
 
 def test_ablate_bad_grid(ws, tmp_path, capsys):

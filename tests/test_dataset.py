@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import (
     BaseAnnotation,
     Corpus,
@@ -11,12 +12,13 @@ from momentloc.dataset import (
     SyntheticCorpusConfig,
     TemporalQuery,
     adjacent_pairs,
+    corpus_files,
     event_alias,
     generate_synthetic,
     generate_template_queries,
     load_annotations,
     load_corpus,
-    load_truth_for,
+    load_truth,
     oracle_localize,
     resolve_event,
     save_annotations,
@@ -273,7 +275,7 @@ def test_synthetic_config_validation():
     with pytest.raises(ValueError):
         SyntheticCorpusConfig(repeat_prob=1.5)
     with pytest.raises(ValueError, match="unknown keys"):
-        SyntheticCorpusConfig.from_mapping({"n_videos": "3"})
+        dataclass_from_mapping(SyntheticCorpusConfig, {"n_videos": "3"})
 
 
 # -- files -------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def test_corpus_roundtrip(tmp_path):
                 train.features[vid][mod].features,
                 syn.train.features[vid][mod].features,
             )
-    truth = load_truth_for(manifest)
+    truth = load_truth(str(tmp_path / "truth.json"))
     assert truth.events == syn.truth.events
     with pytest.raises(ValueError, match="split"):
         load_corpus(manifest, split="validation")
@@ -333,7 +335,7 @@ def test_manifest_line_errors_name_file_and_line(tmp_path):
     with open(manifest, "a", encoding="utf-8") as fh:
         fh.write("# comment lines are skipped\ntruth\n")
     lineno = len(open(manifest, encoding="utf-8").read().splitlines())
-    for load in (load_truth_for, load_corpus):
+    for load in (corpus_files, load_corpus):
         with pytest.raises(ValueError, match=f"corpus.manifest:{lineno}: cannot parse 'truth'"):
             load(manifest)
 

@@ -136,3 +136,6 @@ def test_embedding_file(tmp_path):
     path.write_text("dog 1.0\ncat 3.0 4.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="emb.txt:2"):
         load_embeddings(str(path))
+    path.write_text("dog 1.0 2.0\ncat 3.0 4.0\n\ndog 5.0 6.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="emb.txt:4: duplicate token 'dog'"):
+        load_embeddings(str(path))

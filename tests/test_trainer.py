@@ -1,12 +1,16 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentloc.autodiff import Tape
+from momentloc.autodiff import Parameter, Tape
+from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import Corpus, TemporalQuery
 from momentloc.encoders import Vocabulary
-from momentloc.model import conform_context, init_params
+from momentloc.model import ModelParams, conform_context, init_params
 from momentloc.temporal import ContextMoment, Moment, context_set
 from momentloc.trainer import (
     ExampleScores,
@@ -15,6 +19,7 @@ from momentloc.trainer import (
     _contexts_for,
     batch_loss,
     example_scores,
+    load_history,
     lr_at,
     sample_negatives,
     save_history,
@@ -61,7 +66,7 @@ def test_train_config_validation():
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
-    cfg = TrainConfig.from_mapping({"epochs": "5", "lr": "0.01"})
+    cfg = dataclass_from_mapping(TrainConfig, {"epochs": "5", "lr": "0.01"})
     assert cfg.epochs == 5 and cfg.lr == 0.01
 
 
@@ -295,6 +300,48 @@ def test_train_resume_uses_absolute_epoch(rng):
     assert [row["lr"] for row in h2] == [0.05, 0.05]
 
 
+def _split_run(corpus, cfg, tcfg, k, embedding=None, vocab=None):
+    """k epochs, then a resume to tcfg.epochs from a copy of the k-epoch
+    params, as a reloaded checkpoint gives them (every parameter trainable)."""
+    first, h1 = train(corpus, cfg, replace(tcfg, epochs=k), vocab=vocab, embedding=embedding)
+    init = ModelParams({p.name: Parameter(p.name, p.value.copy()) for p in first.params.parameters()})
+    second, h2 = train(corpus, cfg, tcfg, vocab=first.vocab, init=init, start_epoch=k,
+                       embedding=embedding)
+    return second, h1 + h2
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    supervision=st.sampled_from(["strong", "weak"]),
+    epochs=st.integers(1, 4),
+    split=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_resume_at_any_epoch_equals_straight_run(supervision, epochs, split, seed):
+    corpus = small_corpus(np.random.default_rng(seed))
+    cfg = tiny_model_config(context_supervision=supervision)
+    tcfg = TrainConfig(epochs=epochs, batch_size=2, lr=0.1, lr_decay_every=2, seed=seed)
+    straight, history = train(corpus, cfg, tcfg)
+    resumed, joined = _split_run(corpus, cfg, tcfg, min(split, epochs))
+    assert joined == history
+    for name, arr in straight.params.arrays().items():
+        assert np.array_equal(resumed.params[name].value, arr), name
+
+
+def test_resume_keeps_a_pretrained_embedding_frozen(rng):
+    corpus = small_corpus(rng)
+    cfg = tiny_model_config(embed_dim=2)
+    vocab = Vocabulary.from_token_lists(q.tokens for q in corpus.queries)
+    table = rng.normal(size=(vocab.size, 2))
+    tcfg = TrainConfig(epochs=4, batch_size=2, seed=3)
+    straight, _ = train(corpus, cfg, tcfg, vocab=vocab, embedding=table)
+    resumed, _ = _split_run(corpus, cfg, tcfg, 2, embedding=table, vocab=vocab)
+    assert not resumed.params["lang.embed"].trainable
+    assert np.array_equal(resumed.params["lang.embed"].value, table)
+    for name, arr in straight.params.arrays().items():
+        assert np.array_equal(resumed.params[name].value, arr), name
+
+
 def test_train_rejects_bad_corpus(rng):
     corpus = small_corpus(rng)
     with pytest.raises(ValueError, match="modalities"):
@@ -316,3 +363,31 @@ def test_save_history(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["epoch"] for r in rows] == ["0", "1"]
     assert float(rows[1]["loss"]) == 0.25
+
+
+history_rows = st.lists(
+    st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=6,
+).map(lambda rows: [{"epoch": i, "loss": loss, "lr": lr} for i, (loss, lr) in enumerate(rows)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(history=history_rows)
+def test_history_roundtrip(tmp_path_factory, history):
+    path = str(tmp_path_factory.mktemp("history") / "history.csv")
+    save_history(path, history)
+    assert load_history(path) == history
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "history.csv:1: expected the header"),
+    ("epoch,loss\r\n", "history.csv:1: expected the header"),
+    ("epoch,loss,lr\r\n0,0.5,0.1\r\n1,x,0.1\r\n", "history.csv:3: expected 'epoch,loss,lr'"),
+    ("epoch,loss,lr\r\n0,0.5\r\n", "history.csv:2: expected 'epoch,loss,lr'"),
+    ("epoch,loss,lr\r\n0,0.5,0.1\r\n2,0.4,0.1\r\n", "history.csv:3: expected epoch 1, got 2"),
+])
+def test_load_history_errors_name_file_and_line(tmp_path, text, where):
+    path = tmp_path / "history.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=where):
+        load_history(str(path))
