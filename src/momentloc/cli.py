@@ -116,10 +116,11 @@ def cmd_eval(args: argparse.Namespace) -> Record:
         "mode": args.mode,
         "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
     }
-    if args.context_delta:
-        doc["context_conditioned_delta"] = evaluation.context_conditioned_delta(corpus, bundle)
-    if args.fragment_eval:
-        doc["context_fragment_eval"] = evaluation.context_fragment_eval(corpus, bundle)
+    wanted = [key for key, on in (("context_conditioned_delta", args.context_delta),
+                                  ("context_fragment_eval", args.fragment_eval)) if on]
+    if wanted:
+        analyses = evaluation.context_analyses(corpus, bundle)
+        doc.update((key, analyses[key]) for key in wanted)
     configio.write_json(os.path.join(args.out, "metrics.json"), doc)
     table = evaluation.format_comparison_table(rows)
     with configio.atomic_open(os.path.join(args.out, "metrics.txt")) as fh:
@@ -311,8 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     out = getattr(args, "out", None)
     try:
         if out:
-            if getattr(args, "resume", None) and os.path.realpath(args.resume) == os.path.realpath(out):
-                raise ValueError("--out must differ from --resume, whose manifest is an input")
+            for flag in ("resume", "model"):
+                given = getattr(args, flag, None)
+                if given and os.path.realpath(given) == os.path.realpath(out):
+                    raise ValueError(f"--out must differ from --{flag}, whose manifest this run would replace")
             os.makedirs(out, exist_ok=True)
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(os.path.join(out, "manifest.json"))

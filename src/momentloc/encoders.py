@@ -200,8 +200,9 @@ def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
 def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
     """Pretrained embedding text file -> (vocabulary, matrix).
 
-    Row 0 of the matrix is the all-zero unknown vector; row k embeds the k-th
-    token of the file. The caller freezes the resulting parameter.
+    Row 0 of the matrix is the all-zero unknown vector, so the file may not
+    hold a `<unk>` line; row k embeds the k-th token of the file. The caller
+    freezes the resulting parameter.
     """
     vectors: dict[str, list[float]] = {}
     dim = None
@@ -211,6 +212,8 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
             if not parts:
                 continue
             tok, comps = parts[0], parts[1:]
+            if tok == UNK_TOKEN:
+                raise ValueError(f"{path}:{lineno}: token {UNK_TOKEN!r} is reserved")
             if not comps:
                 raise ValueError(f"{path}:{lineno}: token {tok!r} has no vector")
             if dim is None:

@@ -20,8 +20,8 @@ import numpy as np
 from .autodiff import Tape
 from .dataset import Corpus, TemporalQuery, tokenize
 from .encoders import SegmentFeatureTable, encode_query
-from .model import ModelBundle, ScoredMoment, conform_context, score_grid
-from .temporal import Moment, context_sets, enumerate_moments, iou, segment_iou
+from .model import ModelBundle, ScoredMoment, candidate_contexts, score_grid
+from .temporal import Moment, enumerate_moments, iou, segment_iou
 
 BUCKET_ORDER = ("none", "before", "after", "then", "while")
 EVAL_MODES = ("latent", "gt_context")
@@ -144,10 +144,7 @@ def rank_moments(
     ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
     fl = encode_query(tape, ids, params)
     bases = enumerate_moments(n)
-    if mode == "gt_context":
-        contexts = [[conform_context(query.context, b, cfg.context_slots)] for b in bases]
-    else:
-        contexts = context_sets(cfg.context_mode, bases, n)
+    contexts = candidate_contexts(cfg, bases, n, query.context if mode == "gt_context" else None)
     fused, chosen = score_grid(tape, cache, video, fl, bases, contexts, cfg, params)
     scored = [
         ScoredMoment(base, float(value), cands[i])
@@ -197,86 +194,91 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, words: Sequence[str] | None =
 # -- context analyses --------------------------------------------------------------
 
 
-def context_conditioned_delta(
+def context_analyses(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
 ) -> dict:
-    """How much easier are queries whose context the model already finds?
+    """Both context analyses from one walk over the queries of `words`, with
+    one ranking of the full sentence and one of its context sentence fragment
+    per query. Queries lacking a stored context or fragment are excluded and
+    counted.
 
-    For each temporal word: split the queries into those where ranking the
-    context sentence fragment alone puts the ground-truth context at rank 1,
-    and compute metric deltas of that subset versus all queries of the word.
-    Queries lacking a stored context or fragment are excluded and counted.
+    context_conditioned_delta: how much easier are queries whose context the
+    model already finds? Per word, the metrics of the subset whose fragment
+    ranks the ground-truth context at rank 1, against all queries of the
+    word, and their deltas. Two-region contexts are excluded too.
+
+    context_fragment_eval: can the model localize the context itself? Row
+    "fragment_as_query" scores the fragment's rank-1 moment against the
+    ground-truth context; row "chosen_context" scores the chosen context of
+    the full sentence's rank-1 moment. R@1 is exact segment-set equality and
+    mIoU is segment-set IoU, so two-region contexts are handled.
     """
-    out: dict = {}
     rows: dict[str, dict[str, list]] = {w: {"all": [], "subset": []} for w in words}
-    excluded = 0
+    frag_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
+    chosen_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
+    excluded = two_region = 0
     for q, rank in _by_video(corpus, bundle, words):
-        if q.context is None or q.context_sentence is None or len(q.context.regions) != 1:
+        if q.context is None or q.context_sentence is None:
             excluded += 1
             continue
         ranking = rank()
+        frag_top = rank(tokens=tokenize(q.context_sentence))[0].moment
+        gt_set = q.context.segment_set()
+        top = frozenset(frag_top.segments())
+        frag_rows[q.temporal_word].append((float(top == gt_set), segment_iou(top, gt_set)))
+        pred_ctx = ranking[0].chosen_context.segment_set()
+        chosen_rows[q.temporal_word].append((float(pred_ctx == gt_set), segment_iou(pred_ctx, gt_set)))
+        if len(q.context.regions) != 1:
+            two_region += 1
+            continue
         result = QueryResult(q.temporal_word, tuple(s.moment for s in ranking), (q.moment,))
         rows[q.temporal_word]["all"].append(result)
-        frag_ranking = rank(tokens=tokenize(q.context_sentence))
-        if frag_ranking[0].moment == q.context.regions[0]:
+        if frag_top == q.context.regions[0]:
             rows[q.temporal_word]["subset"].append(result)
+    delta: dict = {}
     for word in words:
         all_results = rows[word]["all"]
         subset = rows[word]["subset"]
         if not all_results or not subset:
-            out[word] = None
+            delta[word] = None
             continue
         full = _bucket(all_results)
         cond = _bucket(subset)
-        out[word] = {
+        delta[word] = {
             "full": full.to_dict(),
             "context_found": cond.to_dict(),
             "delta_r_at_1": cond.r_at_1 - full.r_at_1,
             "delta_miou": cond.miou - full.miou,
         }
-    out["excluded"] = excluded
-    return out
+    delta["excluded"] = excluded + two_region
+
+    def summarize(table: dict[str, list[tuple[float, float]]]) -> dict:
+        return {
+            word: {"r_at_1": float(np.mean([v[0] for v in vals])),
+                   "miou": float(np.mean([v[1] for v in vals])), "count": len(vals)}
+            for word, vals in table.items() if vals
+        }
+
+    fragment = {
+        "fragment_as_query": summarize(frag_rows),
+        "chosen_context": summarize(chosen_rows),
+        "excluded": excluded,
+    }
+    return {"context_conditioned_delta": delta, "context_fragment_eval": fragment}
+
+
+def context_conditioned_delta(
+    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
+) -> dict:
+    """The context_conditioned_delta table of context_analyses."""
+    return context_analyses(corpus, bundle, words)["context_conditioned_delta"]
 
 
 def context_fragment_eval(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
 ) -> dict:
-    """Can the model localize the context itself?
-
-    Row "fragment_as_query": rank the context sentence fragment as a
-    standalone query and score it against the ground-truth context region.
-    Row "chosen_context": take the chosen context of the rank-1 moment of the
-    full sentence and compare it to the ground-truth context (R@1 is exact
-    segment-set equality; mIoU is segment-set IoU, so two-region contexts are
-    handled). Queries without a stored context or fragment are excluded.
-    """
-    frag_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
-    chosen_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
-    excluded = 0
-    for q, rank in _by_video(corpus, bundle, words):
-        if q.context is None or q.context_sentence is None:
-            excluded += 1
-            continue
-        gt_set = q.context.segment_set()
-        top = frozenset(rank(tokens=tokenize(q.context_sentence))[0].moment.segments())
-        frag_rows[q.temporal_word].append((float(top == gt_set), segment_iou(top, gt_set)))
-        pred_ctx = rank()[0].chosen_context.segment_set()
-        chosen_rows[q.temporal_word].append(
-            (float(pred_ctx == gt_set), segment_iou(pred_ctx, gt_set))
-        )
-
-    def summarize(rows: dict[str, list[tuple[float, float]]]) -> dict:
-        return {
-            word: {"r_at_1": float(np.mean([v[0] for v in vals])),
-                   "miou": float(np.mean([v[1] for v in vals])), "count": len(vals)}
-            for word, vals in rows.items() if vals
-        }
-
-    return {
-        "fragment_as_query": summarize(frag_rows),
-        "chosen_context": summarize(chosen_rows),
-        "excluded": excluded,
-    }
+    """The context_fragment_eval table of context_analyses."""
+    return context_analyses(corpus, bundle, words)["context_fragment_eval"]
 
 
 # -- frequency prior -----------------------------------------------------------------

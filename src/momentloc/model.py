@@ -241,6 +241,22 @@ def conform_context(context: ContextMoment, base: Moment, n_slots: int) -> Conte
     )
 
 
+def candidate_contexts(cfg: ModelConfig, bases: Sequence[Moment], n_segments: int,
+                       gt: ContextMoment | None = None) -> list[list[ContextMoment]]:
+    """The candidate contexts of each base moment, the ones its score is a
+    max over: `gt` alone, fitted to the configured slots, when given; else the
+    mode's context_set. The global and latent sets do not depend on the base,
+    so there every base gets the same list object, which score_grid reads
+    once."""
+    if gt is not None:
+        return [[conform_context(gt, b, cfg.context_slots)] for b in bases]
+    for b in bases:
+        validate_moment(b, n_segments)
+    if cfg.context_mode == "before_after" or not bases:
+        return [context_set(cfg.context_mode, b, n_segments) for b in bases]
+    return [context_set(cfg.context_mode, bases[0], n_segments)] * len(bases)
+
+
 def _moment_row(moment: Moment, n_segments: int) -> int:
     """Position of a moment in enumerate_moments(n_segments)."""
     validate_moment(moment, n_segments)
@@ -433,10 +449,7 @@ def score(
     """Inference-mode score of one (video, query, moment) triple."""
     tape = Tape(recording=False)
     n = next(iter(video.values())).n_segments
-    if gt_context is not None:
-        contexts = [conform_context(gt_context, base, cfg.context_slots)]
-    else:
-        contexts = context_set(cfg.context_mode, base, n)
+    (contexts,) = candidate_contexts(cfg, [base], n, gt_context)
     fl = encode_query(tape, token_ids, params)
     node, chosen = score_base(tape, {}, video, fl, base, contexts, cfg, params)
     return ScoredMoment(base, float(node.value), contexts[chosen])

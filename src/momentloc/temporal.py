@@ -108,18 +108,6 @@ def context_set(context_mode: str, base: Moment, n_segments: int) -> list[Contex
     raise ValueError(f"unknown context mode {context_mode!r}")
 
 
-def context_sets(
-    context_mode: str, bases: list[Moment], n_segments: int
-) -> list[list[ContextMoment]]:
-    """context_set of each base. The global and latent sets do not depend on
-    the base, so there every base gets the same list object."""
-    if context_mode == "before_after" or not bases:
-        return [context_set(context_mode, b, n_segments) for b in bases]
-    for b in bases:
-        validate_moment(b, n_segments)
-    return [context_set(context_mode, bases[0], n_segments)] * len(bases)
-
-
 def iou(a: Moment, b: Moment) -> float:
     """Intersection over union in whole segments; identical moments give 1.0."""
     inter = min(a.end_seg, b.end_seg) - max(a.start_seg, b.start_seg) + 1

@@ -23,7 +23,7 @@ from .model import (
     ModelBundle,
     ModelConfig,
     ModelParams,
-    conform_context,
+    candidate_contexts,
     init_params,
     log_logistic_loss,
     mean,
@@ -31,7 +31,7 @@ from .model import (
     score_base,
     score_grid,
 )
-from .temporal import Moment, context_set, enumerate_moments, validate_moment
+from .temporal import ContextMoment, Moment, enumerate_moments, validate_moment
 
 
 @dataclass
@@ -85,12 +85,12 @@ def sample_negatives(
     example: TemporalQuery,
     n_intra: int,
     n_inter: int,
-    longer: list[list[str]] | None = None,
+    longer: list[list[str]],
 ) -> Negatives:
     """Intra: uniform non-ground-truth moments of the example's video. Inter:
     the same moment coordinates in a uniformly drawn other video that is long
     enough (skipped when no such video exists). `longer` is
-    `videos_longer_than(corpus)`, built here when not given."""
+    `videos_longer_than(corpus)`."""
     n = corpus.n_segments(example.video_id)
     pool = [m for m in enumerate_moments(n) if m != example.moment]
     intra: list[Moment] = []
@@ -100,8 +100,6 @@ def sample_negatives(
         intra = [pool[int(i)] for i in picks]
     inter: list[tuple[str, Moment]] = []
     if n_inter:
-        if longer is None:
-            longer = videos_longer_than(corpus)
         end = example.moment.end_seg
         eligible = longer[end] if end < len(longer) else []
         # draw among the eligible videos other than the example's own
@@ -125,23 +123,17 @@ class ExampleScores:
     inter: list[Node]
 
 
-def _contexts_for(
-    example: TemporalQuery,
-    base: Moment,
-    n_segments: int,
-    cfg: ModelConfig,
-):
-    """Candidate contexts when scoring one moment for this example. Strong
-    supervision pins every score in the example's hinge, negatives included,
-    to the stored ground-truth context (when it fits the video), so the loss
+def _pinned_context(example: TemporalQuery, n_segments: int, cfg: ModelConfig) -> ContextMoment | None:
+    """The context that every score of the example's hinge, negatives
+    included, is pinned to in a video of `n_segments`. Strong supervision pins
+    the stored ground-truth context (when it fits the video), so the loss
     compares moments under the same known context rather than letting each
-    side pick its own. Examples without a stored context, and weak mode,
-    always optimize over the mode's candidate set."""
+    side pick its own. Examples without a stored context, and weak mode, get
+    None: the max runs over the mode's candidate set."""
     if cfg.context_supervision == "strong" and example.context is not None:
-        fits = all(r.end_seg < n_segments for r in example.context.regions)
-        if fits:
-            return [conform_context(example.context, base, cfg.context_slots)]
-    return context_set(cfg.context_mode, base, n_segments)
+        if all(r.end_seg < n_segments for r in example.context.regions):
+            return example.context
+    return None
 
 
 def example_scores(
@@ -164,15 +156,13 @@ def example_scores(
     bases = [example.moment, *negatives.intra]
     own, _ = score_grid(
         tape, cache, video, fl, bases,
-        [_contexts_for(example, b, n, cfg) for b in bases], cfg, params,
+        candidate_contexts(cfg, bases, n, _pinned_context(example, n, cfg)), cfg, params,
     )
     inter = []
     for vid, neg in negatives.inter:
         other_n = corpus.n_segments(vid)
-        inter.append(
-            score_base(tape, cache, corpus.features[vid], fl, neg,
-                       _contexts_for(example, neg, other_n, cfg), cfg, params)[0]
-        )
+        (contexts,) = candidate_contexts(cfg, [neg], other_n, _pinned_context(example, other_n, cfg))
+        inter.append(score_base(tape, cache, corpus.features[vid], fl, neg, contexts, cfg, params)[0])
     scores = [tape.take_row(own, i) for i in range(len(bases))]
     return ExampleScores(scores[0], scores[1:], inter)
 

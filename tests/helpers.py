@@ -10,7 +10,9 @@ sides execute the same canonical float64 expressions.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
+from momentloc import evaluation
 from momentloc.temporal import Moment
 
 RTOL = 1e-4
@@ -178,3 +180,23 @@ def tiny_video(rng, n_segments=3, dim=3, modalities=("rgb",), video_id="v0"):
         mod: SegmentFeatureTable(video_id, mod, rng.normal(size=(n_segments, dim)))
         for mod in modalities
     }
+
+
+def count_rank_calls(monkeypatch) -> list[str]:
+    """Patch evaluation.rank_moments to record the query sentence of every call."""
+    calls = []
+    original = evaluation.rank_moments
+
+    def counted(video, query, *args, **kwargs):
+        calls.append(query.sentence)
+        return original(video, query, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "rank_moments", counted)
+    return calls
+
+
+def moments_in(lo: int, hi: int):
+    """Hypothesis strategy: moments with lo <= start_seg <= end_seg <= hi."""
+    return st.integers(lo, hi).flatmap(
+        lambda s: st.integers(s, hi).map(lambda e: Moment(s, e))
+    )

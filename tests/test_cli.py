@@ -5,8 +5,9 @@ import shutil
 
 import pytest
 
+from helpers import count_rank_calls
 from momentloc.cli import main
-from momentloc.dataset import TemporalQuery, save_annotations
+from momentloc.dataset import TemporalQuery, load_corpus, save_annotations
 from momentloc.temporal import Moment
 
 GEN_CFG = """\
@@ -164,6 +165,37 @@ def test_eval_command(ws, tmp_path, capsys):
     assert "context_fragment_eval" in doc
     assert (out / "metrics.txt").read_text(encoding="utf-8") == printed
     assert_run_record(out, "eval")
+
+
+def test_eval_ranks_each_analysed_query_three_times(ws, tmp_path, monkeypatch, capsys):
+    """The metrics rank every query once; both context analyses together add
+    one full-sentence and one fragment ranking per analysed query."""
+    split = load_corpus(ws["manifest"], split="test")
+    analysed = [q for q in split.queries if q.temporal_word in ("before", "after")
+                and q.context is not None and q.context_sentence is not None]
+    assert analysed
+    calls = count_rank_calls(monkeypatch)
+    assert main([
+        "eval", "--corpus", ws["manifest"], "--model", str(ws["model"]), "--mode", "gt_context",
+        "--context-delta", "--fragment-eval", "--out", str(tmp_path / "eval"),
+    ]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(split.queries) + 2 * len(analysed)
+
+
+def test_eval_into_the_model_directory_fails(ws, tmp_path, capsys):
+    """Writing eval's run record into the model directory would replace the
+    train manifest that a later `train --resume` reads."""
+    model = tmp_path / "m"
+    assert _train(ws, tmp_path, model, 1) == 0
+    assert main([
+        "eval", "--corpus", ws["manifest"], "--model", str(model),
+        "--out", os.path.join(tmp_path, "m", "..", "m"),
+    ]) == 1
+    assert "--out must differ from --model" in capsys.readouterr().err
+    doc = json.loads((model / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["command"] == "train"
+    assert not (model / "metrics.json").exists()
 
 
 def test_eval_gt_context_mode(ws, tmp_path, capsys):

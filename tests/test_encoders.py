@@ -139,3 +139,7 @@ def test_embedding_file(tmp_path):
     path.write_text("dog 1.0 2.0\ncat 3.0 4.0\n\ndog 5.0 6.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="emb.txt:4: duplicate token 'dog'"):
         load_embeddings(str(path))
+    # row 0 is the unknown vector: a file row for <unk> would shift every later id
+    path.write_text("<unk> 1 2\ndog 3 4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="emb.txt:1: token '<unk>' is reserved"):
+        load_embeddings(str(path))

@@ -12,6 +12,7 @@ from momentloc.evaluation import (
     QueryResult,
     compute_metrics,
     consensus,
+    context_analyses,
     context_conditioned_delta,
     context_fragment_eval,
     evaluate,
@@ -22,7 +23,7 @@ from momentloc.evaluation import (
 from momentloc.model import ModelBundle, conform_context, init_params, score
 from momentloc.temporal import ContextMoment, Moment, enumerate_moments, iou
 
-from helpers import tiny_model_config, tiny_video
+from helpers import count_rank_calls, tiny_model_config, tiny_video
 
 G = Moment(0, 1)
 
@@ -289,6 +290,27 @@ def test_context_fragment_eval(rng):
     assert 0.0 <= chosen["r_at_1"] <= 1.0
     assert 0.0 <= chosen["miou"] <= 1.0
     assert "after" not in out["fragment_as_query"]
+
+
+def test_context_analyses_rank_each_analysed_query_twice(rng, monkeypatch):
+    """One walk makes both tables, with one full-sentence and one fragment
+    ranking per analysed query; a two-region context counts in the fragment
+    table and is excluded from the delta table."""
+    corpus, bundle = analysis_fixture(rng)
+    two = TemporalQuery("v0", "Seven after eight.", Moment(1, 2), "after",
+                        ContextMoment.pair(Moment(0, 0), Moment(3, 3)), "ctx one")
+    corpus = Corpus(corpus.features, [*corpus.queries, two])
+    views = {"context_conditioned_delta": context_conditioned_delta(corpus, bundle),
+             "context_fragment_eval": context_fragment_eval(corpus, bundle)}
+    calls = count_rank_calls(monkeypatch)
+    both = context_analyses(corpus, bundle)
+    analysed = [q.sentence for q in corpus.queries if q.context is not None]
+    assert sorted(calls) == sorted(analysed * 2)
+    assert both == views
+    assert both["context_conditioned_delta"]["excluded"] == 2
+    assert both["context_conditioned_delta"]["after"] is None
+    assert both["context_fragment_eval"]["excluded"] == 1
+    assert both["context_fragment_eval"]["chosen_context"]["after"]["count"] == 1
 
 
 # -- frequency prior ------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import np_score, tiny_model_config, tiny_video
+from helpers import moments_in, np_score, tiny_model_config, tiny_video
 from momentloc.autodiff import Tape, backward
 from momentloc.encoders import Vocabulary, encode_query
 from momentloc.model import (
     ModelBundle,
     ModelConfig,
+    candidate_contexts,
     conform_context,
     expected_param_shapes,
     init_params,
@@ -18,7 +21,7 @@ from momentloc.model import (
     score,
     score_base,
 )
-from momentloc.temporal import ContextMoment, Moment, context_set
+from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments
 
 
 def test_config_text_roundtrip():
@@ -147,6 +150,50 @@ def test_conform_context():
     assert conform_context(pair, base, 1).slots == (Moment(0, 1),)
     with pytest.raises(ValueError):
         conform_context(ContextMoment.pair(Moment(0, 0), Moment(5, 5)), base, 1)
+
+
+@st.composite
+def stored_contexts(draw, n):
+    """One- or two-slot contexts in a video of n segments, padded slots included."""
+    first = draw(st.none() | moments_in(0, n - 1))
+    if draw(st.booleans()):
+        return ContextMoment((first,))
+    lo = 0 if first is None else first.end_seg + 1
+    second = draw(st.none() | moments_in(lo, n - 1)) if lo < n else None
+    return ContextMoment.pair(first, second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_conform_context_gives_the_slot_count_and_is_idempotent(n, data):
+    context = data.draw(stored_contexts(n))
+    base = data.draw(moments_in(0, n - 1))
+    for n_slots in (1, 2):
+        if n_slots == 1 and len(context.slots) == 2 and len(context.regions) != 1:
+            with pytest.raises(ValueError, match="does not fit"):
+                conform_context(context, base, n_slots)
+            continue
+        fitted = conform_context(context, base, n_slots)
+        assert len(fitted.slots) == n_slots
+        assert fitted.regions == context.regions
+        assert conform_context(fitted, base, n_slots) == fitted
+
+
+@pytest.mark.parametrize("mode", ["global", "latent", "before_after"])
+def test_candidate_contexts_share_one_list_in_global_and_latent_mode(mode):
+    cfg = tiny_model_config(context_mode=mode)
+    bases = enumerate_moments(4)
+    got = candidate_contexts(cfg, bases, 4)
+    assert got == [context_set(mode, b, 4) for b in bases]
+    # the global and latent sets do not depend on the base
+    assert all((c is got[0]) == (mode != "before_after") for c in got[1:])
+    gt = ContextMoment.single(Moment(3, 3))
+    assert candidate_contexts(cfg, bases, 4, gt) == [
+        [conform_context(gt, b, cfg.context_slots)] for b in bases
+    ]
+    assert candidate_contexts(cfg, [], 4) == []
+    with pytest.raises(ValueError, match="exceeds"):
+        candidate_contexts(cfg, [Moment(0, 0), Moment(2, 4)], 4)
 
 
 def test_ranking_loss_values():

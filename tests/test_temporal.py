@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentloc.temporal import (
     ContextMoment,
@@ -9,6 +11,8 @@ from momentloc.temporal import (
     iou,
     segment_iou,
 )
+
+from helpers import moments_in
 
 
 def test_moment_validation():
@@ -105,3 +109,45 @@ def test_segment_iou():
     assert segment_iou(frozenset({0, 1}), frozenset({0, 1})) == 1.0
     assert segment_iou(frozenset({0}), frozenset({1})) == 0.0
     assert segment_iou(frozenset({0, 1, 4}), frozenset({1, 4, 5})) == 2 / 4
+
+
+# -- properties of the context algebra ------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_context_set_sizes_and_padding_at_video_boundaries(n, data):
+    base = data.draw(moments_in(0, n - 1))
+    assert context_set("global", base, n) == [ContextMoment.single(Moment(0, n - 1))]
+    latent = context_set("latent", base, n)
+    assert len(latent) == n * (n + 1) // 2
+    assert all(len(c.slots) == 1 for c in latent)
+    assert ContextMoment.single(base) in latent
+    (pair,) = context_set("before_after", base, n)
+    before, after = pair.slots
+    # a slot is padded exactly when the base touches that end of the video
+    assert (before is None) == (base.start_seg == 0)
+    assert (after is None) == (base.end_seg == n - 1)
+    assert pair.segment_set() == frozenset(range(n)) - frozenset(base.segments())
+    for mode in ("global", "before_after", "latent"):
+        with pytest.raises(ValueError, match="exceeds"):
+            context_set(mode, Moment(base.start_seg, n), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_iou_symmetric_bounded_and_one_only_for_equal_moments(n, data):
+    a, b = data.draw(moments_in(0, n - 1)), data.draw(moments_in(0, n - 1))
+    assert iou(a, b) == iou(b, a)
+    assert 0.0 <= iou(a, b) <= 1.0
+    assert iou(a, a) == 1.0
+    assert (iou(a, b) == 1.0) == (a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.frozensets(st.integers(0, 9)), b=st.frozensets(st.integers(0, 9)))
+def test_segment_iou_symmetric_bounded_and_one_only_for_equal_sets(a, b):
+    assert segment_iou(a, b) == segment_iou(b, a)
+    assert 0.0 <= segment_iou(a, b) <= 1.0
+    assert segment_iou(a, a) == 1.0
+    assert (segment_iou(a, b) == 1.0) == (a == b)

@@ -10,13 +10,13 @@ from momentloc.autodiff import Parameter, Tape
 from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import Corpus, TemporalQuery
 from momentloc.encoders import Vocabulary
-from momentloc.model import ModelParams, conform_context, init_params
+from momentloc.model import ModelParams, candidate_contexts, conform_context, init_params
 from momentloc.temporal import ContextMoment, Moment, context_set
 from momentloc.trainer import (
     ExampleScores,
     Negatives,
     TrainConfig,
-    _contexts_for,
+    _pinned_context,
     batch_loss,
     example_scores,
     load_history,
@@ -73,21 +73,23 @@ def test_train_config_validation():
 def test_sample_negatives(rng):
     corpus = small_corpus(rng)
     example = corpus.queries[0]  # v0, moment (0,0)
-    negs = sample_negatives(np.random.default_rng(5), corpus, example, 3, 2)
+    longer = videos_longer_than(corpus)
+    negs = sample_negatives(np.random.default_rng(5), corpus, example, 3, 2, longer)
     assert len(negs.intra) == 3
     assert all(m != example.moment for m in negs.intra)
     assert all(m.end_seg < 4 for m in negs.intra)
     assert len(negs.inter) == 2
     assert all(vid in ("v1", "v2") for vid, _ in negs.inter)
     assert all(m == example.moment for _, m in negs.inter)
-    again = sample_negatives(np.random.default_rng(5), corpus, example, 3, 2)
+    again = sample_negatives(np.random.default_rng(5), corpus, example, 3, 2, longer)
     assert again.intra == negs.intra and again.inter == negs.inter
 
 
 def test_sample_negatives_oversized_and_short_videos(rng):
     corpus = small_corpus(rng, lengths={"v1": 2})
     example = TemporalQuery("v0", "x.", Moment(2, 3))
-    negs = sample_negatives(np.random.default_rng(0), corpus, example, 12, 4)
+    negs = sample_negatives(np.random.default_rng(0), corpus, example, 12, 4,
+                            videos_longer_than(corpus))
     assert len(negs.intra) == 12  # pool only has 9, sampled with replacement
     # v1 has 2 segments, cannot hold a moment ending at 3
     assert all(vid == "v2" for vid, _ in negs.inter)
@@ -122,10 +124,9 @@ def test_sample_negatives_inter_draws_match_reference(rng):
             for example in queries:
                 new_rng = np.random.default_rng([trial, seed])
                 ref_rng = np.random.default_rng([trial, seed])
-                for given in (longer, None):
-                    got = sample_negatives(new_rng, corpus, example, 0, 3, given)
-                    want = _reference_inter_draws(ref_rng, corpus, example, 3)
-                    assert [vid for vid, _ in got.inter] == want
+                got = sample_negatives(new_rng, corpus, example, 0, 3, longer)
+                want = _reference_inter_draws(ref_rng, corpus, example, 3)
+                assert [vid for vid, _ in got.inter] == want
                 assert new_rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
@@ -160,10 +161,18 @@ def test_latent_weak_example_records_few_tape_nodes(rng):
     assert len(tape.nodes) < 300
 
 
+def _contexts_for(example, base, n_segments, cfg):
+    """The candidates that example_scores scores `base` against."""
+    pin = _pinned_context(example, n_segments, cfg)
+    (contexts,) = candidate_contexts(cfg, [base], n_segments, pin)
+    return contexts
+
+
 def test_contexts_for_strong_substitutes_ground_truth(rng):
     cfg = tiny_model_config(context_supervision="strong")
     example = TemporalQuery("v0", "A before b.", Moment(0, 0), "before",
                             ContextMoment.single(Moment(2, 2)), "b")
+    assert _pinned_context(example, 4, cfg) is example.context
     got = _contexts_for(example, example.moment, 4, cfg)
     assert got == [conform_context(example.context, example.moment, cfg.context_slots)]
     # negatives in the same hinge are pinned to the identical context
@@ -174,14 +183,21 @@ def test_contexts_for_strong_substitutes_ground_truth(rng):
     # context beyond the video falls back to the mode's candidate set
     oob = TemporalQuery("v0", "s.", Moment(0, 0), "before",
                         ContextMoment.single(Moment(5, 9)), "b")
+    assert _pinned_context(oob, 4, cfg) is None
     assert _contexts_for(oob, oob.moment, 4, cfg) == context_set(
         "latent", Moment(0, 0), 4,
     )
+    # ... unless the other video is long enough
+    assert _pinned_context(oob, 10, cfg) is oob.context
     # weak supervision never substitutes
     weak = tiny_model_config(context_supervision="weak")
+    assert _pinned_context(example, 4, weak) is None
     assert _contexts_for(example, example.moment, 4, weak) == context_set(
         "latent", Moment(0, 0), 4,
     )
+    # and its grid reads one shared candidate list
+    positive, negative = candidate_contexts(weak, [example.moment, neg], 4)
+    assert positive is negative
     # examples without a stored context always use the candidate set
     simple = TemporalQuery("v0", "s.", Moment(1, 1))
     assert _contexts_for(simple, simple.moment, 4, cfg) == context_set(
