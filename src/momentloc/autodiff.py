@@ -13,14 +13,18 @@ Design, in brief:
 - No implicit broadcasting: elementwise ops require equal shapes, matmul
   supports the (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,) cases only. The row ops
   (``linear_rows``, ``add_rows``, ...) take a stack of row vectors and apply
-  one vector to every row, by name. Shape mismatches raise immediately with
-  the shapes in the message.
+  one vector to every row, or pair row i with row i of a second stack, by
+  name. Shape mismatches raise immediately with the shapes in the message.
 - Row ops are exact per row: each forward product is a stack of
   matrix-vector products (``w[None] @ x[:, :, None]``) or of dot products
   (``x[:, None, :] @ y[:, :, None]``), which numpy runs as one gemv or dot
   call per row, the same BLAS call a single-vector ``matmul`` makes. A row of
   the stack is therefore bit-identical to the same vector computed alone. One
   gemm (``x @ w.T``) would round differently. Backward passes use gemm.
+
+Backward closures hold their input nodes but never the tape, so a dropped
+tape and its graph are freed by reference counting, without waiting for the
+cycle collector.
 
 Gradient conventions: ``backward`` accumulates with ``+=`` so shared subtrees
 sum naturally; ``max_select`` and ``group_max`` route the gradient to the
@@ -58,6 +62,13 @@ def group_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     padded[np.repeat(np.arange(len(sizes)), sizes),
            np.arange(len(values)) - np.repeat(starts, sizes)] = values
     return starts + padded.argmax(axis=1)
+
+
+def _add_row_grad(v: "Node", g: np.ndarray) -> None:
+    """Add the gradient `g` of a stack's rows to the node `v` that a row op
+    paired them with: summed over the rows when `v` is the one vector every
+    row used."""
+    v.grad += g.sum(axis=0) if v.value.ndim == 1 else g
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -345,43 +356,79 @@ class Tape:
         return self._make(prod + bv, back)
 
     def _rows_and_row(self, x: Node, v: Node, op: str) -> None:
-        if x.value.ndim != 2 or v.value.shape != x.value.shape[1:]:
+        if x.value.ndim != 2 or v.value.shape not in (x.value.shape[1:], x.value.shape):
             raise ValueError(
-                f"{op}: need an (n, d) stack and a (d,) vector, got "
-                f"{x.value.shape} and {v.value.shape}"
+                f"{op}: need an (n, d) stack and a (d,) vector or another (n, d) "
+                f"stack, got {x.value.shape} and {v.value.shape}"
             )
 
     def add_rows(self, x: Node, v: Node) -> Node:
-        """``x_i + v`` for every row."""
+        """``x_i + v`` (or ``x_i + v_i``) for every row."""
         self._rows_and_row(x, v, "add_rows")
 
         def back(node: Node) -> None:
             x.grad += node.grad
-            v.grad += node.grad.sum(axis=0)
+            _add_row_grad(v, node.grad)
 
         return self._make(x.value + v.value, back)
 
     def hadamard_rows(self, x: Node, v: Node) -> Node:
-        """``x_i * v`` for every row."""
+        """``x_i * v`` (or ``x_i * v_i``) for every row."""
         self._rows_and_row(x, v, "hadamard_rows")
 
         def back(node: Node) -> None:
             x.grad += node.grad * v.value
-            v.grad += (node.grad * x.value).sum(axis=0)
+            _add_row_grad(v, node.grad * x.value)
 
         return self._make(x.value * v.value, back)
 
     def squared_distance_rows(self, x: Node, v: Node) -> Node:
-        """``|x_i - v|^2`` for every row, shape (n,)."""
+        """``|x_i - v|^2`` (or ``|x_i - v_i|^2``) for every row, shape (n,)."""
         self._rows_and_row(x, v, "squared_distance_rows")
         diff = x.value - v.value
 
         def back(node: Node) -> None:
             g = 2.0 * node.grad[:, None] * diff
             x.grad += g
-            v.grad -= g.sum(axis=0)
+            _add_row_grad(v, -g)
 
         return self._make((diff[:, None, :] @ diff[:, :, None])[:, 0, 0], back)
+
+    def slice_rows(self, x: Node, lo: int, hi: int) -> Node:
+        """Rows [lo, hi) of a stack."""
+        if x.value.ndim != 2 or not 0 <= lo <= hi <= x.value.shape[0]:
+            raise ValueError(f"slice_rows: bad range [{lo}, {hi}) for shape {x.value.shape}")
+
+        def back(node: Node) -> None:
+            x.grad[lo:hi] += node.grad
+
+        return self._make(x.value[lo:hi].copy(), back)
+
+    def slice_cols(self, x: Node, lo: int, hi: int) -> Node:
+        """Columns [lo, hi) of every row of a stack."""
+        if x.value.ndim != 2 or not 0 <= lo <= hi <= x.value.shape[1]:
+            raise ValueError(f"slice_cols: bad range [{lo}, {hi}) for shape {x.value.shape}")
+
+        def back(node: Node) -> None:
+            x.grad[:, lo:hi] += node.grad
+
+        return self._make(x.value[:, lo:hi].copy(), back)
+
+    def select_rows(self, mask: np.ndarray, a: Node, b: Node) -> Node:
+        """Row i of `a` where `mask[i]`, else row i of `b`."""
+        mask = np.asarray(mask, dtype=bool)
+        if a.value.ndim != 2 or a.value.shape != b.value.shape or mask.shape != a.value.shape[:1]:
+            raise ValueError(
+                f"select_rows: need two equal (n, d) stacks and an (n,) mask, got "
+                f"{a.value.shape}, {b.value.shape} and {mask.shape}"
+            )
+        keep = mask[:, None]
+
+        def back(node: Node) -> None:
+            a.grad += np.where(keep, node.grad, 0.0)
+            b.grad += np.where(keep, 0.0, node.grad)
+
+        return self._make(np.where(keep, a.value, b.value), back)
 
     def l2_normalize_rows(self, x: Node, eps: float = NORMALIZE_EPS) -> Node:
         """``l2_normalize`` of every row."""

@@ -4,7 +4,8 @@ A video arrives as one table of per-segment feature rows per modality; the
 pooling of moments, the branch MLPs and the endpoint features that turn those
 rows into visual vectors live in the model's grid scorer. The language side
 is a single-layer LSTM over learned (or pretrained, frozen) token embeddings
-whose final hidden state is projected into the joint space.
+whose final hidden state is projected into the joint space; it runs a whole
+batch of queries as one stack.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class SegmentFeatureTable:
     features: np.ndarray
 
     def __post_init__(self) -> None:
-        self.features = as_array(self.features)
+        # C order: a moment's pooled mean then adds its rows one by one
+        self.features = np.ascontiguousarray(as_array(self.features))
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError(
                 f"features for {self.video_id!r}/{self.modality} must be "
@@ -100,36 +102,67 @@ class Vocabulary:
 
 # Gates are stacked [input, forget, output, cell] along the first axis of the
 # (4H, E) input and (4H, H) recurrent matrices.
+def encode_queries(
+    tape: Tape, token_lists: Sequence[Sequence[int]], params: Mapping[str, Parameter]
+) -> Node:
+    """LSTM over a batch of token sequences, one row per sequence; each final
+    hidden state is projected into the joint embedding space, giving a
+    (sequences, joint_dim) stack.
+
+    The sequences run side by side over a padded token matrix, one step per
+    token position. A row whose sequence has ended keeps its state
+    (`select_rows`), so each row is bit for bit the encoding of its sequence
+    alone: the gate pre-activations are `(W x + U h) + b` as row ops, every
+    other step is elementwise, and the gates take sigmoid and tanh of all of
+    the pre-activations and keep their own columns.
+    """
+    vocab_size = params["lang.embed"].value.shape[0]
+    for ids in token_lists:
+        if not ids:
+            raise ValueError("cannot encode an empty query")
+        for t in ids:
+            if not 0 <= t < vocab_size:
+                raise ValueError(f"token id {t} out of range for vocabulary of {vocab_size}")
+    lengths = np.array([len(ids) for ids in token_lists])
+    n_rows, n_steps = len(token_lists), int(lengths.max())
+    # step-major token ids; id 0 pads an ended row, whose steps are not kept
+    tokens = np.zeros((n_steps, n_rows), dtype=np.intp)
+    for row, ids in enumerate(token_lists):
+        tokens[: len(ids), row] = ids
+    hidden = params["lang.u"].value.shape[1]
+    no_bias = tape.constant(np.zeros(4 * hidden))
+    # W x of every step at once, row t * n_rows + i for row i's token t
+    wx = tape.linear_rows(
+        tape.gather_rows([(tape.param(params["lang.embed"]), tokens.ravel())]),
+        tape.param(params["lang.w"]), no_bias,
+    )
+    u = tape.param(params["lang.u"])
+    b = tape.param(params["lang.b"])
+    h = c = tape.constant(np.zeros((n_rows, hidden)))
+    shortest = int(lengths.min())
+    for step in range(n_steps):
+        wx_step = tape.slice_rows(wx, step * n_rows, (step + 1) * n_rows)
+        z = tape.add_rows(tape.add(wx_step, tape.linear_rows(h, u, no_bias)), b)
+        gates, cand = tape.sigmoid(z), tape.tanh(z)
+        c_next = tape.add(
+            tape.hadamard(tape.slice_cols(gates, hidden, 2 * hidden), c),
+            tape.hadamard(tape.slice_cols(gates, 0, hidden), tape.slice_cols(cand, 3 * hidden, 4 * hidden)),
+        )
+        h_next = tape.hadamard(tape.slice_cols(gates, 2 * hidden, 3 * hidden), tape.tanh(c_next))
+        if step < shortest:
+            h, c = h_next, c_next
+        else:
+            running = lengths > step
+            h, c = tape.select_rows(running, h_next, h), tape.select_rows(running, c_next, c)
+    return tape.linear_rows(h, tape.param(params["lang.proj_w"]), tape.param(params["lang.proj_b"]))
+
+
 def encode_query(
     tape: Tape, token_ids: Sequence[int], params: Mapping[str, Parameter]
 ) -> Node:
-    """LSTM over the token sequence; the final hidden state is projected into
-    the joint embedding space."""
-    if not token_ids:
-        raise ValueError("cannot encode an empty query")
-    embed = tape.param(params["lang.embed"])
-    w = tape.param(params["lang.w"])
-    u = tape.param(params["lang.u"])
-    b = tape.param(params["lang.b"])
-    hidden = params["lang.u"].value.shape[1]
-    vocab_size = params["lang.embed"].value.shape[0]
-    h = tape.constant(np.zeros(hidden))
-    c = tape.constant(np.zeros(hidden))
-    for t in token_ids:
-        if not 0 <= t < vocab_size:
-            raise ValueError(f"token id {t} out of range for vocabulary of {vocab_size}")
-        x = tape.take_row(embed, t)
-        z = tape.add(tape.add(tape.matmul(w, x), tape.matmul(u, h)), b)
-        gate_i = tape.sigmoid(tape.slice1d(z, 0, hidden))
-        gate_f = tape.sigmoid(tape.slice1d(z, hidden, 2 * hidden))
-        gate_o = tape.sigmoid(tape.slice1d(z, 2 * hidden, 3 * hidden))
-        cand = tape.tanh(tape.slice1d(z, 3 * hidden, 4 * hidden))
-        c = tape.add(tape.hadamard(gate_f, c), tape.hadamard(gate_i, cand))
-        h = tape.hadamard(gate_o, tape.tanh(c))
-    return tape.add(
-        tape.matmul(tape.param(params["lang.proj_w"]), h),
-        tape.param(params["lang.proj_b"]),
-    )
+    """The joint-space vector of one token sequence: `encode_queries` of a
+    one-row batch."""
+    return tape.take_row(encode_queries(tape, [token_ids], params), 0)
 
 
 def fusion_weights(modalities: Sequence[str], fusion_lambda: float) -> dict[str, float]:

@@ -145,7 +145,7 @@ def rank_moments(
     fl = encode_query(tape, ids, params)
     bases = enumerate_moments(n)
     contexts = candidate_contexts(cfg, bases, n, query.context if mode == "gt_context" else None)
-    fused, chosen = score_grid(tape, cache, video, fl, bases, contexts, cfg, params)
+    fused, chosen = score_grid(tape, cache, fl, [(video, 0, bases, contexts)], cfg, params)
     scored = [
         ScoredMoment(base, float(value), cands[i])
         for base, value, cands, i in zip(bases, fused.value, contexts, chosen)

@@ -9,6 +9,7 @@ selected context receives gradient.
 
 from __future__ import annotations
 
+import functools
 import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ from .temporal import (
     Moment,
     context_set,
     context_slot_count,
+    enumerate_moments,
+    moment_index,
     validate_moment,
 )
 
@@ -246,32 +249,43 @@ def candidate_contexts(cfg: ModelConfig, bases: Sequence[Moment], n_segments: in
     """The candidate contexts of each base moment, the ones its score is a
     max over: `gt` alone, fitted to the configured slots, when given; else the
     mode's context_set. The global and latent sets do not depend on the base,
-    so there every base gets the same list object, which score_grid reads
-    once."""
+    so there every base gets the same list object, built once per
+    (mode, n_segments) and never to be mutated, which score_grid reads once."""
     if gt is not None:
         return [[conform_context(gt, b, cfg.context_slots)] for b in bases]
     for b in bases:
         validate_moment(b, n_segments)
-    if cfg.context_mode == "before_after" or not bases:
+    if cfg.context_mode == "before_after":
         return [context_set(cfg.context_mode, b, n_segments) for b in bases]
-    return [context_set(cfg.context_mode, bases[0], n_segments)] * len(bases)
+    return [_shared_context_set(cfg.context_mode, n_segments)] * len(bases)
 
 
-def _moment_row(moment: Moment, n_segments: int) -> int:
-    """Position of a moment in enumerate_moments(n_segments)."""
-    validate_moment(moment, n_segments)
-    s = moment.start_seg
-    return s * n_segments - s * (s - 1) // 2 + moment.end_seg - s
+@functools.lru_cache(maxsize=None)
+def _shared_context_set(context_mode: str, n_segments: int) -> list[ContextMoment]:
+    return context_set(context_mode, Moment(0, 0), n_segments)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_tefs(n_segments: int) -> np.ndarray:
+    """Endpoint features (start / n, (end + 1) / n) of every moment, in
+    enumerate_moments order; read-only."""
+    tefs = np.array([(m.start_seg / n_segments, (m.end_seg + 1) / n_segments)
+                     for m in enumerate_moments(n_segments)])
+    tefs.flags.writeable = False
+    return tefs
 
 
 def _grid_pairs(
     bases: Sequence[Moment],
     contexts: Sequence[Sequence[ContextMoment]],
     n_segments: int,
+    slot_memo: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (base, context) pairs to score, base by base: each pair's base
     moment row, its context's moment row per slot (-1 for a padded slot), and
-    the number of candidates of each base."""
+    the number of candidates of each base. `slot_memo` keeps the slot rows of
+    each (candidate list object, video length) for the length of one
+    score_grid call."""
     if not bases or len(contexts) != len(bases):
         raise ValueError(f"need one candidate list per base, got {len(contexts)} for {len(bases)}")
     sizes = np.array([len(c) for c in contexts], dtype=np.intp)
@@ -279,33 +293,45 @@ def _grid_pairs(
         raise ValueError("no candidate contexts")
 
     def slot_rows(candidates):
-        return np.array(
-            [[-1 if m is None else _moment_row(m, n_segments) for m in c.slots] for c in candidates],
-            dtype=np.intp,
-        )
+        key = (id(candidates), n_segments)
+        if key not in slot_memo:
+            slot_memo[key] = np.array(
+                [[-1 if m is None else moment_index(m, n_segments) for m in c.slots]
+                 for c in candidates],
+                dtype=np.intp,
+            )
+        return slot_memo[key]
 
     shared = contexts[0]
     if all(c is shared for c in contexts):
         slots = np.tile(slot_rows(shared), (len(bases), 1))
     else:
         slots = np.concatenate([slot_rows(c) for c in contexts])
-    base_rows = np.array([_moment_row(b, n_segments) for b in bases], dtype=np.intp)
+    base_rows = np.array([moment_index(b, n_segments) for b in bases], dtype=np.intp)
     return np.repeat(base_rows, sizes), slots, sizes
 
 
-def _moment_features(cache, table, modality):
-    """Mean-pooled and endpoint features of every moment of the video, in
-    enumerate_moments order, plus a last row for a padded context slot (zero
-    features, PAD_TEF); cached per video for the cache's lifetime."""
-    key = ("moments", table.video_id, modality)
+def _pool_moments(table: SegmentFeatureTable) -> np.ndarray:
+    """Mean-pooled features of every moment of the video, in
+    enumerate_moments order, bit for bit `features[s:e + 1].mean(axis=0)`.
+
+    For rows of two or more features that mean adds the rows one by one, so
+    one running sum per start segment (`np.cumsum`, which adds in the same
+    order) divided by the moment lengths gives every moment that starts
+    there. A single feature column is summed pairwise by numpy once a moment
+    has 8 segments, which only `mean` itself reproduces."""
+    feats, n = table.features, table.n_segments
+    if table.dim == 1:
+        return np.stack([feats[m.start_seg : m.end_seg + 1].mean(axis=0)
+                         for m in enumerate_moments(n)])
+    return np.concatenate([
+        np.cumsum(feats[s:], axis=0) / np.arange(1, n - s + 1)[:, None] for s in range(n)
+    ])
+
+
+def _cached(cache, key, make):
     if key not in cache:
-        n, feats = table.n_segments, table.features
-        spans = [(s, e) for s in range(n) for e in range(s, n)]
-        # spans as plain (start, end) pairs, not Moment objects: this runs
-        # for every video that a training batch touches
-        pooled = np.stack([feats[s : e + 1].mean(axis=0) for s, e in spans] + [np.zeros(table.dim)])
-        tefs = np.array([(s / n, (e + 1) / n) for s, e in spans] + [PAD_TEF])
-        cache[key] = pooled, tefs
+        cache[key] = make()
     return cache[key]
 
 
@@ -316,34 +342,60 @@ def _mlp_rows(tape, x, params, prefix):
     return tape.linear_rows(h, tape.param(params[f"{prefix}.w2"]), tape.param(params[f"{prefix}.b2"]))
 
 
-def _branch_rows(tape, cache, table, modality, pooled, params, branch):
-    """A branch MLP over every moment of the video, once per cache."""
-    key = (branch, table.video_id, modality)
-    if key not in cache:
-        cache[key] = _mlp_rows(tape, tape.constant(pooled), params, f"{modality}.{branch}")
-    return cache[key]
-
-
-def _projected_rows(tape, cache, table, base_rows, slot_rows, cfg, params, modality):
+def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg, params, modality):
     """Projected (and, for normalized_mult, normalized) visual vectors of the
-    pairs, one row each. Query-independent, so cached per (video, modality,
-    pairs) for the cache's lifetime; on recording tapes reuse is plain
-    subgraph sharing."""
+    pairs, one row each, for pairs from several videos: `pair_counts[g]`
+    consecutive pairs come from `videos[g]`. Query-independent, so cached per
+    (modality, videos, pairs) for the cache's lifetime; on recording tapes
+    reuse is plain subgraph sharing.
+
+    The base and context MLPs run over the distinct moments that the pairs
+    reference. A video's pooled moments and a branch MLP's rows are cached
+    too, for misses that share them: a cache lives for one batch in training
+    and for one video's queries in evaluation."""
     m = modality
-    key = ("fv", table.video_id, m, base_rows.tobytes(), slot_rows.tobytes())
+    tables = [video[m] for video in videos]
+    key = ("fv", m, tuple((t.video_id, k) for t, k in zip(tables, pair_counts)),
+           base_rows.tobytes(), slot_rows.tobytes())
     if key in cache:
         return cache[key]
-    pooled, tefs = _moment_features(cache, table, m)
-    parts = [(_branch_rows(tape, cache, table, m, pooled, params, "base"), base_rows)]
+    # every distinct table gets its own block of moment keys, and key -1, the
+    # last row, is a padded context slot: zero features, PAD_TEF
+    first: dict[int, int] = {}
+    distinct = []
+    n_keys = 0
+    for t in tables:
+        if id(t) not in first:
+            first[id(t)] = n_keys
+            distinct.append(t)
+            n_keys += len(_moment_tefs(t.n_segments))
+    offset = np.repeat([first[id(t)] for t in tables], pair_counts)
+    base_keys = offset + base_rows
+    slot_keys = np.where(slot_rows < 0, -1, offset[:, None] + slot_rows)
+    pooled = np.concatenate(
+        [_cached(cache, ("pooled", t.video_id, m), lambda t=t: _pool_moments(t)) for t in distinct]
+        + [np.zeros((1, tables[0].dim))]
+    )
+    videos_key = tuple(t.video_id for t in distinct)
+    n_pairs = len(base_rows)
+
+    def branch(keys, name):
+        used, rows = np.unique(keys, return_inverse=True)
+        mlp = _cached(cache, (name, m, videos_key, used.tobytes()), lambda: _mlp_rows(
+            tape, tape.constant(pooled[used]), params, f"{m}.{name}"))
+        return mlp, rows
+
+    parts = [branch(base_keys, "base")]
     if cfg.context_slots == 1:
-        parts.append((_branch_rows(tape, cache, table, m, pooled, params, "ctx"), slot_rows[:, 0]))
+        parts.append(branch(slot_keys[:, 0], "ctx"))
     else:
-        ctx_in = tape.constant(pooled[slot_rows].reshape(len(slot_rows), -1))
+        ctx_in = tape.constant(pooled[slot_keys].reshape(n_pairs, -1))
         parts.append((_mlp_rows(tape, ctx_in, params, f"{m}.ctx"), None))
     if cfg.tef_mode != "none":
-        block = tefs[base_rows]
+        tefs = np.concatenate([_moment_tefs(t.n_segments) for t in distinct] + [[PAD_TEF]])
+        block = tefs[base_keys]
         if cfg.tef_mode == "contef":
-            block = np.concatenate([block, tefs[slot_rows].reshape(len(slot_rows), -1)], axis=1)
+            block = np.concatenate([block, tefs[slot_keys].reshape(n_pairs, -1)], axis=1)
         parts.append((tape.constant(block), None))
     fv = tape.linear_rows(
         tape.gather_rows(parts), tape.param(params[f"{m}.proj_w"]), tape.param(params[f"{m}.proj_b"]),
@@ -352,6 +404,20 @@ def _projected_rows(tape, cache, table, base_rows, slot_rows, cfg, params, modal
         fv = tape.l2_normalize_rows(fv)
     cache[key] = fv
     return fv
+
+
+def _query_rows(tape, fl, groups, pair_counts, cfg):
+    """The query vector that each pair is compared with, normalized for
+    normalized_mult: row `query row` of the (queries, joint_dim) stack `fl`
+    for the pairs of each group, or `fl` itself when it is one (joint_dim,)
+    vector."""
+    if fl.value.ndim == 1:
+        if any(q != 0 for _, q, _, _ in groups):
+            raise ValueError("a single query vector has only query row 0")
+        return tape.l2_normalize(fl) if cfg.similarity == "normalized_mult" else fl
+    if cfg.similarity == "normalized_mult":
+        fl = tape.l2_normalize_rows(fl)
+    return tape.gather_rows([(fl, np.repeat([q for _, q, _, _ in groups], pair_counts))])
 
 
 def _similarity_rows(tape, fv, fl_ready, cfg, params, modality):
@@ -374,42 +440,51 @@ def _similarity_rows(tape, fv, fl_ready, cfg, params, modality):
 def score_grid(
     tape: Tape,
     cache: dict,
-    video: Mapping[str, SegmentFeatureTable],
     fl: Node,
-    bases: Sequence[Moment],
-    contexts: Sequence[Sequence[ContextMoment]],
+    groups: Sequence[tuple[Mapping[str, SegmentFeatureTable], int, Sequence[Moment],
+                           Sequence[Sequence[ContextMoment]]]],
     cfg: ModelConfig,
     params: ModelParams,
 ) -> tuple[Node, np.ndarray]:
-    """Score each base moment of one video against its candidate contexts.
+    """Score base moments from one or more videos, each against its
+    candidate contexts.
 
-    `contexts[g]` lists the candidates of `bases[g]`; when every base gets the
-    same list object, that list is read once. Every (base, context) pair is
-    one row of the stacked computation, each row bit-identical to scoring the
-    pair alone. Returns the fused scores, one entry per base (late fusion of
-    the per-modality maxima; the training loss backpropagates through it), and
-    per base the index of the candidate that maximizes the fused per-context
-    score (ties to the earliest candidate).
+    `fl` holds the encoded queries, a (queries, joint_dim) stack, or the
+    (joint_dim,) vector of a single query. Each group is `(video, query row,
+    bases, contexts)`: `contexts[g]` lists the candidates of `bases[g]`, and
+    the group's pairs are compared with row `query row` of `fl` (0 for a
+    single vector). Every (base, context) pair of every group is one row of
+    one stacked computation, each row bit-identical to scoring the pair
+    alone, so a call records one base MLP, one context MLP, one projection,
+    one similarity head and one group max per modality, however many groups
+    it scores. A candidate list object shared by several bases is read once.
+
+    Returns the fused scores, one entry per base in group order (late fusion
+    of the per-modality maxima; the training loss backpropagates through it),
+    and per base the index of the candidate that maximizes the fused
+    per-context score (ties to the earliest candidate).
     """
-    n = next(iter(video.values())).n_segments
-    base_rows, slot_rows, sizes = _grid_pairs(bases, contexts, n)
+    if not groups:
+        raise ValueError("score_grid needs at least one group")
+    slot_memo: dict = {}
+    grids = [
+        _grid_pairs(bases, contexts, next(iter(video.values())).n_segments, slot_memo)
+        for video, _, bases, contexts in groups
+    ]
+    base_rows, slot_rows, sizes = grids[0] if len(grids) == 1 else (
+        np.concatenate(parts) for parts in zip(*grids))
     if slot_rows.shape[1] != cfg.context_slots:
         raise ValueError(
             f"contexts have {slot_rows.shape[1]} slots, the configuration expects {cfg.context_slots}"
         )
-    fl_ready = fl
-    if cfg.similarity == "normalized_mult":
-        # The node itself is the key: id() would dangle once a previous
-        # query's node is collected and its address reused.
-        fl_key = ("fl", fl)
-        if fl_key not in cache:
-            cache[fl_key] = tape.l2_normalize(fl)
-        fl_ready = cache[fl_key]
+    pair_counts = [len(rows) for rows, _, _ in grids]
+    fl_ready = _query_rows(tape, fl, groups, pair_counts, cfg)
+    videos = [video for video, _, _, _ in groups]
     weights = fusion_weights(cfg.modalities, cfg.fusion_lambda)
     fused: Node | None = None
     fused_per_pair = np.zeros(len(base_rows))
     for m in cfg.modalities:
-        fv = _projected_rows(tape, cache, video[m], base_rows, slot_rows, cfg, params, m)
+        fv = _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg, params, m)
         sims = _similarity_rows(tape, fv, fl_ready, cfg, params, m)
         best, _ = tape.group_max(sims, sizes)
         weighted = tape.scale(best, weights[m])
@@ -430,10 +505,10 @@ def score_base(
     params: ModelParams,
 ) -> tuple[Node, int]:
     """Score one base moment against its candidate contexts: `score_grid`
-    for a single base. Returns the fused score node and the index of the
-    chosen context."""
+    for a single base and a single query vector `fl`. Returns the fused score
+    node and the index of the chosen context."""
     node, chosen = score_grid(
-        tape, {} if cache is None else cache, video, fl, [base], [contexts], cfg, params,
+        tape, {} if cache is None else cache, fl, [(video, 0, [base], [contexts])], cfg, params,
     )
     return tape.take_row(node, 0), int(chosen[0])
 

@@ -82,6 +82,13 @@ def enumerate_moments(n_segments: int) -> list[Moment]:
     ]
 
 
+def moment_index(moment: Moment, n_segments: int) -> int:
+    """Position of a moment in enumerate_moments(n_segments)."""
+    validate_moment(moment, n_segments)
+    s = moment.start_seg
+    return s * n_segments - s * (s - 1) // 2 + moment.end_seg - s
+
+
 def context_slot_count(context_mode: str) -> int:
     if context_mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {context_mode!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import configio
 from .autodiff import Node, Tape, backward, sgd_step
 from .dataset import Corpus, TemporalQuery
-from .encoders import Vocabulary, encode_query
+from .encoders import Vocabulary, encode_queries
 from .model import (
     ModelBundle,
     ModelConfig,
@@ -28,10 +29,9 @@ from .model import (
     log_logistic_loss,
     mean,
     ranking_loss,
-    score_base,
     score_grid,
 )
-from .temporal import ContextMoment, Moment, enumerate_moments, validate_moment
+from .temporal import ContextMoment, Moment, enumerate_moments, moment_index, validate_moment
 
 
 @dataclass
@@ -79,6 +79,11 @@ def videos_longer_than(corpus: Corpus) -> list[list[str]]:
     return [[v for v, n in zip(ids, lengths) if n > k] for k in range(max(lengths, default=0))]
 
 
+@functools.lru_cache(maxsize=None)
+def _moments_of(n_segments: int) -> tuple[Moment, ...]:
+    return tuple(enumerate_moments(n_segments))
+
+
 def sample_negatives(
     rng: np.random.Generator,
     corpus: Corpus,
@@ -92,12 +97,14 @@ def sample_negatives(
     enough (skipped when no such video exists). `longer` is
     `videos_longer_than(corpus)`."""
     n = corpus.n_segments(example.video_id)
-    pool = [m for m in enumerate_moments(n) if m != example.moment]
+    moments = _moments_of(n)
+    # draw among the moments other than the ground truth, when it is one
+    gt = moment_index(example.moment, n) if example.moment.end_seg < n else len(moments)
+    count = len(moments) - (gt < len(moments))
     intra: list[Moment] = []
-    if n_intra and pool:
-        replace_draw = len(pool) < n_intra
-        picks = rng.choice(len(pool), size=n_intra, replace=replace_draw)
-        intra = [pool[int(i)] for i in picks]
+    if n_intra and count:
+        picks = rng.choice(count, size=n_intra, replace=count < n_intra)
+        intra = [moments[int(i + (i >= gt))] for i in picks]
     inter: list[tuple[str, Moment]] = []
     if n_inter:
         end = example.moment.end_seg
@@ -136,6 +143,42 @@ def _pinned_context(example: TemporalQuery, n_segments: int, cfg: ModelConfig) -
     return None
 
 
+def batch_scores(
+    tape: Tape,
+    cache: dict,
+    corpus: Corpus,
+    batch: Sequence[TemporalQuery],
+    negatives: Sequence[Negatives],
+    cfg: ModelConfig,
+    params: ModelParams,
+    vocab: Vocabulary,
+) -> list[ExampleScores]:
+    """Positive and negative fused scores for every example of a batch, from
+    one stacked encoding of the batch's queries and one score_grid call: a
+    group per example over its own video (the positive and the intra-video
+    negatives) and a group per inter-video negative, each compared with the
+    example's query row."""
+    groups = []
+    for row, (example, negs) in enumerate(zip(batch, negatives)):
+        n = corpus.n_segments(example.video_id)
+        validate_moment(example.moment, n)
+        bases = [example.moment, *negs.intra]
+        contexts = candidate_contexts(cfg, bases, n, _pinned_context(example, n, cfg))
+        groups.append((corpus.features[example.video_id], row, bases, contexts))
+        for vid, neg in negs.inter:
+            other_n = corpus.n_segments(vid)
+            contexts = candidate_contexts(cfg, [neg], other_n, _pinned_context(example, other_n, cfg))
+            groups.append((corpus.features[vid], row, [neg], contexts))
+    fl = encode_queries(tape, [vocab.encode(example.tokens) for example in batch], params)
+    fused, _ = score_grid(tape, cache, fl, groups, cfg, params)
+    scores = iter([tape.take_row(fused, i) for i in range(len(fused.value))])
+    return [
+        ExampleScores(next(scores), [next(scores) for _ in negs.intra],
+                      [next(scores) for _ in negs.inter])
+        for negs in negatives
+    ]
+
+
 def example_scores(
     tape: Tape,
     cache: dict,
@@ -146,25 +189,9 @@ def example_scores(
     params: ModelParams,
     vocab: Vocabulary,
 ) -> ExampleScores:
-    """Positive and negative fused scores for one training example. The query
-    is encoded once and shared by all candidates; the positive and the
-    intra-video negatives are scored in one grid over the example's video."""
-    video = corpus.features[example.video_id]
-    n = corpus.n_segments(example.video_id)
-    validate_moment(example.moment, n)
-    fl = encode_query(tape, vocab.encode(example.tokens), params)
-    bases = [example.moment, *negatives.intra]
-    own, _ = score_grid(
-        tape, cache, video, fl, bases,
-        candidate_contexts(cfg, bases, n, _pinned_context(example, n, cfg)), cfg, params,
-    )
-    inter = []
-    for vid, neg in negatives.inter:
-        other_n = corpus.n_segments(vid)
-        (contexts,) = candidate_contexts(cfg, [neg], other_n, _pinned_context(example, other_n, cfg))
-        inter.append(score_base(tape, cache, corpus.features[vid], fl, neg, contexts, cfg, params)[0])
-    scores = [tape.take_row(own, i) for i in range(len(bases))]
-    return ExampleScores(scores[0], scores[1:], inter)
+    """Positive and negative fused scores for one training example: the
+    one-example batch of `batch_scores`."""
+    return batch_scores(tape, cache, corpus, [example], [negatives], cfg, params, vocab)[0]
 
 
 def batch_loss(tape: Tape, scored: Sequence[ExampleScores], cfg: ModelConfig) -> Node:
@@ -231,11 +258,7 @@ def train(
             if epoch < start_epoch:
                 continue
             tape = Tape()
-            cache: dict = {}
-            scored = [
-                example_scores(tape, cache, corpus, ex, neg, cfg, params, vocab)
-                for ex, neg in zip(batch, negatives)
-            ]
+            scored = batch_scores(tape, {}, corpus, batch, negatives, cfg, params, vocab)
             loss = batch_loss(tape, scored, cfg)
             if not np.isfinite(loss.value):
                 raise ValueError(f"epoch {epoch} batch {b}: loss is not finite ({float(loss.value)})")

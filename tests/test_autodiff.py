@@ -347,6 +347,14 @@ def _check_rows_op(build, shapes, seed, what, n_points=20):
         ("gather_rows", [(4, 3), (2,), (6, 2)],
          lambda t, ns: t.gather_rows([(ns[0], np.array([3, 0, 3, 1, 1, 2])), (ns[1], None), (ns[2], None)])),
         ("take_row vector", [(4,)], lambda t, ns: t.take_row(ns[0], 2)),
+        ("add_rows stack", [(5, 3), (5, 3)], lambda t, ns: t.add_rows(ns[0], ns[1])),
+        ("hadamard_rows stack", [(5, 3), (5, 3)], lambda t, ns: t.hadamard_rows(ns[0], ns[1])),
+        ("squared_distance_rows stack", [(5, 3), (5, 3)],
+         lambda t, ns: t.squared_distance_rows(ns[0], ns[1])),
+        ("slice_cols", [(4, 6)], lambda t, ns: t.slice_cols(ns[0], 1, 4)),
+        ("slice_rows", [(6, 4)], lambda t, ns: t.slice_rows(ns[0], 1, 4)),
+        ("select_rows", [(5, 3), (5, 3)],
+         lambda t, ns: t.select_rows(np.array([True, False, False, True, False]), ns[0], ns[1])),
     ],
 )
 def test_row_op_gradients(what, shapes, build):
@@ -406,6 +414,39 @@ def test_row_ops_match_single_vector_ops_exactly():
             assert dist[i] == t.squared_distance(row, t.constant(v)).value
 
 
+def test_row_ops_over_two_stacks_match_single_vector_ops_exactly():
+    """Pairing row i of one stack with row i of another gives, per row, the
+    single-vector op on the two rows, bit for bit."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n, d = (int(v) for v in rng.integers(1, 40, size=2))
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        t = Tape(recording=False)
+        xs, ys = t.constant(x), t.constant(y)
+        added = t.add_rows(xs, ys).value
+        prod = t.hadamard_rows(xs, ys).value
+        dist = t.squared_distance_rows(xs, ys).value
+        for i in range(n):
+            a, b = t.constant(x[i]), t.constant(y[i])
+            assert np.array_equal(added[i], t.add(a, b).value)
+            assert np.array_equal(prod[i], t.hadamard(a, b).value)
+            assert dist[i] == t.squared_distance(a, b).value
+
+
+def test_slice_and_select_rows_values():
+    tape = Tape()
+    x = tape.constant(np.arange(12.0).reshape(3, 4))
+    assert np.array_equal(tape.slice_cols(x, 1, 3).value, [[1, 2], [5, 6], [9, 10]])
+    assert tape.slice_cols(x, 2, 2).value.shape == (3, 0)
+    assert np.array_equal(tape.slice_rows(x, 1, 3).value, [[4, 5, 6, 7], [8, 9, 10, 11]])
+    y = tape.constant(-np.ones((3, 4)))
+    picked = tape.select_rows(np.array([False, True, False]), x, y)
+    assert np.array_equal(picked.value, [[-1] * 4, [4, 5, 6, 7], [-1] * 4])
+    backward(tape, tape.sum_all(picked))
+    assert np.array_equal(x.grad, [[0] * 4, [1] * 4, [0] * 4])
+    assert np.array_equal(y.grad, [[1] * 4, [0] * 4, [1] * 4])
+
+
 def test_row_op_shape_mismatch_errors():
     tape = Tape()
     stack = tape.constant(np.ones((4, 3)))
@@ -437,3 +478,24 @@ def test_row_op_shape_mismatch_errors():
         tape.group_max(stack, [4])
     with pytest.raises(ValueError, match="take_row"):
         tape.take_row(vec3, 3)
+    other_rows = tape.constant(np.ones((5, 3)))
+    for op in (tape.add_rows, tape.hadamard_rows, tape.squared_distance_rows):
+        with pytest.raises(ValueError, match=op.__name__):
+            op(stack, other_rows)
+    with pytest.raises(ValueError, match="slice_cols"):
+        tape.slice_cols(vec3, 0, 1)
+    with pytest.raises(ValueError, match="slice_cols"):
+        tape.slice_cols(stack, 2, 4)
+    with pytest.raises(ValueError, match="slice_cols"):
+        tape.slice_cols(stack, 2, 1)
+    with pytest.raises(ValueError, match="slice_rows"):
+        tape.slice_rows(vec3, 0, 1)
+    with pytest.raises(ValueError, match="slice_rows"):
+        tape.slice_rows(stack, 3, 5)
+    mask = np.array([True, False, True, False])
+    with pytest.raises(ValueError, match="select_rows"):
+        tape.select_rows(mask, stack, other_rows)
+    with pytest.raises(ValueError, match="select_rows"):
+        tape.select_rows(mask[:3], stack, stack)
+    with pytest.raises(ValueError, match="select_rows"):
+        tape.select_rows(np.array([True, False, True]), vec3, vec3)

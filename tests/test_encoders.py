@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import np_encode_query
-from momentloc.autodiff import Parameter, Tape
+from momentloc.autodiff import Parameter, Tape, backward
 from momentloc.encoders import (
     SegmentFeatureTable,
     Vocabulary,
+    encode_queries,
     encode_query,
     fusion_weights,
     load_embeddings,
@@ -89,6 +92,53 @@ def test_encode_query_rejects_bad_ids(rng):
         encode_query(Tape(recording=False), [], params)
     with pytest.raises(ValueError):
         encode_query(Tape(recording=False), [5], params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    token_lists=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_encode_queries_rows_match_reference_lstm(token_lists, seed):
+    """Each row of the stacked encoder is bit for bit the reference LSTM of
+    its own sequence: ragged lengths 1-8, the unknown id 0 included."""
+    params = _lang_params(np.random.default_rng(seed), vocab_size=6)
+    arrays = {k: p.value for k, p in params.items()}
+    for recording in (False, True):
+        stack = encode_queries(Tape(recording=recording), token_lists, params).value
+        assert stack.shape == (len(token_lists), 2)
+        for row, ids in zip(stack, token_lists):
+            assert np.array_equal(row, np_encode_query(ids, arrays))
+
+
+def test_encode_queries_gradient_reaches_only_the_tokens_read(rng):
+    """A row that has ended holds its state: the padding it runs over gets no
+    gradient, and each row's gradient equals that of its query alone."""
+    params = _lang_params(rng, vocab_size=6)
+    lists = [[1, 2, 3, 4], [5], [2, 0]]
+    tape = Tape()
+    stack = encode_queries(tape, lists, params)
+    backward(tape, tape.sum_all(stack))
+    together = {k: p.grad.copy() for k, p in params.items()}
+    for p in params.values():
+        p.grad[...] = 0.0
+    for ids in lists:
+        tape = Tape()
+        backward(tape, tape.sum_all(encode_query(tape, ids, params)))
+    for name, p in params.items():
+        np.testing.assert_allclose(together[name], p.grad, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_encode_queries_rejects_bad_ids_like_encode_query(rng):
+    params = _lang_params(rng, vocab_size=5)
+    with pytest.raises(ValueError, match="^cannot encode an empty query$"):
+        encode_queries(Tape(recording=False), [[1, 2], []], params)
+    with pytest.raises(ValueError, match="^token id 5 out of range for vocabulary of 5$"):
+        encode_queries(Tape(recording=False), [[1], [2, 5]], params)
+    with pytest.raises(ValueError, match="^cannot encode an empty query$"):
+        encode_query(Tape(recording=False), [], params)
+    with pytest.raises(ValueError, match="^token id -1 out of range for vocabulary of 5$"):
+        encode_query(Tape(recording=False), [-1], params)
 
 
 def test_late_fusion():

@@ -18,8 +18,10 @@ from momentloc.model import (
     params_from_arrays,
     ranking_loss,
     save_model,
+    _pool_moments,
     score,
     score_base,
+    score_grid,
 )
 from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments
 
@@ -194,6 +196,45 @@ def test_candidate_contexts_share_one_list_in_global_and_latent_mode(mode):
     assert candidate_contexts(cfg, [], 4) == []
     with pytest.raises(ValueError, match="exceeds"):
         candidate_contexts(cfg, [Moment(0, 0), Moment(2, 4)], 4)
+
+
+def test_score_grid_reads_one_candidate_list_in_videos_of_two_lengths(rng):
+    """The same candidate list object in a 3- and a 6-segment video names
+    different moment rows in each; both groups score as the numpy oracle."""
+    cfg = tiny_model_config()
+    params = init_params(cfg, rng)
+    short, long_ = (tiny_video(rng, n, cfg.visual_dim, ("rgb",), f"v{n}") for n in (3, 6))
+    shared = [ContextMoment.single(Moment(1, 2)), ContextMoment.single(Moment(0, 2))]
+    tape = Tape(recording=False)
+    fl = encode_query(tape, [1, 2], params)
+    both, _ = score_grid(tape, {}, fl, [(short, 0, [Moment(0, 0)], [shared]),
+                                        (long_, 0, [Moment(0, 0)], [shared])], cfg, params)
+    want = [np_score(v, [1, 2], Moment(0, 0), shared, cfg, params.arrays())[0] for v in (short, long_)]
+    assert both.value.tolist() == want
+    with pytest.raises(ValueError, match="at least one group"):
+        score_grid(tape, {}, fl, [], cfg, params)
+
+
+def test_running_sum_pooling_equals_mean():
+    """Pooling every moment by running sums is bit for bit `mean(axis=0)` of
+    its segment rows, as the numpy oracle pools them, for videos of 1-12
+    segments, one to 16 features per segment and features handed over in
+    Fortran order."""
+    rng = np.random.default_rng(8)
+    from momentloc.encoders import SegmentFeatureTable
+
+    for n in range(1, 13):
+        for dim in (1, 2, 7, 16):
+            for scale in (1.0, 1e-3, 1e6):
+                raw = scale * rng.normal(size=(n, dim))
+                for given in (raw, np.asfortranarray(raw)):
+                    table = SegmentFeatureTable("v", "rgb", given)
+                    pooled = _pool_moments(table)
+                    moments = enumerate_moments(n)
+                    assert pooled.shape == (len(moments), dim)
+                    for m, row in zip(moments, pooled):
+                        want = table.features[m.start_seg : m.end_seg + 1].mean(axis=0)
+                        assert row.tobytes() == want.tobytes()
 
 
 def test_ranking_loss_values():

@@ -1,4 +1,6 @@
 import csv
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentloc.autodiff import Parameter, Tape
+from momentloc.autodiff import Parameter, Tape, backward
 from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import Corpus, TemporalQuery
-from momentloc.encoders import Vocabulary
+from momentloc.encoders import Vocabulary, encode_query
 from momentloc.model import ModelParams, candidate_contexts, conform_context, init_params
 from momentloc.temporal import ContextMoment, Moment, context_set
 from momentloc.trainer import (
@@ -18,6 +20,7 @@ from momentloc.trainer import (
     TrainConfig,
     _pinned_context,
     batch_loss,
+    batch_scores,
     example_scores,
     load_history,
     lr_at,
@@ -27,7 +30,7 @@ from momentloc.trainer import (
     videos_longer_than,
 )
 
-from helpers import tiny_model_config, tiny_video
+from helpers import np_score, tiny_model_config, tiny_video
 
 
 def small_corpus(rng, n_segments=4, lengths=None):
@@ -143,22 +146,140 @@ def test_train_stops_on_non_finite_values(lr, sim, message):
               TrainConfig(epochs=2, batch_size=1, lr=lr, seed=0))
 
 
-def test_latent_weak_example_records_few_tape_nodes(rng):
-    """The grid scorer records a handful of stacked nodes per candidate set;
-    scoring each (moment, context) pair on its own recorded about 2000 nodes
-    for this example, so a silent fall-back to per-pair scoring shows here."""
-    features = {v: tiny_video(rng, 6, 3, ("rgb",), v) for v in ("a", "b")}
-    example = TemporalQuery("a", "One before two three.", Moment(1, 2), "before",
-                            ContextMoment.single(Moment(3, 4)), "two three")
-    corpus = Corpus(features, [example])
-    vocab = Vocabulary.from_token_lists([example.tokens])
+def _batch_corpus(rng, n_videos=40, n_segments=6):
+    """Temporal queries of one video each, with ragged token lengths."""
+    from momentloc.dataset import SyntheticCorpusConfig, generate_synthetic
+
+    syn = generate_synthetic(SyntheticCorpusConfig(
+        n_train_videos=n_videos, n_test_videos=1, n_segments=n_segments, n_events=12,
+        feature_dim=3, queries_per_video=1, mix_simple=0.0, mix_before=0.5,
+        mix_after=0.5, mix_then=0.0, seed=int(rng.integers(1 << 16)),
+    ))
+    return syn.train
+
+
+def _batch_nodes(corpus, batch_size, monkeypatch):
+    """Tape nodes of one latent-weak training batch (2 intra, 1 inter
+    negative per example), and those recorded inside score_grid."""
+    from momentloc import model, trainer
+
+    vocab = Vocabulary.from_token_lists(q.tokens for q in corpus.queries)
     cfg = tiny_model_config(context_supervision="weak", vocab_size=vocab.size)
-    params = init_params(cfg, rng)
+    params = init_params(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    longer = videos_longer_than(corpus)
+    batch = corpus.queries[:batch_size]
+    negatives = [sample_negatives(rng, corpus, ex, 2, 1, longer) for ex in batch]
+    grid_nodes = []
+    original = model.score_grid
+
+    def counted(tape, *args, **kwargs):
+        before = len(tape.nodes)
+        result = original(tape, *args, **kwargs)
+        grid_nodes.append(len(tape.nodes) - before)
+        return result
+
+    monkeypatch.setattr(trainer, "score_grid", counted)
     tape = Tape()
-    negatives = Negatives([Moment(0, 0), Moment(2, 5)], [("b", Moment(1, 2))])
-    scored = example_scores(tape, {}, corpus, example, negatives, cfg, params, vocab)
-    batch_loss(tape, [scored], cfg)
-    assert len(tape.nodes) < 300
+    batch_loss(tape, batch_scores(tape, {}, corpus, batch, negatives, cfg, params, vocab), cfg)
+    return len(tape.nodes), grid_nodes
+
+
+def test_latent_weak_batch_records_few_tape_nodes(rng, monkeypatch):
+    """A training batch is one graph: one stacked LSTM and one score_grid
+    call. Per-example grids recorded about 3500 nodes for this 32-example
+    batch, so a fall-back to per-example scoring shows here; and the nodes
+    that score_grid records do not grow with the batch."""
+    corpus = _batch_corpus(rng)
+    total, grid = _batch_nodes(corpus, 32, monkeypatch)
+    assert total < 1000
+    assert grid == [grid[0]]
+    for size in (1, 4, 16):
+        assert _batch_nodes(corpus, size, monkeypatch)[1] == grid
+
+
+@pytest.mark.parametrize("sim", ["distance", "mult", "normalized_mult", "tall_sim"])
+def test_batch_tape_is_freed_without_the_cycle_collector(rng, sim):
+    """No backward closure holds the tape, so a trained batch's graph goes as
+    soon as the tape is dropped; a cycle through the tape kept every batch's
+    arrays alive until a rare full collection, and memory grew by epoch."""
+    corpus = small_corpus(rng, lengths={"v1": 6})
+    vocab = Vocabulary.from_token_lists(q.tokens for q in corpus.queries)
+    cfg = tiny_model_config(similarity=sim, vocab_size=vocab.size)
+    params = init_params(cfg, rng)
+    longer = videos_longer_than(corpus)
+    negatives = [sample_negatives(rng, corpus, ex, 2, 1, longer) for ex in corpus.queries]
+    gc.disable()
+    try:
+        tape = Tape()
+        scored = batch_scores(tape, {}, corpus, corpus.queries, negatives, cfg, params, vocab)
+        backward(tape, batch_loss(tape, scored, cfg))
+        freed = weakref.ref(tape)
+        del tape, scored
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+BATCH_CASES = [
+    pytest.param(sim, mode, tef_mode, id=f"{sim}-{mode}-{tef_mode}")
+    for sim in ("distance", "mult", "normalized_mult", "tall_sim")
+    for mode in ("global", "before_after", "latent")
+    for tef_mode in ("none", "tef", "contef")
+]
+
+
+@pytest.mark.parametrize("sim, mode, tef_mode", BATCH_CASES)
+def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, tef_mode):
+    """One cross-video score_grid call over a batch gives each score exactly
+    as scoring its example alone and as the plain-numpy scorer do: videos of
+    4, 6 and 5 segments, inter-video negatives in videos of another length,
+    an example without an inter negative and one with two; weak and strong
+    supervision (the strong pin falls back to the candidate set in a video
+    too short for the stored context)."""
+    from momentloc.model import score_grid
+
+    features = {v: tiny_video(rng, n, 3, ("rgb", "flow"), v)
+                for v, n in (("a", 4), ("b", 6), ("c", 5))}
+    batch = [
+        TemporalQuery("a", "One before two three.", Moment(1, 2), "before",
+                      ContextMoment.single(Moment(3, 3)), "two three"),
+        TemporalQuery("b", "Four after five.", Moment(4, 5), "after",
+                      ContextMoment.single(Moment(0, 3)), "five"),
+        TemporalQuery("c", "Six.", Moment(0, 4)),
+    ]
+    negatives = [
+        Negatives([Moment(0, 0), Moment(2, 3)], [("b", Moment(1, 2))]),
+        Negatives([Moment(3, 3)], []),
+        Negatives([Moment(1, 1), Moment(4, 4)], [("b", Moment(0, 4)), ("c", Moment(0, 4))]),
+    ]
+    corpus = Corpus(features, batch)
+    vocab = Vocabulary.from_token_lists([ex.tokens for ex in batch[:2]])  # "six" is unknown
+    for supervision in ("weak", "strong"):
+        cfg = tiny_model_config(similarity=sim, context_mode=mode, tef_mode=tef_mode,
+                                context_supervision=supervision, modalities=("rgb", "flow"),
+                                fusion_lambda=0.35, vocab_size=vocab.size)
+        params = init_params(cfg, rng)
+        arrays = params.arrays()
+        tape = Tape(recording=False)
+        scored = batch_scores(tape, {}, corpus, batch, negatives, cfg, params, vocab)
+        for ex, negs, got in zip(batch, negatives, scored):
+            ids = vocab.encode(ex.tokens)
+            alone = example_scores(Tape(recording=False), {}, corpus, ex, negs, cfg, params, vocab)
+            parts = [(ex.video_id, [ex.moment, *negs.intra], [got.positive, *got.intra],
+                      [alone.positive, *alone.intra])]
+            parts += [(vid, [m], [node], [other])
+                      for (vid, m), node, other in zip(negs.inter, got.inter, alone.inter)]
+            assert len(got.inter) == len(negs.inter)
+            for vid, bases, nodes, others in parts:
+                n = corpus.n_segments(vid)
+                contexts = candidate_contexts(cfg, bases, n, _pinned_context(ex, n, cfg))
+                t = Tape(recording=False)
+                grid, _ = score_grid(t, {}, encode_query(t, ids, params),
+                                     [(features[vid], 0, bases, contexts)], cfg, params)
+                for base, cands, node, other, one in zip(bases, contexts, nodes, others, grid.value):
+                    want, _ = np_score(features[vid], ids, base, cands, cfg, arrays)
+                    assert float(node.value) == float(other.value) == one == want
 
 
 def _contexts_for(example, base, n_segments, cfg):
