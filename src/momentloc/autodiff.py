@@ -21,14 +21,27 @@ Design, in brief:
   call per row, the same BLAS call a single-vector ``matmul`` makes. A row of
   the stack is therefore bit-identical to the same vector computed alone. One
   gemm (``x @ w.T``) would round differently. Backward passes use gemm.
+- Stacked reductions that stand for a chain of scalar adds (``segment_sums``,
+  and the scatter of repeated rows' gradients) add left to right, so their
+  values equal the chain's bit for bit: they sum zero-padded slabs over a
+  non-contiguous axis (``_run_sums``). ``np.sum`` over a contiguous axis and
+  ``np.add.reduceat`` sum pairwise, which reorders the additions.
 
 Backward closures hold their input nodes but never the tape, so a dropped
 tape and its graph are freed by reference counting, without waiting for the
 cycle collector.
 
-Gradient conventions: ``backward`` accumulates with ``+=`` so shared subtrees
-sum naturally; ``max_select`` and ``group_max`` route the gradient to the
-first argmax on ties; ``relu`` has zero gradient at exactly zero.
+Gradients are lazy. A node's gradient buffer is allocated by the first
+backward write that reaches it, and ``backward`` skips every node that no
+gradient reached, so a branch that does not lead to the root costs nothing.
+A recorded node that no gradient reached reads zeros; a node of an inference
+tape has ``grad`` None. ``gather_rows`` writes no gradient to a constant part
+at all: nothing upstream of a constant reads it. The gradient of a row read
+several times is summed left to right, as ``np.add.at`` would sum it.
+
+Gradient conventions: ``backward`` accumulates, so shared subtrees sum
+naturally; ``max_select`` and ``group_max`` route the gradient to the first
+argmax on ties; ``relu`` has zero gradient at exactly zero.
 """
 
 from __future__ import annotations
@@ -64,11 +77,82 @@ def group_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return starts + padded.argmax(axis=1)
 
 
-def _add_row_grad(v: "Node", g: np.ndarray) -> None:
+def _accumulate(node: "Node", g: np.ndarray) -> None:
+    """Add `g` to the gradient of `node`. The first write copies `g`, so a
+    buffer never aliases an array that something else holds."""
+    if node._grad is None:
+        node._grad = np.array(g, dtype=np.float64)
+    else:
+        node._grad += g
+
+
+def _accumulate_owned(node: "Node", g: np.ndarray) -> None:
+    """`_accumulate` for a `g` of the node's shape that was computed for this
+    write alone: the first write keeps it as the buffer."""
+    if node._grad is None:
+        node._grad = g
+    else:
+        node._grad += g
+
+
+def _buffer(node: "Node") -> np.ndarray:
+    """The gradient buffer of `node`, allocated as zeros on first use, for
+    writes into part of it."""
+    if node._grad is None:
+        node._grad = np.zeros_like(node.value)
+    return node._grad
+
+
+def _add_row_grad(v: "Node", g: np.ndarray, owned: bool) -> None:
     """Add the gradient `g` of a stack's rows to the node `v` that a row op
     paired them with: summed over the rows when `v` is the one vector every
     row used."""
-    v.grad += g.sum(axis=0) if v.value.ndim == 1 else g
+    if v.value.ndim == 1:
+        _accumulate_owned(v, g.sum(axis=0))
+    elif owned:
+        _accumulate_owned(v, g)
+    else:
+        _accumulate(v, g)
+
+
+def _scatter_rows(node: "Node", rows: np.ndarray, g: np.ndarray) -> None:
+    """Add row k of `g` to row `rows[k]` of the gradient of `node`, for
+    unsorted indices with repeats: a stable sort groups the repeats in index
+    order and `_run_sums` adds each group. Into a fresh buffer this makes
+    the same additions in the same order as ``np.add.at``, which adds row by
+    row and is several times slower."""
+    if not len(rows):
+        return
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(starts, len(rows)))
+    _buffer(node)[ordered[starts]] += _run_sums(g[order], sizes)
+
+
+def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each run of `sizes[r]` consecutive entries (or rows) of
+    `values`, added one by one from the left. Entry k of every run fills
+    slab k of a zero-padded (longest run, runs, ...) array, and summing over
+    the slab axis adds slab after slab: numpy sums pairwise only along the
+    contiguous innermost axis, which the slab axis is only when a slab holds
+    one number, so that case goes through ``np.cumsum``."""
+    if values.size == len(values) and len(sizes) == 1:
+        return np.cumsum(values, axis=0)[-1:]
+    starts = np.cumsum(sizes) - sizes
+    padded = np.zeros((int(sizes.max()), len(sizes)) + values.shape[1:])
+    padded[np.arange(len(values)) - np.repeat(starts, sizes), np.repeat(np.arange(len(sizes)), sizes)] = values
+    return padded.sum(axis=0)
+
+
+def _partition(x: "Node", sizes: Sequence[int], op: str) -> np.ndarray:
+    """`sizes` as an index array, checked to split the vector `x` into
+    consecutive non-empty groups."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if x.value.ndim != 1 or sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1) \
+            or int(sizes.sum()) != x.value.shape[0]:
+        raise ValueError(f"{op}: group sizes {sizes.tolist()} do not partition shape {x.value.shape}")
+    return sizes
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -93,14 +177,24 @@ class Parameter:
 
 
 class Node:
-    """One recorded value. Gradient is allocated only on recording tapes."""
+    """One value of a tape. Its gradient buffer is allocated by the first
+    backward write (module notes)."""
 
-    __slots__ = ("value", "grad", "_backward")
+    __slots__ = ("value", "_grad", "_backward", "_recorded")
 
     def __init__(self, value: np.ndarray):
         self.value = value
-        self.grad = None
+        self._grad = None
         self._backward = None
+        self._recorded = False
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """d(root)/d(node) after a backward sweep: zeros where no gradient
+        reached the node, None on an inference tape."""
+        if self._grad is None and self._recorded:
+            return np.zeros_like(self.value)
+        return self._grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,7 +213,7 @@ class Tape:
     def _make(self, value: np.ndarray, backward=None) -> Node:
         node = Node(value)
         if self.recording:
-            node.grad = np.zeros_like(value)
+            node._recorded = True
             node._backward = backward
             self.nodes.append(node)
         return node
@@ -136,7 +230,7 @@ class Tape:
         if node is None:
 
             def back(node: Node) -> None:
-                p.grad += node.grad
+                p.grad += node._grad
 
             node = self._params[p] = self._make(p.value, back)
         return node
@@ -151,8 +245,8 @@ class Tape:
         self._binary_elementwise(a, b, "add")
 
         def back(node: Node) -> None:
-            a.grad += node.grad
-            b.grad += node.grad
+            _accumulate(a, node._grad)
+            _accumulate(b, node._grad)
 
         return self._make(a.value + b.value, back)
 
@@ -160,8 +254,8 @@ class Tape:
         self._binary_elementwise(a, b, "sub")
 
         def back(node: Node) -> None:
-            a.grad += node.grad
-            b.grad -= node.grad
+            _accumulate(a, node._grad)
+            _accumulate_owned(b, -node._grad)
 
         return self._make(a.value - b.value, back)
 
@@ -169,8 +263,8 @@ class Tape:
         self._binary_elementwise(a, b, "hadamard")
 
         def back(node: Node) -> None:
-            a.grad += node.grad * b.value
-            b.grad += node.grad * a.value
+            _accumulate_owned(a, node._grad * b.value)
+            _accumulate_owned(b, node._grad * a.value)
 
         return self._make(a.value * b.value, back)
 
@@ -178,7 +272,7 @@ class Tape:
         c = float(c)
 
         def back(node: Node) -> None:
-            a.grad += node.grad * c
+            _accumulate_owned(a, node._grad * c)
 
         return self._make(a.value * c, back)
 
@@ -186,7 +280,7 @@ class Tape:
         out = np.tanh(a.value)
 
         def back(node: Node) -> None:
-            a.grad += node.grad * (1.0 - out * out)
+            _accumulate_owned(a, node._grad * (1.0 - out * out))
 
         return self._make(out, back)
 
@@ -194,19 +288,19 @@ class Tape:
         out = _sigmoid(a.value)
 
         def back(node: Node) -> None:
-            a.grad += node.grad * out * (1.0 - out)
+            _accumulate_owned(a, node._grad * out * (1.0 - out))
 
         return self._make(out, back)
 
     def relu(self, a: Node) -> Node:
         def back(node: Node) -> None:
-            a.grad += node.grad * (a.value > 0)
+            _accumulate_owned(a, node._grad * (a.value > 0))
 
         return self._make(np.maximum(a.value, 0.0), back)
 
     def softplus(self, a: Node) -> Node:
         def back(node: Node) -> None:
-            a.grad += node.grad * _sigmoid(a.value)
+            _accumulate_owned(a, node._grad * _sigmoid(a.value))
 
         return self._make(np.logaddexp(0.0, a.value), back)
 
@@ -217,20 +311,20 @@ class Tape:
         if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
 
             def back(node: Node) -> None:
-                a.grad += node.grad @ bv.T
-                b.grad += av.T @ node.grad
+                _accumulate_owned(a, node._grad @ bv.T)
+                _accumulate_owned(b, av.T @ node._grad)
 
         elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
 
             def back(node: Node) -> None:
-                a.grad += np.outer(node.grad, bv)
-                b.grad += av.T @ node.grad
+                _accumulate_owned(a, np.outer(node._grad, bv))
+                _accumulate_owned(b, av.T @ node._grad)
 
         elif av.ndim == 1 and bv.ndim == 1 and av.shape == bv.shape:
 
             def back(node: Node) -> None:
-                a.grad += node.grad * bv
-                b.grad += node.grad * av
+                _accumulate_owned(a, node._grad * bv)
+                _accumulate_owned(b, node._grad * av)
 
         else:
             raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
@@ -247,7 +341,7 @@ class Tape:
 
         def back(node: Node) -> None:
             for p, lo, hi in zip(parts, offsets, offsets[1:]):
-                p.grad += node.grad[lo:hi]
+                _accumulate(p, node._grad[lo:hi])
 
         return self._make(np.concatenate([p.value for p in parts]), back)
 
@@ -256,7 +350,7 @@ class Tape:
             raise ValueError(f"slice1d: bad range [{lo}, {hi}) for shape {a.value.shape}")
 
         def back(node: Node) -> None:
-            a.grad[lo:hi] += node.grad
+            _buffer(a)[lo:hi] += node._grad
 
         return self._make(a.value[lo:hi].copy(), back)
 
@@ -266,13 +360,28 @@ class Tape:
             raise ValueError(f"take_row: row {row} out of range for shape {a.value.shape}")
 
         def back(node: Node) -> None:
-            a.grad[row] += node.grad
+            _buffer(a)[row] += node._grad
 
         return self._make(a.value[row].copy(), back)
 
+    def take(self, x: Node, index: Sequence[int]) -> Node:
+        """Entries `index` of a vector, repeats allowed, as a vector. The
+        gradient of a repeated entry is summed from the last repeat to the
+        first, as the backward sweep over one ``take_row`` per entry would
+        sum it."""
+        index = np.asarray(index, dtype=np.intp)
+        n = x.value.shape[0] if x.value.ndim == 1 else 0
+        if x.value.ndim != 1 or index.ndim != 1 or np.any((index < 0) | (index >= n)):
+            raise ValueError(f"take: need a vector and indices into it, got shape {x.value.shape}")
+
+        def back(node: Node) -> None:
+            _scatter_rows(x, index[::-1], node._grad[::-1])
+
+        return self._make(x.value[index], back)
+
     def sum_all(self, a: Node) -> Node:
         def back(node: Node) -> None:
-            a.grad += node.grad
+            _accumulate_owned(a, np.full(a.value.shape, node._grad))
 
         return self._make(np.asarray(a.value.sum()), back)
 
@@ -287,9 +396,9 @@ class Tape:
 
         def back(node: Node) -> None:
             if norm >= eps:
-                a.grad += (node.grad - np.dot(node.grad, out) * out) / denom
+                _accumulate_owned(a, (node._grad - np.dot(node._grad, out) * out) / denom)
             else:
-                a.grad += node.grad / denom
+                _accumulate_owned(a, node._grad / denom)
 
         return self._make(out, back)
 
@@ -298,9 +407,9 @@ class Tape:
         diff = a.value - b.value
 
         def back(node: Node) -> None:
-            g = 2.0 * node.grad * diff
-            a.grad += g
-            b.grad -= g
+            g = 2.0 * node._grad * diff
+            _accumulate_owned(b, -g)
+            _accumulate_owned(a, g)
 
         return self._make(np.asarray(np.dot(diff, diff)), back)
 
@@ -316,7 +425,7 @@ class Tape:
         chosen = scores[idx]
 
         def back(node: Node) -> None:
-            chosen.grad += node.grad
+            _accumulate(chosen, node._grad)
 
         return self._make(chosen.value.copy(), back), idx
 
@@ -339,19 +448,19 @@ class Tape:
             prod = (wc[None] @ xc[:, :, None])[:, :, 0]
 
             def back(node: Node) -> None:
-                g = node.grad
-                x.grad += g @ wv
-                w.grad += g.T @ xv
-                b.grad += g.sum(axis=0)
+                g = node._grad
+                _accumulate_owned(x, g @ wv)
+                _accumulate_owned(w, g.T @ xv)
+                _accumulate_owned(b, g.sum(axis=0))
 
         else:
             prod = (wc[None, None, :] @ xc[:, :, None])[:, 0, 0]
 
             def back(node: Node) -> None:
-                g = node.grad
-                x.grad += np.outer(g, wv)
-                w.grad += g @ xv
-                b.grad += g.sum()
+                g = node._grad
+                _accumulate_owned(x, np.outer(g, wv))
+                _accumulate_owned(w, g @ xv)
+                _accumulate_owned(b, np.asarray(g.sum()))
 
         return self._make(prod + bv, back)
 
@@ -367,8 +476,8 @@ class Tape:
         self._rows_and_row(x, v, "add_rows")
 
         def back(node: Node) -> None:
-            x.grad += node.grad
-            _add_row_grad(v, node.grad)
+            _accumulate(x, node._grad)
+            _add_row_grad(v, node._grad, owned=False)
 
         return self._make(x.value + v.value, back)
 
@@ -377,8 +486,8 @@ class Tape:
         self._rows_and_row(x, v, "hadamard_rows")
 
         def back(node: Node) -> None:
-            x.grad += node.grad * v.value
-            _add_row_grad(v, node.grad * x.value)
+            _accumulate_owned(x, node._grad * v.value)
+            _add_row_grad(v, node._grad * x.value, owned=True)
 
         return self._make(x.value * v.value, back)
 
@@ -388,9 +497,9 @@ class Tape:
         diff = x.value - v.value
 
         def back(node: Node) -> None:
-            g = 2.0 * node.grad[:, None] * diff
-            x.grad += g
-            _add_row_grad(v, -g)
+            g = 2.0 * node._grad[:, None] * diff
+            _add_row_grad(v, -g, owned=True)
+            _accumulate_owned(x, g)
 
         return self._make((diff[:, None, :] @ diff[:, :, None])[:, 0, 0], back)
 
@@ -400,7 +509,7 @@ class Tape:
             raise ValueError(f"slice_rows: bad range [{lo}, {hi}) for shape {x.value.shape}")
 
         def back(node: Node) -> None:
-            x.grad[lo:hi] += node.grad
+            _buffer(x)[lo:hi] += node._grad
 
         return self._make(x.value[lo:hi].copy(), back)
 
@@ -410,7 +519,7 @@ class Tape:
             raise ValueError(f"slice_cols: bad range [{lo}, {hi}) for shape {x.value.shape}")
 
         def back(node: Node) -> None:
-            x.grad[:, lo:hi] += node.grad
+            _buffer(x)[:, lo:hi] += node._grad
 
         return self._make(x.value[:, lo:hi].copy(), back)
 
@@ -425,8 +534,8 @@ class Tape:
         keep = mask[:, None]
 
         def back(node: Node) -> None:
-            a.grad += np.where(keep, node.grad, 0.0)
-            b.grad += np.where(keep, 0.0, node.grad)
+            _accumulate_owned(a, np.where(keep, node._grad, 0.0))
+            _accumulate_owned(b, np.where(keep, 0.0, node._grad))
 
         return self._make(np.where(keep, a.value, b.value), back)
 
@@ -441,9 +550,9 @@ class Tape:
         big = (norm >= eps)[:, None]
 
         def back(node: Node) -> None:
-            g = node.grad
+            g = node._grad
             radial = np.where(big, (g * out).sum(axis=1, keepdims=True) * out, 0.0)
-            x.grad += (g - radial) / denom
+            _accumulate_owned(x, (g - radial) / denom)
 
         return self._make(out, back)
 
@@ -476,13 +585,15 @@ class Tape:
 
         def back(node: Node) -> None:
             for (p, rows), lo, hi in zip(parts, offsets, offsets[1:]):
-                g = node.grad[:, lo:hi]
+                if p._backward is None:  # a constant
+                    continue
+                g = node._grad[:, lo:hi]
                 if rows is not None:
-                    np.add.at(p.grad, rows, g)
+                    _scatter_rows(p, rows, g)
                 elif p.value.ndim == 1:
-                    p.grad += g.sum(axis=0)
+                    _accumulate_owned(p, g.sum(axis=0))
                 else:
-                    p.grad += g
+                    _accumulate(p, g)
 
         return self._make(np.concatenate(blocks, axis=1), back)
 
@@ -491,18 +602,24 @@ class Tape:
         consecutive runs of `sizes[g]` entries. Ties go to the earliest entry
         of the group, which alone receives the gradient. Returns the (groups,)
         node and the index of each group's chosen entry."""
-        sizes = np.asarray(sizes, dtype=np.intp)
-        if x.value.ndim != 1 or sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1) \
-                or int(sizes.sum()) != x.value.shape[0]:
-            raise ValueError(
-                f"group_max: group sizes {sizes.tolist()} do not partition shape {x.value.shape}"
-            )
+        sizes = _partition(x, sizes, "group_max")
         rows = group_argmax(x.value, sizes)
 
         def back(node: Node) -> None:
-            x.grad[rows] += node.grad
+            _buffer(x)[rows] += node._grad
 
         return self._make(x.value[rows], back), rows
+
+    def segment_sums(self, x: Node, sizes: Sequence[int]) -> Node:
+        """Sum of each group of a vector's entries, the groups being
+        consecutive runs of `sizes[g]` entries, added left to right as a
+        chain of ``add`` calls adds them (module notes). Shape (groups,)."""
+        sizes = _partition(x, sizes, "segment_sums")
+
+        def back(node: Node) -> None:
+            _accumulate_owned(x, np.repeat(node._grad, sizes))
+
+        return self._make(_run_sums(x.value, sizes), back)
 
 
 def backward(tape: Tape, root: Node) -> None:
@@ -518,9 +635,9 @@ def backward(tape: Tape, root: Node) -> None:
     if tape._swept:
         raise RuntimeError("backward already ran on this tape")
     tape._swept = True
-    root.grad[...] = 1.0
+    root._grad = np.ones_like(root.value)
     for node in reversed(tape.nodes):
-        if node._backward is not None:
+        if node._grad is not None and node._backward is not None:
             node._backward(node)
 
 

@@ -21,7 +21,7 @@ from .autodiff import Tape
 from .dataset import Corpus, TemporalQuery, tokenize
 from .encoders import SegmentFeatureTable, encode_query
 from .model import ModelBundle, ScoredMoment, candidate_contexts, score_grid
-from .temporal import Moment, enumerate_moments, iou, segment_iou
+from .temporal import Moment, iou, moments_of, segment_iou
 
 BUCKET_ORDER = ("none", "before", "after", "then", "while")
 EVAL_MODES = ("latent", "gt_context")
@@ -143,7 +143,7 @@ def rank_moments(
     n = next(iter(video.values())).n_segments
     ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
     fl = encode_query(tape, ids, params)
-    bases = enumerate_moments(n)
+    bases = moments_of(n)
     contexts = candidate_contexts(cfg, bases, n, query.context if mode == "gt_context" else None)
     fused, chosen = score_grid(tape, cache, fl, [(video, 0, bases, contexts)], cfg, params)
     scored = [
@@ -300,7 +300,7 @@ class FrequencyPrior:
         return cls(counts)
 
     def rank(self, word: str, n_segments: int) -> list[Moment]:
-        moments = enumerate_moments(n_segments)
+        moments = moments_of(n_segments)
         table = self._counts.get(word, {})
         return sorted(moments, key=lambda m: -table.get(m, 0))
 

@@ -41,8 +41,8 @@ from .temporal import (
     Moment,
     context_set,
     context_slot_count,
-    enumerate_moments,
     moment_index,
+    moments_of,
     validate_moment,
 )
 
@@ -265,55 +265,81 @@ def _shared_context_set(context_mode: str, n_segments: int) -> list[ContextMomen
     return context_set(context_mode, Moment(0, 0), n_segments)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def _moment_tefs(n_segments: int) -> np.ndarray:
     """Endpoint features (start / n, (end + 1) / n) of every moment, in
-    enumerate_moments order; read-only."""
-    tefs = np.array([(m.start_seg / n_segments, (m.end_seg + 1) / n_segments)
-                     for m in enumerate_moments(n_segments)])
-    tefs.flags.writeable = False
-    return tefs
+    moments_of order; read-only."""
+    return _read_only(np.array([(m.start_seg / n_segments, (m.end_seg + 1) / n_segments)
+                                for m in moments_of(n_segments)]))[0]
+
+
+def _slot_rows(candidates: Sequence[ContextMoment], n_segments: int) -> np.ndarray:
+    """Each candidate's moment row per slot, -1 for a padded slot."""
+    return np.array(
+        [[-1 if m is None else moment_index(m, n_segments) for m in c.slots] for c in candidates],
+        dtype=np.intp,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_slot_rows(context_mode: str, n_segments: int) -> np.ndarray:
+    """The slot rows of the shared global or latent candidate list; read-only."""
+    return _read_only(_slot_rows(_shared_context_set(context_mode, n_segments), n_segments))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_video_pairs(context_mode: str, n_segments: int) -> tuple[np.ndarray, ...]:
+    """`_grid_pairs` of every moment of a video against the shared global or
+    latent candidate list, as a whole-video ranking scores them; read-only."""
+    slots = _shared_slot_rows(context_mode, n_segments)
+    n_moments = len(moments_of(n_segments))
+    return _read_only(
+        np.repeat(np.arange(n_moments), len(slots)),
+        np.tile(slots, (n_moments, 1)),
+        np.full(n_moments, len(slots), dtype=np.intp),
+    )
 
 
 def _grid_pairs(
     bases: Sequence[Moment],
     contexts: Sequence[Sequence[ContextMoment]],
     n_segments: int,
-    slot_memo: dict,
+    context_mode: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (base, context) pairs to score, base by base: each pair's base
     moment row, its context's moment row per slot (-1 for a padded slot), and
-    the number of candidates of each base. `slot_memo` keeps the slot rows of
-    each (candidate list object, video length) for the length of one
-    score_grid call."""
+    the number of candidates of each base. The rows of the shared global and
+    latent candidate lists are built once per (context_mode, n_segments),
+    and so are all of them for the bases `moments_of(n_segments)`."""
     if not bases or len(contexts) != len(bases):
         raise ValueError(f"need one candidate list per base, got {len(contexts)} for {len(bases)}")
     sizes = np.array([len(c) for c in contexts], dtype=np.intp)
     if not sizes.all():
         raise ValueError("no candidate contexts")
-
-    def slot_rows(candidates):
-        key = (id(candidates), n_segments)
-        if key not in slot_memo:
-            slot_memo[key] = np.array(
-                [[-1 if m is None else moment_index(m, n_segments) for m in c.slots]
-                 for c in candidates],
-                dtype=np.intp,
-            )
-        return slot_memo[key]
-
     shared = contexts[0]
     if all(c is shared for c in contexts):
-        slots = np.tile(slot_rows(shared), (len(bases), 1))
+        if context_mode != "before_after" and shared is _shared_context_set(context_mode, n_segments):
+            if bases is moments_of(n_segments):
+                return _whole_video_pairs(context_mode, n_segments)
+            one = _shared_slot_rows(context_mode, n_segments)
+        else:
+            one = _slot_rows(shared, n_segments)
+        slots = np.tile(one, (len(bases), 1))
     else:
-        slots = np.concatenate([slot_rows(c) for c in contexts])
+        slots = np.concatenate([_slot_rows(c, n_segments) for c in contexts])
     base_rows = np.array([moment_index(b, n_segments) for b in bases], dtype=np.intp)
     return np.repeat(base_rows, sizes), slots, sizes
 
 
 def _pool_moments(table: SegmentFeatureTable) -> np.ndarray:
     """Mean-pooled features of every moment of the video, in
-    enumerate_moments order, bit for bit `features[s:e + 1].mean(axis=0)`.
+    moments_of order, bit for bit `features[s:e + 1].mean(axis=0)`.
 
     For rows of two or more features that mean adds the rows one by one, so
     one running sum per start segment (`np.cumsum`, which adds in the same
@@ -323,7 +349,7 @@ def _pool_moments(table: SegmentFeatureTable) -> np.ndarray:
     feats, n = table.features, table.n_segments
     if table.dim == 1:
         return np.stack([feats[m.start_seg : m.end_seg + 1].mean(axis=0)
-                         for m in enumerate_moments(n)])
+                         for m in moments_of(n)])
     return np.concatenate([
         np.cumsum(feats[s:], axis=0) / np.arange(1, n - s + 1)[:, None] for s in range(n)
     ])
@@ -466,9 +492,8 @@ def score_grid(
     """
     if not groups:
         raise ValueError("score_grid needs at least one group")
-    slot_memo: dict = {}
     grids = [
-        _grid_pairs(bases, contexts, next(iter(video.values())).n_segments, slot_memo)
+        _grid_pairs(bases, contexts, next(iter(video.values())).n_segments, cfg.context_mode)
         for video, _, bases, contexts in groups
     ]
     base_rows, slot_rows, sizes = grids[0] if len(grids) == 1 else (
@@ -531,64 +556,74 @@ def score(
 
 
 # -- losses --------------------------------------------------------------------
+#
+# Both losses read the scores of a whole batch from one score vector, by
+# index, as a few vector ops. Each mean adds its terms left to right
+# (`segment_sums`) and then multiplies by 1 / count, exactly as a chain of
+# scalar adds and one scale would, so the loss is bit for bit the per-score
+# chain's.
 
 
-def mean(tape: Tape, nodes: Sequence[Node]) -> Node:
-    total = nodes[0]
-    for n in nodes[1:]:
-        total = tape.add(total, n)
-    return tape.scale(total, 1.0 / len(nodes))
+def _mean(tape: Tape, x: Node) -> Node:
+    """The mean of a vector's entries, as a scalar node."""
+    n = x.value.shape[0]
+    return tape.take_row(tape.scale(tape.segment_sums(x, [n]), 1.0 / n), 0)
 
 
 def ranking_loss(
     tape: Tape,
-    positive: Node,
-    intra: Sequence[Node],
-    inter: Sequence[Node],
+    scores: Node,
+    positive: Sequence[int],
+    negatives: Sequence[Sequence[Sequence[int]]],
     margin: float,
 ) -> Node:
-    """Hinge ranking loss: negatives are averaged within each class
-    (intra-video, inter-video) and the class means are summed."""
-    if not intra and not inter:
-        raise ValueError("ranking loss needs at least one negative")
-    class_means = []
-    margin_node = tape.constant(margin)
-    for group in (intra, inter):
-        if not group:
-            continue
-        hinges = [
-            tape.relu(tape.add(margin_node, tape.sub(neg, positive)))
-            for neg in group
-        ]
-        class_means.append(mean(tape, hinges))
-    total = class_means[0]
-    for extra in class_means[1:]:
-        total = tape.add(total, extra)
-    return total
+    """Hinge ranking loss averaged over examples. Example e compares entry
+    `positive[e]` of the score vector with the entries of each of its
+    negative classes `negatives[e]` (intra-video, inter-video): its loss is
+    the sum over its non-empty classes of the class mean of
+    relu(margin + negative - positive)."""
+    neg_at: list[int] = []
+    pos_at: list[int] = []
+    class_sizes: list[int] = []
+    n_classes: list[int] = []
+    for pos, classes in zip(positive, negatives):
+        present = [c for c in classes if len(c)]
+        if not present:
+            raise ValueError("ranking loss needs at least one negative")
+        for c in present:
+            neg_at.extend(c)
+            pos_at.extend([pos] * len(c))
+            class_sizes.append(len(c))
+        n_classes.append(len(present))
+    hinges = tape.relu(tape.add(
+        tape.constant(np.full(len(neg_at), margin)),
+        tape.sub(tape.take(scores, neg_at), tape.take(scores, pos_at)),
+    ))
+    sizes = np.array(class_sizes)
+    class_means = tape.hadamard(tape.segment_sums(hinges, sizes), tape.constant(1.0 / sizes))
+    return _mean(tape, tape.segment_sums(class_means, n_classes))
 
 
 def log_logistic_loss(
     tape: Tape,
-    positives: Sequence[Node],
-    negatives: Sequence[Node],
+    scores: Node,
+    positives: Sequence[int],
+    negatives: Sequence[int],
     alpha_c: float,
     alpha_w: float,
 ) -> Node:
-    """alpha_c * mean(softplus(-s_pos)) + alpha_w * mean(softplus(s_neg)).
+    """alpha_c * mean(softplus(-s_pos)) + alpha_w * mean(softplus(s_neg)) over
+    the entries `positives` and `negatives` of the score vector.
 
-    softplus(x) = log(1 + exp(x)) computed stably; an empty negative list
-    drops that term, an empty positive list is an error.
+    softplus(x) = log(1 + exp(x)) computed stably; no negatives drops that
+    term, no positives is an error.
     """
     if not positives:
         raise ValueError("log-logistic loss needs at least one positive score")
-    loss = tape.scale(
-        mean(tape, [tape.softplus(tape.scale(p, -1.0)) for p in positives]),
-        alpha_c,
-    )
+    loss = tape.scale(_mean(tape, tape.softplus(tape.scale(tape.take(scores, positives), -1.0))), alpha_c)
     if negatives:
         loss = tape.add(
-            loss,
-            tape.scale(mean(tape, [tape.softplus(n) for n in negatives]), alpha_w),
+            loss, tape.scale(_mean(tape, tape.softplus(tape.take(scores, negatives))), alpha_w),
         )
     return loss
 

@@ -8,6 +8,7 @@ here is plain interval arithmetic with no learned state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 CONTEXT_MODES = ("global", "before_after", "latent")
@@ -75,11 +76,15 @@ def validate_moment(moment: Moment, n_segments: int) -> None:
 
 def enumerate_moments(n_segments: int) -> list[Moment]:
     """All contiguous spans, ordered by (start_seg, end_seg). n*(n+1)/2 of them."""
+    return list(moments_of(n_segments))
+
+
+@functools.lru_cache(maxsize=None)
+def moments_of(n_segments: int) -> tuple[Moment, ...]:
+    """enumerate_moments(n_segments) as one tuple per n, built once."""
     if n_segments < 1:
         raise ValueError("need at least one segment")
-    return [
-        Moment(s, e) for s in range(n_segments) for e in range(s, n_segments)
-    ]
+    return tuple(Moment(s, e) for s in range(n_segments) for e in range(s, n_segments))
 
 
 def moment_index(moment: Moment, n_segments: int) -> int:
@@ -111,7 +116,7 @@ def context_set(context_mode: str, base: Moment, n_segments: int) -> list[Contex
         after = Moment(base.end_seg + 1, n_segments - 1) if base.end_seg < n_segments - 1 else None
         return [ContextMoment.pair(before, after)]
     if context_mode == "latent":
-        return [ContextMoment.single(m) for m in enumerate_moments(n_segments)]
+        return [ContextMoment.single(m) for m in moments_of(n_segments)]
     raise ValueError(f"unknown context mode {context_mode!r}")
 
 

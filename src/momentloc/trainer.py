@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -27,11 +26,10 @@ from .model import (
     candidate_contexts,
     init_params,
     log_logistic_loss,
-    mean,
     ranking_loss,
     score_grid,
 )
-from .temporal import ContextMoment, Moment, enumerate_moments, moment_index, validate_moment
+from .temporal import ContextMoment, Moment, moment_index, moments_of, validate_moment
 
 
 @dataclass
@@ -79,11 +77,6 @@ def videos_longer_than(corpus: Corpus) -> list[list[str]]:
     return [[v for v, n in zip(ids, lengths) if n > k] for k in range(max(lengths, default=0))]
 
 
-@functools.lru_cache(maxsize=None)
-def _moments_of(n_segments: int) -> tuple[Moment, ...]:
-    return tuple(enumerate_moments(n_segments))
-
-
 def sample_negatives(
     rng: np.random.Generator,
     corpus: Corpus,
@@ -97,7 +90,7 @@ def sample_negatives(
     enough (skipped when no such video exists). `longer` is
     `videos_longer_than(corpus)`."""
     n = corpus.n_segments(example.video_id)
-    moments = _moments_of(n)
+    moments = moments_of(n)
     # draw among the moments other than the ground truth, when it is one
     gt = moment_index(example.moment, n) if example.moment.end_seg < n else len(moments)
     count = len(moments) - (gt < len(moments))
@@ -125,9 +118,13 @@ def sample_negatives(
 
 @dataclass
 class ExampleScores:
-    positive: Node
-    intra: list[Node]
-    inter: list[Node]
+    """One example's fused scores, as entries of the score vector `scores`:
+    its positive, its intra-video negatives and its inter-video negatives."""
+
+    scores: Node
+    positive: int
+    intra: list[int]
+    inter: list[int]
 
 
 def _pinned_context(example: TemporalQuery, n_segments: int, cfg: ModelConfig) -> ContextMoment | None:
@@ -157,7 +154,8 @@ def batch_scores(
     one stacked encoding of the batch's queries and one score_grid call: a
     group per example over its own video (the positive and the intra-video
     negatives) and a group per inter-video negative, each compared with the
-    example's query row."""
+    example's query row. Every example's scores are entries of the call's one
+    fused score vector."""
     groups = []
     for row, (example, negs) in enumerate(zip(batch, negatives)):
         n = corpus.n_segments(example.video_id)
@@ -171,12 +169,13 @@ def batch_scores(
             groups.append((corpus.features[vid], row, [neg], contexts))
     fl = encode_queries(tape, [vocab.encode(example.tokens) for example in batch], params)
     fused, _ = score_grid(tape, cache, fl, groups, cfg, params)
-    scores = iter([tape.take_row(fused, i) for i in range(len(fused.value))])
-    return [
-        ExampleScores(next(scores), [next(scores) for _ in negs.intra],
-                      [next(scores) for _ in negs.inter])
-        for negs in negatives
-    ]
+    scored, at = [], 0
+    for negs in negatives:
+        inter = at + 1 + len(negs.intra)
+        end = inter + len(negs.inter)
+        scored.append(ExampleScores(fused, at, list(range(at + 1, inter)), list(range(inter, end))))
+        at = end
+    return scored
 
 
 def example_scores(
@@ -196,15 +195,25 @@ def example_scores(
 
 def batch_loss(tape: Tape, scored: Sequence[ExampleScores], cfg: ModelConfig) -> Node:
     """Ranking: per-example hinge losses averaged over the batch. Log-logistic:
-    positives and intra-video negatives pooled across the batch."""
+    positives and intra-video negatives pooled across the batch. Both read
+    one vector of the batch's scores: the vector the examples share, as
+    `batch_scores` gives them, or else their vectors concatenated."""
     if not scored:
         raise ValueError("empty batch")
+    vectors = list({id(s.scores): s.scores for s in scored}.values())
+    sizes = [len(v.value) for v in vectors]
+    offset = {id(v): sum(sizes[:k]) for k, v in enumerate(vectors)}
+    scores = vectors[0] if len(vectors) == 1 else tape.concat(vectors)
+
+    def entries(s: ExampleScores, at: Sequence[int]) -> list[int]:
+        return [offset[id(s.scores)] + i for i in at]
+
+    positives = [offset[id(s.scores)] + s.positive for s in scored]
     if cfg.loss == "ranking":
-        return mean(tape, [ranking_loss(tape, s.positive, s.intra, s.inter, cfg.margin)
-                           for s in scored])
-    positives = [s.positive for s in scored]
-    negs = [n for s in scored for n in s.intra]
-    return log_logistic_loss(tape, positives, negs, cfg.tall_alpha_c, cfg.tall_alpha_w)
+        negatives = [(entries(s, s.intra), entries(s, s.inter)) for s in scored]
+        return ranking_loss(tape, scores, positives, negatives, cfg.margin)
+    intra = [i for s in scored for i in entries(s, s.intra)]
+    return log_logistic_loss(tape, scores, positives, intra, cfg.tall_alpha_c, cfg.tall_alpha_w)
 
 
 def train(

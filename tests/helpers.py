@@ -1,5 +1,6 @@
-"""Shared test machinery: finite-difference gradient checks and an
-independent plain-numpy scorer used as the exactness oracle.
+"""Shared test machinery: finite-difference gradient checks, an
+independent plain-numpy scorer used as the exactness oracle, and the
+per-score loss chain that the stacked training losses must equal.
 
 The scorer is written straight from the math definitions (pool, MLP, LSTM,
 endpoint features, the four similarities, max over contexts, late fusion) and
@@ -148,6 +149,63 @@ def np_score(video, token_ids, base: Moment, contexts, cfg, arrays):
         fused_score = weighted if fused_score is None else fused_score + weighted
         fused_per_ctx += weights[mod] * np.array(sims)
     return float(fused_score), int(np.argmax(fused_per_ctx))
+
+
+# -- per-score loss chain -----------------------------------------------------------
+#
+# The training losses as a chain of scalar tape ops, one node per score and
+# per hinge: the reference that the stacked `model.ranking_loss` and
+# `model.log_logistic_loss` must equal bit for bit.
+
+
+def chain_mean(tape, nodes):
+    total = nodes[0]
+    for n in nodes[1:]:
+        total = tape.add(total, n)
+    return tape.scale(total, 1.0 / len(nodes))
+
+
+def chain_ranking_loss(tape, positive, intra, inter, margin):
+    """Hinge ranking loss: negatives are averaged within each class
+    (intra-video, inter-video) and the class means are summed."""
+    if not intra and not inter:
+        raise ValueError("ranking loss needs at least one negative")
+    class_means = []
+    margin_node = tape.constant(margin)
+    for group in (intra, inter):
+        if not group:
+            continue
+        hinges = [tape.relu(tape.add(margin_node, tape.sub(neg, positive))) for neg in group]
+        class_means.append(chain_mean(tape, hinges))
+    total = class_means[0]
+    for extra in class_means[1:]:
+        total = tape.add(total, extra)
+    return total
+
+
+def chain_log_logistic_loss(tape, positives, negatives, alpha_c, alpha_w):
+    """alpha_c * mean(softplus(-s_pos)) + alpha_w * mean(softplus(s_neg))."""
+    if not positives:
+        raise ValueError("log-logistic loss needs at least one positive score")
+    loss = tape.scale(chain_mean(tape, [tape.softplus(tape.scale(p, -1.0)) for p in positives]), alpha_c)
+    if negatives:
+        loss = tape.add(loss, tape.scale(chain_mean(tape, [tape.softplus(n) for n in negatives]), alpha_w))
+    return loss
+
+
+def chain_batch_loss(tape, scored, cfg):
+    """`trainer.batch_loss` as the per-score chain: one `take_row` node per
+    score of each `ExampleScores`, then the scalar losses above."""
+    def nodes(s, at):
+        return [tape.take_row(s.scores, i) for i in at]
+
+    per_example = [(nodes(s, [s.positive])[0], nodes(s, s.intra), nodes(s, s.inter)) for s in scored]
+    if cfg.loss == "ranking":
+        return chain_mean(tape, [chain_ranking_loss(tape, p, intra, inter, cfg.margin)
+                                 for p, intra, inter in per_example])
+    return chain_log_logistic_loss(tape, [p for p, _, _ in per_example],
+                                   [n for _, intra, _ in per_example for n in intra],
+                                   cfg.tall_alpha_c, cfg.tall_alpha_w)
 
 
 def tiny_model_config(**overrides):

@@ -93,6 +93,31 @@ def test_backward_rejected_on_non_recording_tape():
         backward(tape, node)
 
 
+def test_unreached_nodes_read_zeros_and_pass_nothing_on():
+    """Gradients are lazy: a recorded node that no gradient reached reads
+    zeros without holding a buffer, and backward skips it, so its inputs
+    get nothing from it either."""
+    p, q = Parameter("p", [1.0, -2.0]), Parameter("q", [3.0])
+    tape = Tape()
+    pn, qn = tape.param(p), tape.param(q)
+    unused = tape.tanh(pn)
+    backward(tape, tape.sum_all(tape.hadamard(qn, qn)))
+    for node in (unused, pn):
+        assert node._grad is None
+        assert np.array_equal(node.grad, [0.0, 0.0])
+    assert np.array_equal(p.grad, [0.0, 0.0])
+    assert np.array_equal(q.grad, [6.0])
+
+
+def test_inference_tape_nodes_have_no_gradient():
+    tape = Tape(recording=False)
+    x = tape.constant(np.ones((2, 3)))
+    out = tape.relu(tape.gather_rows([(x, np.array([1, 0, 1]))]))
+    scores = tape.take(tape.segment_sums(tape.constant([1.0, 2.0, 3.0]), [2, 1]), [1, 0])
+    assert tape.nodes == []
+    assert x.grad is None and out.grad is None and scores.grad is None
+
+
 def test_non_recording_values_match_recording():
     rng = np.random.default_rng(0)
     w = Parameter("w", rng.normal(size=(3, 4)))
@@ -347,6 +372,8 @@ def _check_rows_op(build, shapes, seed, what, n_points=20):
         ("gather_rows", [(4, 3), (2,), (6, 2)],
          lambda t, ns: t.gather_rows([(ns[0], np.array([3, 0, 3, 1, 1, 2])), (ns[1], None), (ns[2], None)])),
         ("take_row vector", [(4,)], lambda t, ns: t.take_row(ns[0], 2)),
+        ("take", [(5,)], lambda t, ns: t.take(ns[0], [4, 0, 4, 2, 4])),
+        ("segment_sums", [(7,)], lambda t, ns: t.segment_sums(ns[0], [3, 1, 2, 1])),
         ("add_rows stack", [(5, 3), (5, 3)], lambda t, ns: t.add_rows(ns[0], ns[1])),
         ("hadamard_rows stack", [(5, 3), (5, 3)], lambda t, ns: t.hadamard_rows(ns[0], ns[1])),
         ("squared_distance_rows stack", [(5, 3), (5, 3)],
@@ -499,3 +526,107 @@ def test_row_op_shape_mismatch_errors():
         tape.select_rows(mask[:3], stack, stack)
     with pytest.raises(ValueError, match="select_rows"):
         tape.select_rows(np.array([True, False, True]), vec3, vec3)
+
+
+# -- gradient scatter and left-to-right sums ---------------------------------------
+
+
+def _add_at_reference(shape, rows, g):
+    want = np.zeros(shape)
+    np.add.at(want, rows, g)
+    return want
+
+
+def test_sorted_scatter_matches_add_at():
+    """gather_rows and take sum the gradient of repeated rows by a stable
+    sort and running sums: for unsorted indices with repeats, one scatter
+    gives np.add.at's gradient bit for bit (for take, over the reversed
+    indices), and a second scatter into the same node adds to the first."""
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        m, d = (int(v) for v in rng.integers(1, 9, size=2))
+        rows = [rng.integers(0, m, size=int(rng.integers(1, 40))) for _ in range(2)]
+        gs = [rng.normal(size=(len(r), d)) * 10.0 ** rng.integers(-6, 6, size=(len(r), 1)) for r in rows]
+
+        def scatter(uses):
+            table, vector = Parameter("t", rng.normal(size=(m, d))), Parameter("v", rng.normal(size=m))
+            tape = Tape()
+            tn, vn = tape.param(table), tape.param(vector)
+            terms = []
+            for r, g in zip(rows[:uses], gs):
+                terms.append(tape.sum_all(tape.hadamard(tape.gather_rows([(tn, r)]), tape.constant(g))))
+                terms.append(tape.sum_all(tape.hadamard(tape.take(vn, r), tape.constant(g[:, 0]))))
+            root = terms[0]
+            for t in terms[1:]:
+                root = tape.add(root, t)
+            backward(tape, root)
+            return table.grad, vector.grad
+
+        table_grad, vector_grad = scatter(1)
+        assert np.array_equal(table_grad, _add_at_reference((m, d), rows[0], gs[0]))
+        # take sums a repeated entry from its last repeat, as one take_row
+        # per entry would in the backward sweep
+        assert np.array_equal(vector_grad, _add_at_reference(m, rows[0][::-1], gs[0][::-1, 0]))
+        table_grad, vector_grad = scatter(2)
+        scale = 1e-12 * float(np.abs(np.concatenate(gs)).sum())
+        np.testing.assert_allclose(
+            table_grad, sum(_add_at_reference((m, d), r, g) for r, g in zip(rows, gs)), rtol=0, atol=scale)
+        np.testing.assert_allclose(
+            vector_grad, sum(_add_at_reference(m, r, g[:, 0]) for r, g in zip(rows, gs)), rtol=0, atol=scale)
+
+
+def test_gather_rows_gives_constant_parts_no_gradient():
+    """Only the parts that carry gradient get it: a constant part, indexed,
+    whole or one vector for every row, never gets a gradient buffer."""
+    rng = np.random.default_rng(4)
+    p = Parameter("p", rng.normal(size=(4, 3)))
+    rows = np.array([3, 0, 3, 1, 0, 3])
+    tape = Tape()
+    table = tape.constant(rng.normal(size=(5, 2)))
+    block = tape.constant(rng.normal(size=(6, 2)))
+    vec = tape.constant([0.5, -1.0])
+    out = tape.gather_rows([(tape.param(p), rows), (table, np.array([4, 4, 0, 1, 2, 4])),
+                            (block, None), (vec, None)])
+    w = rng.normal(size=out.value.shape)
+    backward(tape, tape.sum_all(tape.hadamard(out, tape.constant(w))))
+    for constant in (table, block, vec):
+        assert constant._grad is None
+        assert not constant.grad.any()
+    np.testing.assert_allclose(p.grad, _add_at_reference((4, 3), rows, w[:, :3]), rtol=1e-12)
+
+
+def test_segment_sums_add_left_to_right_like_a_chain_of_adds():
+    """Each group's sum is bit for bit the value of a chain of scalar
+    ``add`` calls over its entries, on magnitudes where a pairwise sum
+    rounds differently."""
+    rng = np.random.default_rng(9)
+    pairwise_differs = 0
+    for _ in range(100):
+        sizes = rng.integers(1, 40, size=int(rng.integers(1, 6)))
+        x = rng.normal(size=int(sizes.sum())) * 10.0 ** rng.integers(-6, 6, size=int(sizes.sum()))
+        tape = Tape(recording=False)
+        got = tape.segment_sums(tape.constant(x), sizes).value
+        assert got.shape == sizes.shape
+        for value, part in zip(got, np.split(x, np.cumsum(sizes)[:-1])):
+            total = tape.constant(part[0])
+            for v in part[1:]:
+                total = tape.add(total, tape.constant(v))
+            assert value == float(total.value)
+            pairwise_differs += value != part.sum()
+    assert pairwise_differs > 0
+
+
+def test_take_and_segment_sums_shape_errors():
+    tape = Tape()
+    vec = tape.constant(np.ones(4))
+    with pytest.raises(ValueError, match="take"):
+        tape.take(vec, [0, 4])
+    with pytest.raises(ValueError, match="take"):
+        tape.take(vec, [-1])
+    with pytest.raises(ValueError, match="take"):
+        tape.take(tape.constant(np.ones((2, 2))), [0])
+    for sizes in ([2, 1], [4, 0], [5], []):
+        with pytest.raises(ValueError, match="segment_sums"):
+            tape.segment_sums(vec, sizes)
+    with pytest.raises(ValueError, match="segment_sums"):
+        tape.segment_sums(tape.constant(np.ones((2, 2))), [2])

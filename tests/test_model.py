@@ -9,6 +9,7 @@ from momentloc.encoders import Vocabulary, encode_query
 from momentloc.model import (
     ModelBundle,
     ModelConfig,
+    _grid_pairs,
     candidate_contexts,
     conform_context,
     expected_param_shapes,
@@ -16,14 +17,14 @@ from momentloc.model import (
     load_model,
     log_logistic_loss,
     params_from_arrays,
-    ranking_loss,
     save_model,
     _pool_moments,
     score,
     score_base,
     score_grid,
 )
-from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments
+from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments, moments_of
+from momentloc.trainer import ExampleScores, batch_loss
 
 
 def test_config_text_roundtrip():
@@ -215,6 +216,25 @@ def test_score_grid_reads_one_candidate_list_in_videos_of_two_lengths(rng):
         score_grid(tape, {}, fl, [], cfg, params)
 
 
+@pytest.mark.parametrize("mode", ["global", "latent"])
+def test_whole_video_pairs_are_built_once_per_mode_and_length(mode):
+    """Ranking a whole video scores every moment against the shared
+    candidate list: those pair rows are built once per (mode, length),
+    read-only, and equal the rows built base by base."""
+    n = 5
+    cfg = tiny_model_config(context_mode=mode)
+    bases = moments_of(n)
+    contexts = candidate_contexts(cfg, bases, n)
+    first = _grid_pairs(bases, contexts, n, mode)
+    assert all(a is b for a, b in zip(first, _grid_pairs(bases, contexts, n, mode)))
+    assert not any(a.flags.writeable for a in first)
+    equal_list = [list(contexts[0])] * len(bases)
+    for other in (_grid_pairs(list(bases), contexts, n, mode),
+                  _grid_pairs(list(bases), equal_list, n, mode)):
+        for a, b in zip(first, other):
+            assert np.array_equal(a, b)
+
+
 def test_running_sum_pooling_equals_mean():
     """Pooling every moment by running sums is bit for bit `mean(axis=0)` of
     its segment rows, as the numpy oracle pools them, for videos of 1-12
@@ -238,49 +258,49 @@ def test_running_sum_pooling_equals_mean():
 
 
 def test_ranking_loss_values():
+    cfg = tiny_model_config(margin=0.1)
     tape = Tape()
-    pos = tape.constant(1.0)
-    intra = [tape.constant(0.5), tape.constant(1.5)]
-    inter = [tape.constant(0.95)]
-    node = ranking_loss(tape, pos, intra, inter, margin=0.1)
+    scores = tape.constant([1.0, 0.5, 1.5, 0.95])
+    node = batch_loss(tape, [ExampleScores(scores, 0, [1, 2], [3])], cfg)
     # intra: mean(relu(0.1 - 0.5), relu(0.1 + 0.5)) = 0.3; inter: relu(0.05) = 0.05
     assert float(node.value) == pytest.approx(0.35)
     with pytest.raises(ValueError):
-        ranking_loss(Tape(), tape.constant(0.0), [], [], 0.1)
+        batch_loss(Tape(), [ExampleScores(tape.constant([0.0]), 0, [], [])], cfg)
 
 
 def test_ranking_loss_zero_when_margin_satisfied():
     tape = Tape()
-    node = ranking_loss(tape, tape.constant(2.0), [tape.constant(0.0)],
-                        [tape.constant(1.0)], margin=0.5)
+    scored = [ExampleScores(tape.constant([2.0, 0.0, 1.0]), 0, [1], [2])]
+    node = batch_loss(tape, scored, tiny_model_config(margin=0.5))
     assert float(node.value) == 0.0
 
 
 def test_ranking_loss_gradient_sign():
     tape = Tape()
-    pos = tape.constant(1.0)
-    neg = tape.constant(1.05)
-    node = ranking_loss(tape, pos, [neg], [], margin=0.1)
+    scores = tape.constant([1.0, 1.05])
+    node = batch_loss(tape, [ExampleScores(scores, 0, [1], [])], tiny_model_config(margin=0.1))
     backward(tape, node)
-    assert float(pos.grad) <= 0.0
-    assert float(neg.grad) >= 0.0
+    pos_grad, neg_grad = scores.grad
+    assert pos_grad <= 0.0
+    assert neg_grad >= 0.0
 
 
 def test_log_logistic_loss_value_and_stability():
+    cfg = tiny_model_config(loss="tall", tall_alpha_c=2.0, tall_alpha_w=0.5)
     tape = Tape()
-    pos = [tape.constant(2.0)]
-    neg = [tape.constant(-1.0), tape.constant(3.0)]
-    node = log_logistic_loss(tape, pos, neg, alpha_c=2.0, alpha_w=0.5)
+    scores = tape.constant([2.0, -1.0, 3.0])
+    node = batch_loss(tape, [ExampleScores(scores, 0, [1, 2], [])], cfg)
     want = 2.0 * np.logaddexp(0.0, -2.0) + 0.5 * np.mean(
         [np.logaddexp(0.0, -1.0), np.logaddexp(0.0, 3.0)]
     )
     assert float(node.value) == pytest.approx(want, rel=1e-12)
     # extreme scores stay finite
     tape2 = Tape()
-    big = log_logistic_loss(tape2, [tape2.constant(-800.0)], [tape2.constant(900.0)], 1.0, 1.0)
+    extreme = [ExampleScores(tape2.constant([-800.0, 900.0]), 0, [1], [])]
+    big = batch_loss(tape2, extreme, tiny_model_config(loss="tall"))
     assert np.isfinite(float(big.value))
     with pytest.raises(ValueError):
-        log_logistic_loss(Tape(), [], [tape.constant(0.0)], 1.0, 1.0)
+        log_logistic_loss(Tape(), tape.constant([0.0]), [], [0], 1.0, 1.0)
 
 
 def test_save_load_model_roundtrip(tmp_path, rng):

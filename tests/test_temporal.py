@@ -9,6 +9,7 @@ from momentloc.temporal import (
     context_slot_count,
     enumerate_moments,
     iou,
+    moments_of,
     segment_iou,
 )
 
@@ -22,6 +23,16 @@ def test_moment_validation():
         Moment(-1, 2)
     with pytest.raises(ValueError):
         Moment(3, 2)
+
+
+def test_moments_of_is_one_tuple_per_length():
+    for n in range(1, 9):
+        assert moments_of(n) is moments_of(n)
+        assert list(moments_of(n)) == enumerate_moments(n)
+    # callers may change the list they get, never the shared tuple
+    assert enumerate_moments(3) is not enumerate_moments(3)
+    with pytest.raises(ValueError, match="at least one segment"):
+        moments_of(0)
 
 
 def test_enumerate_moments_counts_and_order():

@@ -13,7 +13,7 @@ from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import Corpus, TemporalQuery
 from momentloc.encoders import Vocabulary, encode_query
 from momentloc.model import ModelParams, candidate_contexts, conform_context, init_params
-from momentloc.temporal import ContextMoment, Moment, context_set
+from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments
 from momentloc.trainer import (
     ExampleScores,
     Negatives,
@@ -30,7 +30,7 @@ from momentloc.trainer import (
     videos_longer_than,
 )
 
-from helpers import np_score, tiny_model_config, tiny_video
+from helpers import chain_batch_loss, np_score, tiny_model_config, tiny_video
 
 
 def small_corpus(rng, n_segments=4, lengths=None):
@@ -186,13 +186,14 @@ def _batch_nodes(corpus, batch_size, monkeypatch):
 
 
 def test_latent_weak_batch_records_few_tape_nodes(rng, monkeypatch):
-    """A training batch is one graph: one stacked LSTM and one score_grid
-    call. Per-example grids recorded about 3500 nodes for this 32-example
-    batch, so a fall-back to per-example scoring shows here; and the nodes
-    that score_grid records do not grow with the batch."""
+    """A training batch is one graph: one stacked LSTM, one score_grid call
+    and one stacked loss. Per-example grids recorded about 3500 nodes for
+    this 32-example batch, and per-score loss chains about 700, so a
+    fall-back to either shows here; and the nodes that score_grid records
+    do not grow with the batch."""
     corpus = _batch_corpus(rng)
     total, grid = _batch_nodes(corpus, 32, monkeypatch)
-    assert total < 1000
+    assert total < 110  # 103 here; 698 with one take_row and hinge chain per score
     assert grid == [grid[0]]
     for size in (1, 4, 16):
         assert _batch_nodes(corpus, size, monkeypatch)[1] == grid
@@ -266,20 +267,91 @@ def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, t
         for ex, negs, got in zip(batch, negatives, scored):
             ids = vocab.encode(ex.tokens)
             alone = example_scores(Tape(recording=False), {}, corpus, ex, negs, cfg, params, vocab)
+            got_values, alone_values = got.scores.value, alone.scores.value
             parts = [(ex.video_id, [ex.moment, *negs.intra], [got.positive, *got.intra],
                       [alone.positive, *alone.intra])]
-            parts += [(vid, [m], [node], [other])
-                      for (vid, m), node, other in zip(negs.inter, got.inter, alone.inter)]
+            parts += [(vid, [m], [at], [other])
+                      for (vid, m), at, other in zip(negs.inter, got.inter, alone.inter)]
             assert len(got.inter) == len(negs.inter)
-            for vid, bases, nodes, others in parts:
+            for vid, bases, entries, others in parts:
                 n = corpus.n_segments(vid)
                 contexts = candidate_contexts(cfg, bases, n, _pinned_context(ex, n, cfg))
                 t = Tape(recording=False)
                 grid, _ = score_grid(t, {}, encode_query(t, ids, params),
                                      [(features[vid], 0, bases, contexts)], cfg, params)
-                for base, cands, node, other, one in zip(bases, contexts, nodes, others, grid.value):
+                for base, cands, at, other, one in zip(bases, contexts, entries, others, grid.value):
                     want, _ = np_score(features[vid], ids, base, cands, cfg, arrays)
-                    assert float(node.value) == float(other.value) == one == want
+                    assert got_values[at] == alone_values[other] == one == want
+
+
+@pytest.mark.parametrize("sim", ["distance", "mult", "normalized_mult", "tall_sim"])
+@pytest.mark.parametrize("mode", ["global", "before_after", "latent"])
+def test_batch_loss_equals_the_per_score_chain(rng, sim, mode):
+    """The stacked loss is bit for bit the per-score chain (one take_row,
+    sub, add and relu per score, a mean per class and per batch), and so
+    are its parameter gradients: weak and strong supervision,
+    ranking and log-logistic losses, ragged batches (an example without an
+    inter-video negative, one with two, and no intra-video negatives at
+    all), scored as one batch and as separate examples, and a 24-example
+    batch with 9 intra-video negatives per example, whose means add more
+    terms than numpy adds one by one before it sums pairwise. Equal
+    gradients are what keep training bit for bit the same as with the
+    chain."""
+    features = {v: tiny_video(rng, n, 3, ("rgb", "flow"), v)
+                for v, n in (("a", 4), ("b", 6), ("c", 5))}
+    batch = [
+        TemporalQuery("a", "One before two three.", Moment(1, 2), "before",
+                      ContextMoment.single(Moment(3, 3)), "two three"),
+        TemporalQuery("b", "Four after five.", Moment(4, 5), "after",
+                      ContextMoment.single(Moment(0, 3)), "five"),
+        TemporalQuery("c", "Six.", Moment(0, 4)),
+    ]
+    ragged = [
+        Negatives([Moment(0, 0), Moment(2, 3)], [("b", Moment(1, 2))]),
+        Negatives([Moment(3, 3)], []),
+        Negatives([Moment(1, 1), Moment(4, 4), Moment(2, 2)], [("b", Moment(0, 4)), ("c", Moment(0, 4))]),
+    ]
+    no_intra = [Negatives([], [("b", Moment(1, 2))]), Negatives([], [("a", Moment(0, 3))]),
+                Negatives([], [("b", Moment(0, 4))])]
+    # sums of more than 8 terms, where a pairwise sum would round differently
+    wide = [Negatives(enumerate_moments(n)[k % 3 : k % 3 + 9], [("b", Moment(0, 1))] * (k % 2))
+            for k, n in enumerate([4, 6, 5] * 8)]
+    corpus = Corpus(features, batch)
+    vocab = Vocabulary.from_token_lists([ex.tokens for ex in batch])
+    for supervision in ("weak", "strong"):
+        for loss in ("ranking", "tall"):
+            cfg = tiny_model_config(similarity=sim, context_mode=mode, context_supervision=supervision,
+                                    loss=loss, modalities=("rgb", "flow"), fusion_lambda=0.35,
+                                    margin=0.4, tall_alpha_w=0.7, vocab_size=vocab.size)
+            params = init_params(cfg, rng)
+
+            def run(loss_fn, examples, negatives, per_example):
+                for p in params.parameters():
+                    p.grad[...] = 0.0
+                tape, cache = Tape(), {}
+                if per_example:
+                    scored = [example_scores(tape, cache, corpus, ex, negs, cfg, params, vocab)
+                              for ex, negs in zip(examples, negatives)]
+                else:
+                    scored = batch_scores(tape, cache, corpus, examples, negatives, cfg, params, vocab)
+                root = loss_fn(tape, scored, cfg)
+                backward(tape, root)
+                return root.value.tobytes(), {p.name: p.grad.copy() for p in params.parameters()}
+
+            cases = [(ragged, False), (ragged, True), (no_intra, False), (no_intra, True),
+                     (wide, False)]
+            for negatives, per_example in cases:
+                examples = batch * (len(negatives) // len(batch))
+                got, got_grads = run(batch_loss, examples, negatives, per_example)
+                want, want_grads = run(chain_batch_loss, examples, negatives, per_example)
+                assert got == want
+                for name, grad in want_grads.items():
+                    assert got_grads[name].tobytes() == grad.tobytes(), name
+    tape = Tape()
+    lonely = [ExampleScores(tape.constant([1.0, 0.5]), 0, [1], []),
+              ExampleScores(tape.constant([2.0]), 0, [], [])]
+    with pytest.raises(ValueError, match="at least one negative"):
+        batch_loss(tape, lonely, tiny_model_config())
 
 
 def _contexts_for(example, base, n_segments, cfg):
@@ -329,10 +401,9 @@ def test_contexts_for_strong_substitutes_ground_truth(rng):
 def test_batch_loss_ranking_averages_examples():
     cfg = tiny_model_config(margin=0.1)
     tape = Tape()
-    c = lambda x: tape.constant(np.array(x))
     scored = [
-        ExampleScores(c(1.0), [c(0.5)], [c(2.0)]),
-        ExampleScores(c(0.0), [c(0.0)], []),
+        ExampleScores(tape.constant([1.0, 0.5, 2.0]), 0, [1], [2]),
+        ExampleScores(tape.constant([0.0, 0.0]), 0, [1], []),
     ]
     # example 1: intra hinge max(0, .1 - 1 + .5)=0, inter max(0, .1 - 1 + 2)=1.1 -> 1.1
     # example 2: intra hinge .1, no inter -> .1
@@ -343,10 +414,9 @@ def test_batch_loss_ranking_averages_examples():
 def test_batch_loss_tall_pools_and_ignores_inter():
     cfg = tiny_model_config(loss="tall", tall_alpha_c=1.0, tall_alpha_w=2.0)
     tape = Tape()
-    c = lambda x: tape.constant(np.array(x))
     scored = [
-        ExampleScores(c(1.0), [c(-1.0), c(0.0)], [c(999.0)]),
-        ExampleScores(c(2.0), [c(1.0)], [c(999.0)]),
+        ExampleScores(tape.constant([1.0, -1.0, 0.0, 999.0]), 0, [1, 2], [3]),
+        ExampleScores(tape.constant([2.0, 1.0, 999.0]), 0, [1], [2]),
     ]
     pos = np.array([1.0, 2.0])
     neg = np.array([-1.0, 0.0, 1.0])
