@@ -211,6 +211,8 @@ def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
             n, d = int(n_str), int(d_str)
         except ValueError:
             raise ValueError(f"{path}:{i + 1}: non-integer header fields") from None
+        if n < 1 or d < 1:
+            raise ValueError(f"{path}:{i + 1}: n_segments and dim must be >= 1, got {n} and {d}")
         if vid in tables:
             raise ValueError(f"{path}:{i + 1}: duplicate video id {vid!r}")
         rows = np.zeros((n, d))
@@ -225,6 +227,9 @@ def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
                 rows[r] = [float(v) for v in vals]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value") from None
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}:{i + 2 + int(np.argmin(finite))}: non-finite feature value")
         tables[vid] = SegmentFeatureTable(vid, modality, rows)
         i += 1 + n
     return tables
@@ -261,6 +266,8 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
                 vectors[tok] = [float(c) for c in comps]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric component") from None
+            if not np.isfinite(vectors[tok]).all():
+                raise ValueError(f"{path}:{lineno}: non-finite component")
     if dim is None:
         raise ValueError(f"{path}: empty embedding file")
     matrix = np.vstack([np.zeros((1, dim)), np.array(list(vectors.values()))])

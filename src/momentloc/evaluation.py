@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tape
 from .dataset import Corpus, TemporalQuery, tokenize
 from .encoders import SegmentFeatureTable, encode_query
-from .model import ModelBundle, ScoredMoment, candidate_contexts, score_grid
+from .model import ModelBundle, ScoredMoment, score_grid
 from .temporal import Moment, iou, moments_of, segment_iou
 
 BUCKET_ORDER = ("none", "before", "after", "then", "while")
@@ -144,11 +144,11 @@ def rank_moments(
     ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
     fl = encode_query(tape, ids, params)
     bases = moments_of(n)
-    contexts = candidate_contexts(cfg, bases, n, query.context if mode == "gt_context" else None)
-    fused, chosen = score_grid(tape, cache, fl, [(video, 0, bases, contexts)], cfg, params)
+    pinned = query.context if mode == "gt_context" else None
+    fused, chosen = score_grid(tape, cache, fl, [(video, 0, bases, pinned)], cfg, params)
     scored = [
-        ScoredMoment(base, float(value), cands[i])
-        for base, value, cands, i in zip(bases, fused.value, contexts, chosen)
+        ScoredMoment(base, float(value), context)
+        for base, value, context in zip(bases, fused.value, chosen)
     ]
     return sorted(scored, key=lambda s: -s.score)
 

@@ -43,7 +43,6 @@ from .temporal import (
     context_slot_count,
     moment_index,
     moments_of,
-    validate_moment,
 )
 
 SIMILARITIES = ("distance", "mult", "normalized_mult", "tall_sim")
@@ -244,31 +243,9 @@ def conform_context(context: ContextMoment, base: Moment, n_slots: int) -> Conte
     )
 
 
-def candidate_contexts(cfg: ModelConfig, bases: Sequence[Moment], n_segments: int,
-                       gt: ContextMoment | None = None) -> list[list[ContextMoment]]:
-    """The candidate contexts of each base moment, the ones its score is a
-    max over: `gt` alone, fitted to the configured slots, when given; else the
-    mode's context_set. The global and latent sets do not depend on the base,
-    so there every base gets the same list object, built once per
-    (mode, n_segments) and never to be mutated, which score_grid reads once."""
-    if gt is not None:
-        return [[conform_context(gt, b, cfg.context_slots)] for b in bases]
-    for b in bases:
-        validate_moment(b, n_segments)
-    if cfg.context_mode == "before_after":
-        return [context_set(cfg.context_mode, b, n_segments) for b in bases]
-    return [_shared_context_set(cfg.context_mode, n_segments)] * len(bases)
-
-
-@functools.lru_cache(maxsize=None)
-def _shared_context_set(context_mode: str, n_segments: int) -> list[ContextMoment]:
-    return context_set(context_mode, Moment(0, 0), n_segments)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,7 +253,7 @@ def _moment_tefs(n_segments: int) -> np.ndarray:
     """Endpoint features (start / n, (end + 1) / n) of every moment, in
     moments_of order; read-only."""
     return _read_only(np.array([(m.start_seg / n_segments, (m.end_seg + 1) / n_segments)
-                                for m in moments_of(n_segments)]))[0]
+                                for m in moments_of(n_segments)]))
 
 
 def _slot_rows(candidates: Sequence[ContextMoment], n_segments: int) -> np.ndarray:
@@ -288,53 +265,34 @@ def _slot_rows(candidates: Sequence[ContextMoment], n_segments: int) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_slot_rows(context_mode: str, n_segments: int) -> np.ndarray:
-    """The slot rows of the shared global or latent candidate list; read-only."""
-    return _read_only(_slot_rows(_shared_context_set(context_mode, n_segments), n_segments))[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _whole_video_pairs(context_mode: str, n_segments: int) -> tuple[np.ndarray, ...]:
-    """`_grid_pairs` of every moment of a video against the shared global or
-    latent candidate list, as a whole-video ranking scores them; read-only."""
-    slots = _shared_slot_rows(context_mode, n_segments)
-    n_moments = len(moments_of(n_segments))
-    return _read_only(
-        np.repeat(np.arange(n_moments), len(slots)),
-        np.tile(slots, (n_moments, 1)),
-        np.full(n_moments, len(slots), dtype=np.intp),
-    )
+def _candidate_table(context_mode: str, n_segments: int) -> tuple[tuple, np.ndarray]:
+    """Every moment's context_set, in moments_of order, and their slot rows as
+    one read-only (moments, candidates, slots) array. A mode gives every
+    moment the same number of candidates."""
+    sets = tuple(context_set(context_mode, b, n_segments) for b in moments_of(n_segments))
+    return sets, _read_only(np.stack([_slot_rows(c, n_segments) for c in sets]))
 
 
 def _grid_pairs(
     bases: Sequence[Moment],
-    contexts: Sequence[Sequence[ContextMoment]],
     n_segments: int,
-    context_mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cfg: ModelConfig,
+    pinned: ContextMoment | None,
+) -> tuple[np.ndarray, np.ndarray, list[Sequence[ContextMoment]]]:
     """The (base, context) pairs to score, base by base: each pair's base
-    moment row, its context's moment row per slot (-1 for a padded slot), and
-    the number of candidates of each base. The rows of the shared global and
-    latent candidate lists are built once per (context_mode, n_segments),
-    and so are all of them for the bases `moments_of(n_segments)`."""
-    if not bases or len(contexts) != len(bases):
-        raise ValueError(f"need one candidate list per base, got {len(contexts)} for {len(bases)}")
-    sizes = np.array([len(c) for c in contexts], dtype=np.intp)
-    if not sizes.all():
-        raise ValueError("no candidate contexts")
-    shared = contexts[0]
-    if all(c is shared for c in contexts):
-        if context_mode != "before_after" and shared is _shared_context_set(context_mode, n_segments):
-            if bases is moments_of(n_segments):
-                return _whole_video_pairs(context_mode, n_segments)
-            one = _shared_slot_rows(context_mode, n_segments)
-        else:
-            one = _slot_rows(shared, n_segments)
-        slots = np.tile(one, (len(bases), 1))
+    moment row and its context's moment row per slot (-1 for a padded slot),
+    and the candidates of each base. These are the mode's context_set, read
+    from the (context_mode, n_segments) table by the bases' rows, or, with
+    `pinned`, that one context fitted to each base."""
+    rows = np.array([moment_index(b, n_segments) for b in bases], dtype=np.intp)
+    if pinned is None:
+        sets, table = _candidate_table(cfg.context_mode, n_segments)
+        candidates = [sets[r] for r in rows.tolist()]
+        slots = table[rows]
     else:
-        slots = np.concatenate([_slot_rows(c, n_segments) for c in contexts])
-    base_rows = np.array([moment_index(b, n_segments) for b in bases], dtype=np.intp)
-    return np.repeat(base_rows, sizes), slots, sizes
+        candidates = [[conform_context(pinned, b, cfg.context_slots)] for b in bases]
+        slots = _slot_rows([c for (c,) in candidates], n_segments)[:, None]
+    return np.repeat(rows, slots.shape[1]), slots.reshape(-1, cfg.context_slots), candidates
 
 
 def _pool_moments(table: SegmentFeatureTable) -> np.ndarray:
@@ -468,40 +426,39 @@ def score_grid(
     cache: dict,
     fl: Node,
     groups: Sequence[tuple[Mapping[str, SegmentFeatureTable], int, Sequence[Moment],
-                           Sequence[Sequence[ContextMoment]]]],
+                           ContextMoment | None]],
     cfg: ModelConfig,
     params: ModelParams,
-) -> tuple[Node, np.ndarray]:
+) -> tuple[Node, list[ContextMoment]]:
     """Score base moments from one or more videos, each against its
     candidate contexts.
 
     `fl` holds the encoded queries, a (queries, joint_dim) stack, or the
     (joint_dim,) vector of a single query. Each group is `(video, query row,
-    bases, contexts)`: `contexts[g]` lists the candidates of `bases[g]`, and
-    the group's pairs are compared with row `query row` of `fl` (0 for a
-    single vector). Every (base, context) pair of every group is one row of
-    one stacked computation, each row bit-identical to scoring the pair
-    alone, so a call records one base MLP, one context MLP, one projection,
-    one similarity head and one group max per modality, however many groups
-    it scores. A candidate list object shared by several bases is read once.
+    bases, pinned)`: the group's bases are compared with row `query row` of
+    `fl` (0 for a single vector), each against the mode's context_set, or,
+    when `pinned` is a context, against that context alone, fitted to the
+    base (`conform_context`). Every (base, context) pair of every group is
+    one row of one stacked computation, each row bit-identical to scoring the
+    pair alone, so a call records one base MLP, one context MLP, one
+    projection, one similarity head and one group max per modality, however
+    many groups it scores.
 
     Returns the fused scores, one entry per base in group order (late fusion
     of the per-modality maxima; the training loss backpropagates through it),
-    and per base the index of the candidate that maximizes the fused
-    per-context score (ties to the earliest candidate).
+    and per base the candidate context that maximizes the fused per-context
+    score (ties to the earliest candidate).
     """
-    if not groups:
-        raise ValueError("score_grid needs at least one group")
     grids = [
-        _grid_pairs(bases, contexts, next(iter(video.values())).n_segments, cfg.context_mode)
-        for video, _, bases, contexts in groups
+        _grid_pairs(bases, next(iter(video.values())).n_segments, cfg, pinned)
+        for video, _, bases, pinned in groups
     ]
-    base_rows, slot_rows, sizes = grids[0] if len(grids) == 1 else (
-        np.concatenate(parts) for parts in zip(*grids))
-    if slot_rows.shape[1] != cfg.context_slots:
-        raise ValueError(
-            f"contexts have {slot_rows.shape[1]} slots, the configuration expects {cfg.context_slots}"
-        )
+    candidates = [c for _, _, per_base in grids for c in per_base]
+    if not candidates:
+        raise ValueError("score_grid needs at least one base")
+    base_rows = np.concatenate([rows for rows, _, _ in grids])
+    slot_rows = np.concatenate([slots for _, slots, _ in grids])
+    sizes = np.array([len(c) for c in candidates], dtype=np.intp)
     pair_counts = [len(rows) for rows, _, _ in grids]
     fl_ready = _query_rows(tape, fl, groups, pair_counts, cfg)
     videos = [video for video, _, _, _ in groups]
@@ -516,7 +473,7 @@ def score_grid(
         fused = weighted if fused is None else tape.add(fused, weighted)
         fused_per_pair += weights[m] * sims.value
     chosen = group_argmax(fused_per_pair, sizes) - (np.cumsum(sizes) - sizes)
-    return fused, chosen
+    return fused, [c[i] for c, i in zip(candidates, chosen.tolist())]
 
 
 def score_base(
@@ -525,17 +482,18 @@ def score_base(
     video: Mapping[str, SegmentFeatureTable],
     fl: Node,
     base: Moment,
-    contexts: Sequence[ContextMoment],
+    pinned: ContextMoment | None,
     cfg: ModelConfig,
     params: ModelParams,
-) -> tuple[Node, int]:
-    """Score one base moment against its candidate contexts: `score_grid`
-    for a single base and a single query vector `fl`. Returns the fused score
-    node and the index of the chosen context."""
+) -> tuple[Node, ContextMoment]:
+    """Score one base moment against its candidate contexts (the mode's
+    context_set, or `pinned` alone): `score_grid` for a single base and a
+    single query vector `fl`. Returns the fused score node and the chosen
+    context."""
     node, chosen = score_grid(
-        tape, {} if cache is None else cache, fl, [(video, 0, [base], [contexts])], cfg, params,
+        tape, {} if cache is None else cache, fl, [(video, 0, [base], pinned)], cfg, params,
     )
-    return tape.take_row(node, 0), int(chosen[0])
+    return tape.take_row(node, 0), chosen[0]
 
 
 def score(
@@ -548,11 +506,9 @@ def score(
 ) -> ScoredMoment:
     """Inference-mode score of one (video, query, moment) triple."""
     tape = Tape(recording=False)
-    n = next(iter(video.values())).n_segments
-    (contexts,) = candidate_contexts(cfg, [base], n, gt_context)
     fl = encode_query(tape, token_ids, params)
-    node, chosen = score_base(tape, {}, video, fl, base, contexts, cfg, params)
-    return ScoredMoment(base, float(node.value), contexts[chosen])
+    node, chosen = score_base(tape, {}, video, fl, base, gt_context, cfg, params)
+    return ScoredMoment(base, float(node.value), chosen)
 
 
 # -- losses --------------------------------------------------------------------

@@ -23,13 +23,12 @@ from .model import (
     ModelBundle,
     ModelConfig,
     ModelParams,
-    candidate_contexts,
     init_params,
     log_logistic_loss,
     ranking_loss,
     score_grid,
 )
-from .temporal import ContextMoment, Moment, moment_index, moments_of, validate_moment
+from .temporal import ContextMoment, Moment, moment_index, moments_of
 
 
 @dataclass
@@ -159,14 +158,11 @@ def batch_scores(
     groups = []
     for row, (example, negs) in enumerate(zip(batch, negatives)):
         n = corpus.n_segments(example.video_id)
-        validate_moment(example.moment, n)
-        bases = [example.moment, *negs.intra]
-        contexts = candidate_contexts(cfg, bases, n, _pinned_context(example, n, cfg))
-        groups.append((corpus.features[example.video_id], row, bases, contexts))
+        groups.append((corpus.features[example.video_id], row, [example.moment, *negs.intra],
+                       _pinned_context(example, n, cfg)))
         for vid, neg in negs.inter:
-            other_n = corpus.n_segments(vid)
-            contexts = candidate_contexts(cfg, [neg], other_n, _pinned_context(example, other_n, cfg))
-            groups.append((corpus.features[vid], row, [neg], contexts))
+            pinned = _pinned_context(example, corpus.n_segments(vid), cfg)
+            groups.append((corpus.features[vid], row, [neg], pinned))
     fl = encode_queries(tape, [vocab.encode(example.tokens) for example in batch], params)
     fused, _ = score_grid(tape, cache, fl, groups, cfg, params)
     scored, at = [], 0

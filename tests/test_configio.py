@@ -4,16 +4,120 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentloc.autodiff import load_checkpoint, save_checkpoint
 from momentloc.cli import main
 from momentloc.configio import (
     atomic_open,
+    dataclass_from_mapping,
+    dataclass_to_text,
     load_config_file,
     parse_flat_config,
     read_json,
     write_json,
 )
+from momentloc.dataset import SyntheticCorpusConfig
+from momentloc.model import LOSSES, SIMILARITIES, SUPERVISION_MODES, TEF_MODES, ModelConfig
+from momentloc.temporal import CONTEXT_MODES
+from momentloc.trainer import TrainConfig
+
+
+def _instances(cls, **fields):
+    """Instances of a config dataclass with every field drawn from its
+    strategy, skipping the combinations its validation rejects."""
+    def build(kwargs):
+        try:
+            return cls(**kwargs)
+        except ValueError:
+            return None
+
+    return st.fixed_dictionaries(fields).map(build).filter(lambda c: c is not None)
+
+
+UNIT = st.floats(0.0, 1.0)
+POSITIVE = st.floats(1e-300, 1e300)
+
+CONFIGS = st.one_of(
+    _instances(
+        ModelConfig,
+        context_mode=st.sampled_from(CONTEXT_MODES), tef_mode=st.sampled_from(TEF_MODES),
+        similarity=st.sampled_from(SIMILARITIES), loss=st.sampled_from(LOSSES),
+        context_supervision=st.sampled_from(SUPERVISION_MODES),
+        modalities=st.lists(st.sampled_from(("rgb", "flow", "audio")), min_size=1, max_size=2,
+                            unique=True).map(tuple),
+        fusion_lambda=UNIT, margin=POSITIVE, tall_alpha_c=st.floats(0.0, 1e300),
+        tall_alpha_w=st.floats(0.0, 1e300),
+        **{name: st.integers(1, 4096) for name in ("visual_dim", "mlp_hidden", "visual_out_dim",
+                                                   "embed_dim", "lstm_hidden", "joint_dim",
+                                                   "sim_hidden")},
+        vocab_size=st.integers(0, 10**6), seed=st.integers(0, 2**63),
+    ),
+    _instances(
+        TrainConfig,
+        epochs=st.integers(0, 1000), batch_size=st.integers(1, 1000), lr=POSITIVE,
+        lr_decay_every=st.integers(1, 1000), lr_decay_factor=POSITIVE,
+        negatives_intra=st.integers(0, 50), negatives_inter=st.integers(0, 50),
+        seed=st.integers(0, 2**63),
+    ),
+    _instances(
+        SyntheticCorpusConfig,
+        n_train_videos=st.integers(1, 5000), n_test_videos=st.integers(0, 5000),
+        n_segments=st.integers(2, 40), n_events=st.integers(3, 80), feature_dim=st.integers(1, 512),
+        noise_sigma=st.floats(0.0, 1e6), repeat_prob=UNIT, queries_per_video=st.integers(1, 20),
+        mix_simple=UNIT, mix_before=UNIT, mix_after=UNIT, mix_then=UNIT,
+        ctx_alias_prob=UNIT, seed=st.integers(0, 2**63),
+    ),
+)
+
+
+def _rebuild(cls, text):
+    return dataclass_from_mapping(cls, parse_flat_config(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=CONFIGS, data=st.data())
+def test_config_text_round_trips_whatever_the_layout(cfg, data):
+    """Written as text and read back, a model, training or corpus config is
+    the one written, also with blank lines, `#` comment lines, trailing
+    comments and spaces around keys and `=` added anywhere."""
+    text = dataclass_to_text(cfg)
+    assert _rebuild(type(cfg), text) == cfg
+    spaces = st.sampled_from(["", " ", "  ", "\t"])
+    noise = st.sampled_from(["", "# a comment", "   ", "#x = 1", "\t# key = value"])
+    lines = []
+    for line in text.splitlines():
+        key, value = line.split(" = ")
+        lines.extend(data.draw(st.lists(noise, max_size=2)))
+        pad = [data.draw(spaces) for _ in range(4)]
+        comment = data.draw(st.sampled_from(["", " # why", "#"]))
+        lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}{comment}")
+    lines.extend(data.draw(st.lists(noise, max_size=2)))
+    assert parse_flat_config("\n".join(lines)) == parse_flat_config(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=CONFIGS, data=st.data())
+def test_later_assignments_override_earlier_ones(first, data):
+    cls = type(first)
+    second = data.draw(CONFIGS.filter(lambda c: type(c) is cls))
+    assert _rebuild(cls, dataclass_to_text(first) + dataclass_to_text(second)) == second
+    later = parse_flat_config(dataclass_to_text(second))
+    keys = data.draw(st.lists(st.sampled_from(sorted(later)), unique=True))
+    text = dataclass_to_text(first) + "".join(f"{k} = {later[k]}\n" for k in keys)
+    assert parse_flat_config(text) == {**parse_flat_config(dataclass_to_text(first)),
+                                       **{k: later[k] for k in keys}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=CONFIGS, key=st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True))
+def test_unknown_key_is_named_in_the_error(cfg, key):
+    cls = type(cfg)
+    mapping = parse_flat_config(dataclass_to_text(cfg))
+    assume(key not in mapping)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        dataclass_from_mapping(cls, {**mapping, key: "1"})
 
 
 def test_parse_flat_config_rejects_include_lines():

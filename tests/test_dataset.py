@@ -334,7 +334,8 @@ def test_manifest_line_errors_name_file_and_line(tmp_path):
     manifest = save_corpus(str(tmp_path), generate_synthetic(CFG))
     with open(manifest, "a", encoding="utf-8") as fh:
         fh.write("# comment lines are skipped\ntruth\n")
-    lineno = len(open(manifest, encoding="utf-8").read().splitlines())
+    with open(manifest, encoding="utf-8") as fh:
+        lineno = len(fh.read().splitlines())
     for load in (corpus_files, load_corpus):
         with pytest.raises(ValueError, match=f"corpus.manifest:{lineno}: cannot parse 'truth'"):
             load(manifest)

@@ -173,6 +173,14 @@ def test_feature_file_errors(tmp_path):
     bad.write_text("v0 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.txt:1"):
         load_features(str(bad), "rgb")
+    for header in ("v0 0 2", "v0 -1 2", "v0 1 0", "v0 2 -3"):
+        bad.write_text(f"v1 1 2\n1 2\n{header}\n1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.txt:3: n_segments and dim must be >= 1"):
+            load_features(str(bad), "rgb")
+    for value in ("nan", "inf", "-inf", "1e999"):
+        bad.write_text(f"v0 2 2\n1 2\n3 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.txt:3: non-finite feature value"):
+            load_features(str(bad), "rgb")
 
 
 def test_embedding_file(tmp_path):
@@ -193,3 +201,7 @@ def test_embedding_file(tmp_path):
     path.write_text("<unk> 1 2\ndog 3 4\n", encoding="utf-8")
     with pytest.raises(ValueError, match="emb.txt:1: token '<unk>' is reserved"):
         load_embeddings(str(path))
+    for value in ("nan", "inf", "-Infinity", "1e999"):
+        path.write_text(f"dog 1 2\ncat 3 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="emb.txt:2: non-finite component"):
+            load_embeddings(str(path))

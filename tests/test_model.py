@@ -9,8 +9,7 @@ from momentloc.encoders import Vocabulary, encode_query
 from momentloc.model import (
     ModelBundle,
     ModelConfig,
-    _grid_pairs,
-    candidate_contexts,
+    _candidate_table,
     conform_context,
     expected_param_shapes,
     init_params,
@@ -20,10 +19,9 @@ from momentloc.model import (
     save_model,
     _pool_moments,
     score,
-    score_base,
     score_grid,
 )
-from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments, moments_of
+from momentloc.temporal import CONTEXT_MODES, ContextMoment, Moment, context_set, enumerate_moments
 from momentloc.trainer import ExampleScores, batch_loss
 
 
@@ -182,57 +180,60 @@ def test_conform_context_gives_the_slot_count_and_is_idempotent(n, data):
         assert conform_context(fitted, base, n_slots) == fitted
 
 
-@pytest.mark.parametrize("mode", ["global", "latent", "before_after"])
-def test_candidate_contexts_share_one_list_in_global_and_latent_mode(mode):
-    cfg = tiny_model_config(context_mode=mode)
-    bases = enumerate_moments(4)
-    got = candidate_contexts(cfg, bases, 4)
-    assert got == [context_set(mode, b, 4) for b in bases]
-    # the global and latent sets do not depend on the base
-    assert all((c is got[0]) == (mode != "before_after") for c in got[1:])
-    gt = ContextMoment.single(Moment(3, 3))
-    assert candidate_contexts(cfg, bases, 4, gt) == [
-        [conform_context(gt, b, cfg.context_slots)] for b in bases
-    ]
-    assert candidate_contexts(cfg, [], 4) == []
-    with pytest.raises(ValueError, match="exceeds"):
-        candidate_contexts(cfg, [Moment(0, 0), Moment(2, 4)], 4)
+def _fits(context, n_slots):
+    """Whether conform_context can fit `context` to `n_slots` slots."""
+    return n_slots == 2 or len(context.slots) == 1 or len(context.regions) == 1
 
 
-def test_score_grid_reads_one_candidate_list_in_videos_of_two_lengths(rng):
-    """The same candidate list object in a 3- and a 6-segment video names
-    different moment rows in each; both groups score as the numpy oracle."""
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.tuples(st.integers(1, 9), st.integers(1, 9)), data=st.data())
+def test_score_grid_equals_numpy_oracle_for_any_groups(mode, lengths, data):
+    """One call over groups from videos of two lengths, in any order, with
+    repeated bases in any order, each group against the mode's context_set
+    or against a pinned context fitted to each base: every score and every
+    chosen context is the numpy oracle's over those candidates, exactly."""
+    cfg = tiny_model_config(context_mode=mode, modalities=("rgb", "flow"), fusion_lambda=0.35)
+    rng = np.random.default_rng(list(lengths))
+    params = init_params(cfg, rng)
+    arrays = params.arrays()
+    videos = [tiny_video(rng, n, cfg.visual_dim, cfg.modalities, f"v{i}") for i, n in enumerate(lengths)]
+    ids = [1, 3, 2]
+    groups, want_scores, want_chosen = [], [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        video = data.draw(st.sampled_from(videos))
+        n = video["rgb"].n_segments
+        bases = data.draw(st.lists(moments_in(0, n - 1), min_size=1, max_size=5))
+        pinned = data.draw(st.none() | stored_contexts(n).filter(lambda c: _fits(c, cfg.context_slots)))
+        groups.append((video, 0, bases, pinned))
+        for base in bases:
+            contexts = (context_set(mode, base, n) if pinned is None
+                        else [conform_context(pinned, base, cfg.context_slots)])
+            value, idx = np_score(video, ids, base, contexts, cfg, arrays)
+            want_scores.append(value)
+            want_chosen.append(contexts[idx])
+    tape = Tape(recording=False)
+    got, chosen = score_grid(tape, {}, encode_query(tape, ids, params), groups, cfg, params)
+    assert got.value.tolist() == want_scores
+    assert chosen == want_chosen
+    assert not any(_candidate_table(mode, n)[1].flags.writeable for n in lengths)
+
+
+def test_score_grid_rejects_no_bases_and_bases_beyond_the_video(rng):
     cfg = tiny_model_config()
     params = init_params(cfg, rng)
-    short, long_ = (tiny_video(rng, n, cfg.visual_dim, ("rgb",), f"v{n}") for n in (3, 6))
-    shared = [ContextMoment.single(Moment(1, 2)), ContextMoment.single(Moment(0, 2))]
+    video = tiny_video(rng, 4, cfg.visual_dim)
     tape = Tape(recording=False)
     fl = encode_query(tape, [1, 2], params)
-    both, _ = score_grid(tape, {}, fl, [(short, 0, [Moment(0, 0)], [shared]),
-                                        (long_, 0, [Moment(0, 0)], [shared])], cfg, params)
-    want = [np_score(v, [1, 2], Moment(0, 0), shared, cfg, params.arrays())[0] for v in (short, long_)]
-    assert both.value.tolist() == want
-    with pytest.raises(ValueError, match="at least one group"):
-        score_grid(tape, {}, fl, [], cfg, params)
-
-
-@pytest.mark.parametrize("mode", ["global", "latent"])
-def test_whole_video_pairs_are_built_once_per_mode_and_length(mode):
-    """Ranking a whole video scores every moment against the shared
-    candidate list: those pair rows are built once per (mode, length),
-    read-only, and equal the rows built base by base."""
-    n = 5
-    cfg = tiny_model_config(context_mode=mode)
-    bases = moments_of(n)
-    contexts = candidate_contexts(cfg, bases, n)
-    first = _grid_pairs(bases, contexts, n, mode)
-    assert all(a is b for a, b in zip(first, _grid_pairs(bases, contexts, n, mode)))
-    assert not any(a.flags.writeable for a in first)
-    equal_list = [list(contexts[0])] * len(bases)
-    for other in (_grid_pairs(list(bases), contexts, n, mode),
-                  _grid_pairs(list(bases), equal_list, n, mode)):
-        for a, b in zip(first, other):
-            assert np.array_equal(a, b)
+    for groups in ([], [(video, 0, [], None)], [(video, 0, [], ContextMoment.single(Moment(3, 3)))]):
+        with pytest.raises(ValueError, match="at least one base"):
+            score_grid(tape, {}, fl, groups, cfg, params)
+    for pinned in (None, ContextMoment.single(Moment(3, 3))):
+        with pytest.raises(ValueError, match="exceeds"):
+            score_grid(tape, {}, fl, [(video, 0, [Moment(0, 0), Moment(2, 4)], pinned)], cfg, params)
+    with pytest.raises(ValueError, match="exceeds"):
+        score_grid(tape, {}, fl, [(video, 0, [Moment(0, 0)], ContextMoment.single(Moment(3, 4)))],
+                   cfg, params)
 
 
 def test_running_sum_pooling_equals_mean():

@@ -12,7 +12,7 @@ from momentloc.autodiff import Parameter, Tape, backward
 from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import Corpus, TemporalQuery
 from momentloc.encoders import Vocabulary, encode_query
-from momentloc.model import ModelParams, candidate_contexts, conform_context, init_params
+from momentloc.model import ModelParams, _grid_pairs, conform_context, init_params
 from momentloc.temporal import ContextMoment, Moment, context_set, enumerate_moments
 from momentloc.trainer import (
     ExampleScores,
@@ -275,12 +275,14 @@ def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, t
             assert len(got.inter) == len(negs.inter)
             for vid, bases, entries, others in parts:
                 n = corpus.n_segments(vid)
-                contexts = candidate_contexts(cfg, bases, n, _pinned_context(ex, n, cfg))
+                pinned = _pinned_context(ex, n, cfg)
                 t = Tape(recording=False)
                 grid, _ = score_grid(t, {}, encode_query(t, ids, params),
-                                     [(features[vid], 0, bases, contexts)], cfg, params)
-                for base, cands, at, other, one in zip(bases, contexts, entries, others, grid.value):
-                    want, _ = np_score(features[vid], ids, base, cands, cfg, arrays)
+                                     [(features[vid], 0, bases, pinned)], cfg, params)
+                for base, at, other, one in zip(bases, entries, others, grid.value):
+                    contexts = (context_set(mode, base, n) if pinned is None
+                                else [conform_context(pinned, base, cfg.context_slots)])
+                    want, _ = np_score(features[vid], ids, base, contexts, cfg, arrays)
                     assert got_values[at] == alone_values[other] == one == want
 
 
@@ -356,8 +358,7 @@ def test_batch_loss_equals_the_per_score_chain(rng, sim, mode):
 
 def _contexts_for(example, base, n_segments, cfg):
     """The candidates that example_scores scores `base` against."""
-    pin = _pinned_context(example, n_segments, cfg)
-    (contexts,) = candidate_contexts(cfg, [base], n_segments, pin)
+    (contexts,) = _grid_pairs([base], n_segments, cfg, _pinned_context(example, n_segments, cfg))[2]
     return contexts
 
 
@@ -388,9 +389,6 @@ def test_contexts_for_strong_substitutes_ground_truth(rng):
     assert _contexts_for(example, example.moment, 4, weak) == context_set(
         "latent", Moment(0, 0), 4,
     )
-    # and its grid reads one shared candidate list
-    positive, negative = candidate_contexts(weak, [example.moment, neg], 4)
-    assert positive is negative
     # examples without a stored context always use the candidate set
     simple = TemporalQuery("v0", "s.", Moment(1, 1))
     assert _contexts_for(simple, simple.moment, 4, cfg) == context_set(
