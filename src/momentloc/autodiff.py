@@ -68,9 +68,12 @@ def as_array(value: object) -> np.ndarray:
 def group_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Index into `values` of the first maximum of each group, where the
     groups are consecutive runs of `sizes[g]` entries (np.argmax semantics
-    within a group: ties go to the earliest)."""
+    within a group: ties go to the earliest). Equal groups are one reshape;
+    others are padded with -inf to the largest."""
     sizes = np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
+    if sizes.min() == sizes.max():
+        return starts + values.reshape(len(sizes), -1).argmax(axis=1)
     padded = np.full((len(sizes), int(sizes.max())), -np.inf)
     padded[np.repeat(np.arange(len(sizes)), sizes),
            np.arange(len(values)) - np.repeat(starts, sizes)] = values

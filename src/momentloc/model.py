@@ -256,6 +256,13 @@ def _moment_tefs(n_segments: int) -> np.ndarray:
                                 for m in moments_of(n_segments)]))
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_lengths(n_segments: int) -> np.ndarray:
+    """Segment count of every moment, in moments_of order, as a read-only
+    (moments, 1) column."""
+    return _read_only(np.array([[m.end_seg - m.start_seg + 1] for m in moments_of(n_segments)]))
+
+
 def _slot_rows(candidates: Sequence[ContextMoment], n_segments: int) -> np.ndarray:
     """Each candidate's moment row per slot, -1 for a padded slot."""
     return np.array(
@@ -295,22 +302,46 @@ def _grid_pairs(
     return np.repeat(rows, slots.shape[1]), slots.reshape(-1, cfg.context_slots), candidates
 
 
-def _pool_moments(table: SegmentFeatureTable) -> np.ndarray:
-    """Mean-pooled features of every moment of the video, in
-    moments_of order, bit for bit `features[s:e + 1].mean(axis=0)`.
+def _pool_stack(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
+    """The (videos, moments, dim) pooled features of tables of one shape,
+    each video's moments in moments_of order (see _pool_moments)."""
+    n, dim = tables[0].features.shape
+    if dim == 1:
+        return np.array([[t.features[m.start_seg : m.end_seg + 1].mean(axis=0)
+                          for m in moments_of(n)] for t in tables])
+    feats = np.stack([t.features for t in tables])
+    sums = np.concatenate([np.cumsum(feats[:, s:], axis=1) for s in range(n)], axis=1)
+    pooled = sums / _moment_lengths(n)
+    pooled += 0.0  # a run of -0.0 rows pools to +0.0, as mean gives
+    return pooled
 
-    For rows of two or more features that mean adds the rows one by one, so
-    one running sum per start segment (`np.cumsum`, which adds in the same
-    order) divided by the moment lengths gives every moment that starts
-    there. A single feature column is summed pairwise by numpy once a moment
-    has 8 segments, which only `mean` itself reproduces."""
-    feats, n = table.features, table.n_segments
-    if table.dim == 1:
-        return np.stack([feats[m.start_seg : m.end_seg + 1].mean(axis=0)
-                         for m in moments_of(n)])
-    return np.concatenate([
-        np.cumsum(feats[s:], axis=0) / np.arange(1, n - s + 1)[:, None] for s in range(n)
-    ])
+
+def _pool_moments(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
+    """Mean-pooled features of every moment of each table, table after
+    table and each table's moments in moments_of order, every row bit for
+    bit `features[s:e + 1].mean(axis=0)`.
+
+    For rows of two or more features that mean adds the rows one by one.
+    Tables of one shape are stacked into one (videos, segments, dim) array,
+    and one running sum per start segment along the segment axis (`np.cumsum`,
+    which adds in the same order) gives the sums of every video's moments
+    that start there; one division by the moment lengths makes them means.
+    The running sum starts from the first row and `mean` from +0.0, which
+    differ only where every row added so far is -0.0; adding +0.0 to the
+    means makes those +0.0 too. A single feature column is summed pairwise
+    by numpy once a moment has 8 segments, which only `mean` itself
+    reproduces."""
+    groups: dict[tuple[int, int], list[SegmentFeatureTable]] = {}
+    place = []
+    for t in tables:
+        group = groups.setdefault(t.features.shape, [])
+        place.append((t.features.shape, len(group)))
+        group.append(t)
+    blocks = {shape: _pool_stack(group) for shape, group in groups.items()}
+    if len(blocks) == 1:
+        (block,) = blocks.values()
+        return block.reshape(-1, block.shape[2])
+    return np.concatenate([blocks[shape][k] for shape, k in place])
 
 
 def _cached(cache, key, make):
@@ -333,10 +364,11 @@ def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg,
     (modality, videos, pairs) for the cache's lifetime; on recording tapes
     reuse is plain subgraph sharing.
 
-    The base and context MLPs run over the distinct moments that the pairs
-    reference. A video's pooled moments and a branch MLP's rows are cached
-    too, for misses that share them: a cache lives for one batch in training
-    and for one video's queries in evaluation."""
+    The distinct videos are pooled in one `_pool_moments` call, and the base
+    and context MLPs run over the distinct moments that the pairs reference.
+    That pooled block, per (modality, distinct videos), and a branch MLP's
+    rows are cached too, for misses that share them: a cache lives for one
+    batch in training and for one video's queries in evaluation."""
     m = modality
     tables = [video[m] for video in videos]
     key = ("fv", m, tuple((t.video_id, k) for t, k in zip(tables, pair_counts)),
@@ -356,11 +388,9 @@ def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg,
     offset = np.repeat([first[id(t)] for t in tables], pair_counts)
     base_keys = offset + base_rows
     slot_keys = np.where(slot_rows < 0, -1, offset[:, None] + slot_rows)
-    pooled = np.concatenate(
-        [_cached(cache, ("pooled", t.video_id, m), lambda t=t: _pool_moments(t)) for t in distinct]
-        + [np.zeros((1, tables[0].dim))]
-    )
     videos_key = tuple(t.video_id for t in distinct)
+    pooled = _cached(cache, ("pooled", m, videos_key), lambda: np.concatenate(
+        [_pool_moments(distinct), np.zeros((1, tables[0].dim))]))
     n_pairs = len(base_rows)
 
     def branch(keys, name):

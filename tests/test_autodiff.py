@@ -15,6 +15,7 @@ from momentloc.autodiff import (
     Parameter,
     Tape,
     backward,
+    group_argmax,
     load_checkpoint,
     save_checkpoint,
     sgd_step,
@@ -417,6 +418,32 @@ def test_group_max_ties_route_to_first_argmax():
     assert best.value.tolist() == [3.0, 2.0, 5.0]
     backward(tape, tape.sum_all(best))
     assert p.grad.tolist() == [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]
+
+
+@st.composite
+def _grouped_values(draw):
+    """Group sizes, half the time all equal (one group included), and values
+    from a few numbers so that groups hold ties."""
+    n_groups = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 5))] * n_groups
+    else:
+        sizes = draw(st.lists(st.integers(1, 5), min_size=n_groups, max_size=n_groups))
+    values = draw(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]),
+                           min_size=sum(sizes), max_size=sum(sizes)))
+    return np.array(values), np.array(sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grouped_values())
+def test_group_argmax_matches_per_group_argmax(case):
+    """Equal groups (one reshape) and mixed sizes (padded with -inf) both give
+    each group's first maximum, as np.argmax does per group."""
+    values, sizes = case
+    starts = np.cumsum(sizes) - sizes
+    want = [s + int(np.argmax(values[s : s + k])) for s, k in zip(starts, sizes)]
+    assert group_argmax(values, sizes).tolist() == want
+    assert group_argmax(values, sizes.tolist()).tolist() == want
 
 
 def test_row_ops_match_single_vector_ops_exactly():

@@ -237,25 +237,39 @@ def test_score_grid_rejects_no_bases_and_bases_beyond_the_video(rng):
 
 
 def test_running_sum_pooling_equals_mean():
-    """Pooling every moment by running sums is bit for bit `mean(axis=0)` of
-    its segment rows, as the numpy oracle pools them, for videos of 1-12
-    segments, one to 16 features per segment and features handed over in
-    Fortran order."""
+    """Pooling a list of videos in one call by stacked running sums gives
+    each video's moments, in list order, bit for bit as `mean(axis=0)` of
+    their segment rows, as the numpy oracle pools them: videos of 1-12
+    segments alone and in lists where two or more videos share a length
+    next to videos of other lengths (stacked, then put back in order), one
+    to 16 features per segment, features handed over in Fortran order and
+    rows of -0.0."""
     rng = np.random.default_rng(8)
     from momentloc.encoders import SegmentFeatureTable
 
-    for n in range(1, 13):
+    calls = [[n] for n in range(1, 13)] + [[5, 5], [9, 3, 9, 9]]
+    for _ in range(12):
+        lengths = rng.integers(1, 13, size=int(rng.integers(3, 7)))
+        lengths[int(rng.integers(1, len(lengths)))] = lengths[0]
+        calls.append(rng.permutation(lengths).tolist())
+    for lengths in calls:
         for dim in (1, 2, 7, 16):
             for scale in (1.0, 1e-3, 1e6):
-                raw = scale * rng.normal(size=(n, dim))
-                for given in (raw, np.asfortranarray(raw)):
-                    table = SegmentFeatureTable("v", "rgb", given)
-                    pooled = _pool_moments(table)
-                    moments = enumerate_moments(n)
-                    assert pooled.shape == (len(moments), dim)
-                    for m, row in zip(moments, pooled):
+                tables = []
+                for k, n in enumerate(lengths):
+                    raw = scale * rng.normal(size=(n, dim))
+                    raw[rng.random(n) < 0.2] = -0.0
+                    given = np.asfortranarray(raw) if k % 2 else raw
+                    tables.append(SegmentFeatureTable(f"v{k}", "rgb", given))
+                pooled = _pool_moments(tables)
+                at = 0
+                for table in tables:
+                    moments = enumerate_moments(table.n_segments)
+                    for m in moments:
                         want = table.features[m.start_seg : m.end_seg + 1].mean(axis=0)
-                        assert row.tobytes() == want.tobytes()
+                        assert pooled[at].tobytes() == want.tobytes()
+                        at += 1
+                assert pooled.shape == (at, dim)
 
 
 def test_ranking_loss_values():

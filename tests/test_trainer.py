@@ -199,6 +199,25 @@ def test_latent_weak_batch_records_few_tape_nodes(rng, monkeypatch):
         assert _batch_nodes(corpus, size, monkeypatch)[1] == grid
 
 
+def test_latent_weak_batch_pools_its_videos_in_one_stack(rng, monkeypatch):
+    """A batch pools all of its videos of one length at once: one running
+    sum (an np.cumsum over stacked feature rows) per start segment and
+    modality. Pooling video by video ran 228 for this 32-example batch over
+    38 videos of 6 segments, so a fall-back to it shows here."""
+    sums = []
+    cumsum = np.cumsum
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) >= 2:
+            sums.append(np.shape(a))
+        return cumsum(a, *args, **kwargs)
+
+    corpus = _batch_corpus(rng)
+    monkeypatch.setattr(np, "cumsum", counted)
+    _batch_nodes(corpus, 32, monkeypatch)
+    assert 0 < len(sums) <= 6 * len(tiny_model_config().modalities)
+
+
 @pytest.mark.parametrize("sim", ["distance", "mult", "normalized_mult", "tall_sim"])
 def test_batch_tape_is_freed_without_the_cycle_collector(rng, sim):
     """No backward closure holds the tape, so a trained batch's graph goes as
@@ -234,14 +253,15 @@ BATCH_CASES = [
 def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, tef_mode):
     """One cross-video score_grid call over a batch gives each score exactly
     as scoring its example alone and as the plain-numpy scorer do: videos of
-    4, 6 and 5 segments, inter-video negatives in videos of another length,
-    an example without an inter negative and one with two; weak and strong
+    4, 6, 5 and 4 segments (two videos of one shape, pooled in one stack,
+    next to others), inter-video negatives in videos of another length,
+    an example without an inter negative and one with three; weak and strong
     supervision (the strong pin falls back to the candidate set in a video
     too short for the stored context)."""
     from momentloc.model import score_grid
 
     features = {v: tiny_video(rng, n, 3, ("rgb", "flow"), v)
-                for v, n in (("a", 4), ("b", 6), ("c", 5))}
+                for v, n in (("a", 4), ("b", 6), ("c", 5), ("d", 4))}
     batch = [
         TemporalQuery("a", "One before two three.", Moment(1, 2), "before",
                       ContextMoment.single(Moment(3, 3)), "two three"),
@@ -252,7 +272,8 @@ def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, t
     negatives = [
         Negatives([Moment(0, 0), Moment(2, 3)], [("b", Moment(1, 2))]),
         Negatives([Moment(3, 3)], []),
-        Negatives([Moment(1, 1), Moment(4, 4)], [("b", Moment(0, 4)), ("c", Moment(0, 4))]),
+        Negatives([Moment(1, 1), Moment(4, 4)],
+                  [("b", Moment(0, 4)), ("d", Moment(1, 3)), ("c", Moment(0, 4))]),
     ]
     corpus = Corpus(features, batch)
     vocab = Vocabulary.from_token_lists([ex.tokens for ex in batch[:2]])  # "six" is unknown
