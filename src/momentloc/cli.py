@@ -105,6 +105,7 @@ def cmd_train(args: argparse.Namespace) -> Record:
 def cmd_eval(args: argparse.Namespace) -> Record:
     corpus = dataset.load_corpus(args.corpus, split=args.split)
     bundle = load_model(args.model)
+    trainer.check_corpus(corpus, bundle.config)
     rows = [(f"model[{args.mode}]", evaluation.evaluate(corpus, bundle, mode=args.mode))]
     if args.baseline_prior:
         train_split = dataset.load_corpus(args.corpus, split="train")
@@ -137,10 +138,12 @@ def cmd_ablate(args: argparse.Namespace) -> Record:
     cells = [c.strip() for c in grid.pop("cells").split(",")]
     if cells == [""]:
         raise ValueError(f"{args.grid}: empty cell list")
-    for cell in cells:
+    for i, cell in enumerate(cells):
         # each name becomes a directory under cells/
         if cell in ("", ".", "..") or os.path.basename(cell) != cell:
             raise ValueError(f"{args.grid}: cell name {cell!r} is not a plain path component")
+        if cell in cells[:i]:
+            raise ValueError(f"{args.grid}: cell name {cell!r} is listed twice")
     overrides: dict[str, dict[str, str]] = {c: {} for c in cells}
     shared: dict[str, str] = {}
     for key, value in grid.items():
@@ -192,8 +195,11 @@ def _timeline(n: int, base: Moment, ctx_segments: frozenset[int]) -> str:
 
 
 def cmd_inspect(args: argparse.Namespace) -> Record:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     corpus = dataset.load_corpus(args.corpus, split=args.split)
     bundle = load_model(args.model)
+    trainer.check_corpus(corpus, bundle.config)
     if not 0 <= args.query < len(corpus.queries):
         raise ValueError(
             f"query index {args.query} out of range; split {args.split!r} has "

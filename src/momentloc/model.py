@@ -344,12 +344,6 @@ def _pool_moments(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
     return np.concatenate([blocks[shape][k] for shape, k in place])
 
 
-def _cached(cache, key, make):
-    if key not in cache:
-        cache[key] = make()
-    return cache[key]
-
-
 def _mlp_rows(tape, x, params, prefix):
     h = tape.relu(tape.linear_rows(
         x, tape.param(params[f"{prefix}.w1"]), tape.param(params[f"{prefix}.b1"]),
@@ -357,67 +351,59 @@ def _mlp_rows(tape, x, params, prefix):
     return tape.linear_rows(h, tape.param(params[f"{prefix}.w2"]), tape.param(params[f"{prefix}.b2"]))
 
 
-def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg, params, modality):
+def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg, params):
     """Projected (and, for normalized_mult, normalized) visual vectors of the
-    pairs, one row each, for pairs from several videos: `pair_counts[g]`
-    consecutive pairs come from `videos[g]`. Query-independent, so cached per
-    (modality, videos, pairs) for the cache's lifetime; on recording tapes
-    reuse is plain subgraph sharing.
+    pairs, one row each, per modality, for pairs from several videos:
+    `pair_counts[g]` consecutive pairs come from `videos[g]`. Query-independent,
+    so cached as one entry per (groups' videos, pair rows) for the cache's
+    lifetime, a batch in training and a video's queries in evaluation; on
+    recording tapes reuse is plain subgraph sharing.
 
-    The distinct videos are pooled in one `_pool_moments` call, and the base
-    and context MLPs run over the distinct moments that the pairs reference.
-    That pooled block, per (modality, distinct videos), and a branch MLP's
-    rows are cached too, for misses that share them: a cache lives for one
-    batch in training and for one video's queries in evaluation."""
-    m = modality
-    tables = [video[m] for video in videos]
-    key = ("fv", m, tuple((t.video_id, k) for t, k in zip(tables, pair_counts)),
+    The pair layout is built once for all modalities: the distinct videos get
+    consecutive blocks of moment keys, and the base and context MLPs run over
+    the distinct moments that the pairs reference. Per modality the distinct
+    videos are pooled in one `_pool_moments` call."""
+    key = ("fv", tuple((video[cfg.modalities[0]].video_id, k) for video, k in zip(videos, pair_counts)),
            base_rows.tobytes(), slot_rows.tobytes())
     if key in cache:
         return cache[key]
-    # every distinct table gets its own block of moment keys, and key -1, the
+    # every distinct video gets its own block of moment keys, and key -1, the
     # last row, is a padded context slot: zero features, PAD_TEF
     first: dict[int, int] = {}
-    distinct = []
+    distinct, video_tefs = [], []
     n_keys = 0
-    for t in tables:
-        if id(t) not in first:
-            first[id(t)] = n_keys
-            distinct.append(t)
-            n_keys += len(_moment_tefs(t.n_segments))
-    offset = np.repeat([first[id(t)] for t in tables], pair_counts)
+    for video in videos:
+        if id(video) not in first:
+            first[id(video)] = n_keys
+            distinct.append(video)
+            video_tefs.append(_moment_tefs(next(iter(video.values())).n_segments))
+            n_keys += len(video_tefs[-1])
+    offset = np.repeat([first[id(video)] for video in videos], pair_counts)
     base_keys = offset + base_rows
     slot_keys = np.where(slot_rows < 0, -1, offset[:, None] + slot_rows)
-    videos_key = tuple(t.video_id for t in distinct)
-    pooled = _cached(cache, ("pooled", m, videos_key), lambda: np.concatenate(
-        [_pool_moments(distinct), np.zeros((1, tables[0].dim))]))
-    n_pairs = len(base_rows)
-
-    def branch(keys, name):
-        used, rows = np.unique(keys, return_inverse=True)
-        mlp = _cached(cache, (name, m, videos_key, used.tobytes()), lambda: _mlp_rows(
-            tape, tape.constant(pooled[used]), params, f"{m}.{name}"))
-        return mlp, rows
-
-    parts = [branch(base_keys, "base")]
+    branches = [("base", *np.unique(base_keys, return_inverse=True))]
     if cfg.context_slots == 1:
-        parts.append(branch(slot_keys[:, 0], "ctx"))
+        branches.append(("ctx", *np.unique(slot_keys[:, 0], return_inverse=True)))
     else:
-        ctx_in = tape.constant(pooled[slot_keys].reshape(n_pairs, -1))
-        parts.append((_mlp_rows(tape, ctx_in, params, f"{m}.ctx"), None))
+        branches.append(("ctx", slot_keys, None))
+    tail = []
     if cfg.tef_mode != "none":
-        tefs = np.concatenate([_moment_tefs(t.n_segments) for t in distinct] + [[PAD_TEF]])
+        tefs = np.concatenate(video_tefs + [[PAD_TEF]])
         block = tefs[base_keys]
         if cfg.tef_mode == "contef":
-            block = np.concatenate([block, tefs[slot_keys].reshape(n_pairs, -1)], axis=1)
-        parts.append((tape.constant(block), None))
-    fv = tape.linear_rows(
-        tape.gather_rows(parts), tape.param(params[f"{m}.proj_w"]), tape.param(params[f"{m}.proj_b"]),
-    )
-    if cfg.similarity == "normalized_mult":
-        fv = tape.l2_normalize_rows(fv)
-    cache[key] = fv
-    return fv
+            block = np.concatenate([block, tefs[slot_keys].reshape(len(block), -1)], axis=1)
+        tail.append((tape.constant(block), None))
+    fvs = {}
+    for m in cfg.modalities:
+        tables = [video[m] for video in distinct]
+        pooled = np.concatenate([_pool_moments(tables), np.zeros((1, tables[0].dim))])
+        parts = [(_mlp_rows(tape, tape.constant(pooled[keys].reshape(len(keys), -1)), params,
+                            f"{m}.{name}"), rows) for name, keys, rows in branches]
+        fv = tape.linear_rows(tape.gather_rows(parts + tail),
+                              tape.param(params[f"{m}.proj_w"]), tape.param(params[f"{m}.proj_b"]))
+        fvs[m] = tape.l2_normalize_rows(fv) if cfg.similarity == "normalized_mult" else fv
+    cache[key] = fvs
+    return fvs
 
 
 def _query_rows(tape, fl, groups, pair_counts, cfg):
@@ -472,7 +458,9 @@ def score_grid(
     one row of one stacked computation, each row bit-identical to scoring the
     pair alone, so a call records one base MLP, one context MLP, one
     projection, one similarity head and one group max per modality, however
-    many groups it scores.
+    many groups it scores. The query-independent part, every modality's
+    projected pairs, is one `cache` entry (`_projected_rows`), which a later
+    call over the same videos and pairs on the same tape reads instead.
 
     Returns the fused scores, one entry per base in group order (late fusion
     of the per-modality maxima; the training loss backpropagates through it),
@@ -491,13 +479,13 @@ def score_grid(
     sizes = np.array([len(c) for c in candidates], dtype=np.intp)
     pair_counts = [len(rows) for rows, _, _ in grids]
     fl_ready = _query_rows(tape, fl, groups, pair_counts, cfg)
-    videos = [video for video, _, _, _ in groups]
+    fvs = _projected_rows(tape, cache, [video for video, _, _, _ in groups], pair_counts,
+                          base_rows, slot_rows, cfg, params)
     weights = fusion_weights(cfg.modalities, cfg.fusion_lambda)
     fused: Node | None = None
     fused_per_pair = np.zeros(len(base_rows))
     for m in cfg.modalities:
-        fv = _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg, params, m)
-        sims = _similarity_rows(tape, fv, fl_ready, cfg, params, m)
+        sims = _similarity_rows(tape, fvs[m], fl_ready, cfg, params, m)
         best, _ = tape.group_max(sims, sizes)
         weighted = tape.scale(best, weights[m])
         fused = weighted if fused is None else tape.add(fused, weighted)

@@ -236,7 +236,7 @@ def train(
     """
     if not corpus.queries:
         raise ValueError("corpus has no training queries")
-    _check_corpus(corpus, model_cfg)
+    check_corpus(corpus, model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     if vocab is None:
         vocab = Vocabulary.from_token_lists(q.tokens for q in corpus.queries)
@@ -286,13 +286,15 @@ def train(
     return ModelBundle(cfg, params, vocab), history
 
 
-def _check_corpus(corpus: Corpus, cfg: ModelConfig) -> None:
+def check_corpus(corpus: Corpus, cfg: ModelConfig) -> None:
+    """Reject a corpus that a model of `cfg` cannot score: a video without one
+    of its modalities, or features that are not `visual_dim` wide."""
     corpus.validate()
-    have = set(corpus.modalities())
-    want = set(cfg.modalities)
-    if not want <= have:
-        raise ValueError(f"config needs modalities {sorted(want)}, corpus has {sorted(have)}")
     for vid, tables in corpus.features.items():
+        if not set(cfg.modalities) <= set(tables):
+            raise ValueError(
+                f"config needs modalities {sorted(cfg.modalities)}, corpus has {sorted(tables)}"
+            )
         for m in cfg.modalities:
             if tables[m].dim != cfg.visual_dim:
                 raise ValueError(

@@ -245,6 +245,53 @@ def test_inspect_bad_index(ws, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_inspect_top_must_be_positive(ws, capsys):
+    """A negative --top would slice the last moments off the ranking."""
+    for top in ("0", "-3"):
+        assert main([
+            "inspect", "--corpus", ws["manifest"], "--model", str(ws["model"]),
+            "--query", "0", "--top", top,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --top must be at least 1, got {top}\n"
+
+
+def _without_flow(corpus):
+    manifest = corpus / "corpus.manifest"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.startswith("features flow")),
+                        encoding="utf-8")
+    return "config needs modalities ['flow', 'rgb'], corpus has ['rgb']"
+
+
+def _wide_rgb(corpus):
+    path = corpus / "features_rgb.txt"
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = line.split()
+        rows.append(f"{fields[0]} {fields[1]} 6" if len(fields) == 3 else line + " 0.0")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return "rgb features have dim 6, config expects visual_dim=5"
+
+
+@pytest.mark.parametrize("edit", [_without_flow, _wide_rgb])
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_eval_and_inspect_check_the_corpus_against_the_model(ws, tmp_path, capsys, edit, command):
+    """A corpus that lacks one of the model's modalities, or whose features
+    are not visual_dim wide, ends with an error line instead of a traceback
+    from the scorer."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(ws["corpus"], corpus)
+    message = edit(corpus)
+    extra = ["--out", str(tmp_path / "out")] if command == "eval" else ["--query", "0"]
+    assert main([command, "--corpus", str(corpus / "corpus.manifest"),
+                 "--model", str(ws["model"]), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 def test_stats_command(ws, tmp_path, capsys):
     out = tmp_path / "stats"
     assert main([
@@ -456,6 +503,17 @@ def test_ablate_rejects_cell_names_that_are_not_path_components(ws, tmp_path, ca
     err = capsys.readouterr().err
     assert f"{grid}: cell name" in err and "is not a plain path component" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["abl2", "grid.cfg", "one.cfg", "run"]
+
+
+def test_ablate_rejects_a_cell_listed_twice(ws, tmp_path, capsys):
+    """Two cells of one name would train twice into one cells/ directory and
+    report two rows of that name."""
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("cells = a, b, a\n" + MODEL_CFG, encoding="utf-8")
+    out = tmp_path / "abl"
+    assert main(["ablate", "--corpus", ws["manifest"], "--grid", str(grid), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {grid}: cell name 'a' is listed twice\n"
+    assert os.listdir(out) == []
 
 
 def test_ablate_bad_grid(ws, tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from momentloc.autodiff import Tape
 from momentloc.dataset import Corpus, TemporalQuery, tokenize
 from momentloc.encoders import Vocabulary
 from momentloc.evaluation import (
@@ -219,25 +220,51 @@ def test_iter_rankings_covers_every_query(rng):
     assert [len(r) for _, r in pairs] == [6, 6, 10]
 
 
-def test_shared_video_cache_matches_fresh_rankings(rng):
+@pytest.mark.parametrize("context_mode", ["global", "before_after", "latent"])
+def test_shared_video_cache_matches_fresh_rankings(rng, context_mode):
     """Sharing one inference tape and cache across a video's queries must give
-    every query the same ranking as scoring it in isolation. Guards the
-    language-embedding cache entry against keying mistakes: a key tied to a
-    collected object's address silently hands one query another query's
-    embedding once the allocator reuses the slot."""
-    video = tiny_video(rng, 4)
+    every query the same ranking, moments, scores and chosen contexts, as
+    scoring it in isolation, in latent and in gt_context mode. Guards the
+    cache keys: a key tied to a collected object's address silently hands one
+    query another query's embedding once the allocator reuses the slot, and
+    a key that missed the pinned context would hand a gt_context query
+    another query's context. The gt_context queries pin different contexts,
+    two pin the same one, and one pins none and falls back to latent."""
+    video = tiny_video(rng, 4, modalities=("rgb", "flow"))
+    pinned = [ContextMoment.single(Moment(s, e)) for s, e in ((1, 2), (0, 0), (3, 3), (1, 2), (2, 3))]
     queries = [
-        TemporalQuery("v0", f"word{i} alone here.", Moment(i % 4, i % 4))
+        TemporalQuery("v0", f"word{i} alone here.", Moment(i % 4, i % 4), "before",
+                      pinned[i] if i < len(pinned) else None)
         for i in range(8)
     ]
-    bundle = make_bundle(queries, similarity="normalized_mult")
+    bundle = make_bundle(queries, similarity="normalized_mult", context_mode=context_mode,
+                         modalities=("rgb", "flow"))
     corpus = Corpus({"v0": video}, queries)
-    shared = [ranking for _, ranking in iter_rankings(corpus, bundle)]
-    for query, got in zip(queries, shared):
-        fresh = rank_moments(video, query, bundle)
-        assert [(s.moment, s.score) for s in got] == [
-            (s.moment, s.score) for s in fresh
-        ]
+    for mode in ("latent", "gt_context"):
+        shared = [ranking for _, ranking in iter_rankings(corpus, bundle, mode)]
+        for query, got in zip(queries, shared):
+            fresh = rank_moments(video, query, bundle,
+                                 mode=mode if query.context is not None else "latent")
+            assert [(s.moment, s.score, s.chosen_context) for s in got] == [
+                (s.moment, s.score, s.chosen_context) for s in fresh
+            ]
+
+
+def test_a_ranking_leaves_one_cache_entry(rng):
+    """The scorer caches one ("fv", ...) entry per score_grid call that
+    misses, whatever the modalities: a second latent query of the video finds
+    it, and a gt_context query with a new pinned context adds one."""
+    video = tiny_video(rng, 4, modalities=("rgb", "flow"))
+    first = TemporalQuery("v0", "One thing.", Moment(0, 0), "before", ContextMoment.single(Moment(1, 2)))
+    second = TemporalQuery("v0", "Another thing.", Moment(1, 1))
+    bundle = make_bundle([first, second], modalities=("rgb", "flow"))
+    tape, cache = Tape(recording=False), {}
+    rank_moments(video, first, bundle, tape=tape, cache=cache)
+    assert [key[0] for key in cache] == ["fv"]
+    rank_moments(video, second, bundle, tape=tape, cache=cache)
+    assert len(cache) == 1
+    rank_moments(video, first, bundle, mode="gt_context", tape=tape, cache=cache)
+    assert [key[0] for key in cache] == ["fv", "fv"]
 
 
 # -- context analyses -----------------------------------------------------------------
