@@ -97,19 +97,24 @@ def _finish(sentence: str) -> str:
     return sentence[0].upper() + sentence[1:] + "."
 
 
+# The template grammar. Per temporal word: its surface templates over {x},
+# the earlier description, and {y}, the later one; the pair members (0
+# earlier, 1 later) whose span the query grounds to; and the member that is
+# its context.
+_GRAMMAR = {
+    "before": (("{x} before {y}", "before {y}, {x}"), (0,), 1),
+    "after": (("{y} after {x}", "after {x}, {y}"), (1,), 0),
+    "then": (("{x} then {y}",), (0, 1), 1),
+}
+
+
 def template_sentences(kind: str, x: str, y: str) -> list[str]:
     """Surface templates for one temporal word. x describes the earlier
     moment, y the later one."""
-    x, y = _fragment(x), _fragment(y)
-    if kind == "before":
-        raw = [f"{x} before {y}", f"before {y}, {x}"]
-    elif kind == "after":
-        raw = [f"{y} after {x}", f"after {x}, {y}"]
-    elif kind == "then":
-        raw = [f"{x} then {y}"]
-    else:
+    if kind not in _GRAMMAR:
         raise ValueError(f"no templates for kind {kind!r}")
-    return [_finish(s) for s in raw]
+    x, y = _fragment(x), _fragment(y)
+    return [_finish(t.format(x=x, y=y)) for t in _GRAMMAR[kind][0]]
 
 
 def adjacent_pairs(
@@ -132,14 +137,11 @@ def adjacent_pairs(
 def _compose(kind: str, video_id: str, sentence: str,
              x: Moment, x_text: str, y: Moment, y_text: str) -> TemporalQuery:
     """One query over moments x (earlier) and y (later), described by x_text
-    and y_text: "before" grounds to x with y as context, "after" to y with x
-    as context, "then" to the union span of x and y with y as context."""
-    base, ctx, ctx_text = {
-        "before": (x, y, y_text),
-        "after": (y, x, x_text),
-        "then": (Moment(x.start_seg, y.end_seg), y, y_text),
-    }[kind]
-    return TemporalQuery(video_id, sentence, base, kind, ContextMoment.single(ctx), ctx_text)
+    and y_text, grounded and given its context as `_GRAMMAR` says."""
+    _, grounds, ctx = _GRAMMAR[kind]
+    moments, texts = (x, y), (x_text, y_text)
+    base = Moment(moments[grounds[0]].start_seg, moments[grounds[-1]].end_seg)
+    return TemporalQuery(video_id, sentence, base, kind, ContextMoment.single(moments[ctx]), texts[ctx])
 
 
 def _pair_queries(x: BaseAnnotation, y: BaseAnnotation) -> list[TemporalQuery]:
@@ -147,7 +149,7 @@ def _pair_queries(x: BaseAnnotation, y: BaseAnnotation) -> list[TemporalQuery]:
     x_text, y_text = _fragment(x.sentence), _fragment(y.sentence)
     return [
         _compose(kind, x.video_id, s, x.moment, x_text, y.moment, y_text)
-        for kind in ("before", "after", "then")
+        for kind in _GRAMMAR
         for s in template_sentences(kind, x.sentence, y.sentence)
     ]
 
@@ -407,17 +409,10 @@ def _try_temporal_query(
     if not pairs:
         return None
 
-    def base_token(pair):
-        (ta, _), (tb, _) = pair
-        return ta if kind in ("before", "then") else tb
-
-    def ctx_token(pair):
-        (ta, _), (tb, _) = pair
-        return tb if kind in ("before", "then") else ta
-
-    pairs = [p for p in pairs if counts[ctx_token(p)] == 1] or pairs
-    ambiguous = [p for p in pairs if counts[base_token(p)] > 1]
-    plain = [p for p in pairs if counts[base_token(p)] <= 1]
+    _, grounds, ctx = _GRAMMAR[kind]
+    pairs = [p for p in pairs if counts[p[ctx][0]] == 1] or pairs
+    ambiguous = [p for p in pairs if counts[p[grounds[0]][0]] > 1]
+    plain = [p for p in pairs if counts[p[grounds[0]][0]] <= 1]
     ordered = []
     for group in (ambiguous, plain) if (ambiguous and rng.random() < 0.8) else (plain, ambiguous):
         idx = rng.permutation(len(group))
@@ -426,15 +421,12 @@ def _try_temporal_query(
     for (tok_a, mom_a), (tok_b, mom_b) in ordered:
         if tok_a == tok_b:
             continue
-        surf_a, surf_b = tok_a, tok_b
+        surf = [tok_a, tok_b]
         if alias_ctx:
-            if kind in ("before", "then"):
-                surf_b = event_alias(tok_b)
-            else:
-                surf_a = event_alias(tok_a)
-        sentences = template_sentences(kind, surf_a, surf_b)
+            surf[ctx] = event_alias(surf[ctx])
+        sentences = template_sentences(kind, *surf)
         sentence = sentences[int(rng.integers(len(sentences)))]
-        q = _compose(kind, video_id, sentence, mom_a, surf_a, mom_b, surf_b)
+        q = _compose(kind, video_id, sentence, mom_a, surf[0], mom_b, surf[1])
         try:
             answer = oracle_localize(q, truth)
         except OracleError:

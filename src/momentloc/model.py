@@ -77,7 +77,6 @@ class ModelConfig:
     joint_dim: int = 64
     sim_hidden: int = 64
     vocab_size: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.context_mode not in CONTEXT_MODES:
@@ -120,7 +119,11 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str, source: str = "<model config>") -> "ModelConfig":
-        return configio.dataclass_from_mapping(cls, configio.parse_flat_config(text, source), source)
+        mapping = configio.parse_flat_config(text, source)
+        # model.cfg files written before the field was dropped record an
+        # unused `seed`; parameters are drawn from TrainConfig.seed.
+        mapping.pop("seed", None)
+        return configio.dataclass_from_mapping(cls, mapping, source)
 
 
 class ModelParams:

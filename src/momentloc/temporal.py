@@ -100,6 +100,13 @@ def context_slot_count(context_mode: str) -> int:
     return 2 if context_mode == "before_after" else 1
 
 
+@functools.lru_cache(maxsize=None)
+def _single_contexts(n_segments: int) -> tuple[ContextMoment, ...]:
+    """The single-region context of every moment, in moments_of order, built
+    once per n and shared by every candidate list."""
+    return tuple(ContextMoment.single(m) for m in moments_of(n_segments))
+
+
 def context_set(context_mode: str, base: Moment, n_segments: int) -> list[ContextMoment]:
     """Candidate contexts scored for one base moment.
 
@@ -110,13 +117,14 @@ def context_set(context_mode: str, base: Moment, n_segments: int) -> list[Contex
     """
     validate_moment(base, n_segments)
     if context_mode == "global":
-        return [ContextMoment.single(Moment(0, n_segments - 1))]
+        # moment (0, n - 1), the whole video, is row n - 1 of moments_of
+        return [_single_contexts(n_segments)[n_segments - 1]]
     if context_mode == "before_after":
         before = Moment(0, base.start_seg - 1) if base.start_seg > 0 else None
         after = Moment(base.end_seg + 1, n_segments - 1) if base.end_seg < n_segments - 1 else None
         return [ContextMoment.pair(before, after)]
     if context_mode == "latent":
-        return [ContextMoment.single(m) for m in moments_of(n_segments)]
+        return list(_single_contexts(n_segments))
     raise ValueError(f"unknown context mode {context_mode!r}")
 
 

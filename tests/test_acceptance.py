@@ -147,7 +147,7 @@ def _loss_setup(rng, sim, tef_mode, loss):
         context_mode="latent", tef_mode=tef_mode, similarity=sim, loss=loss,
         context_supervision="strong", modalities=("rgb", "flow"), fusion_lambda=0.4,
         margin=0.3, visual_dim=4, mlp_hidden=5, visual_out_dim=4, embed_dim=3,
-        lstm_hidden=4, joint_dim=5, sim_hidden=3, vocab_size=8, seed=0,
+        lstm_hidden=4, joint_dim=5, sim_hidden=3, vocab_size=8,
     )
     features = {
         vid: tiny_video(rng, n_segments=5, dim=4, modalities=("rgb", "flow"), video_id=vid)

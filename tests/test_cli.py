@@ -8,6 +8,7 @@ import pytest
 from helpers import count_rank_calls
 from momentloc.cli import main
 from momentloc.dataset import TemporalQuery, load_corpus, save_annotations
+from momentloc.model import load_model
 from momentloc.temporal import Moment
 
 GEN_CFG = """\
@@ -373,6 +374,32 @@ def test_train_resume(ws, tmp_path, capsys):
     ])
     assert code == 1
     assert "--resume" in capsys.readouterr().err
+
+
+def test_model_cfg_with_seed_loads_and_resumes(ws, tmp_path, capsys):
+    """A model.cfg that still records the unused `seed` key loads as the
+    same config and resumes to the same files; a --model-config or ablation
+    grid that sets `seed` is an unknown key."""
+    assert _train(ws, tmp_path, tmp_path / "two", 2) == 0
+    old = tmp_path / "old"
+    shutil.copytree(tmp_path / "two", old)
+    with open(old / "model.cfg", "a", encoding="utf-8") as fh:
+        fh.write("seed = 0\n")
+    assert load_model(str(old)).config == load_model(str(tmp_path / "two")).config
+    assert _train(ws, tmp_path, tmp_path / "four", 4, "--resume", str(tmp_path / "two")) == 0
+    assert _train(ws, tmp_path, tmp_path / "old4", 4, "--resume", str(old)) == 0
+    assert _same_model(tmp_path / "four", tmp_path / "old4")
+    capsys.readouterr()
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(MODEL_CFG + "seed = 7\n", encoding="utf-8")
+    assert _train(ws, tmp_path, tmp_path / "bad", 1, "--model-config", str(seeded)) == 1
+    err = capsys.readouterr().err
+    assert "unknown keys ['seed']" in err and "valid keys" in err
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("cells = full\n" + MODEL_CFG + "full.seed = 7\n", encoding="utf-8")
+    assert main(["ablate", "--corpus", ws["manifest"], "--grid", str(grid),
+                 "--out", str(tmp_path / "abl")]) == 1
+    assert "unknown keys ['seed']" in capsys.readouterr().err
 
 
 def test_train_resume_history_errors(ws, tmp_path, capsys):

@@ -5,12 +5,14 @@ import pytest
 
 from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import (
+    _GRAMMAR,
     BaseAnnotation,
     Corpus,
     OracleError,
     SymbolicGroundTruth,
     SyntheticCorpusConfig,
     TemporalQuery,
+    _compose,
     adjacent_pairs,
     corpus_files,
     event_alias,
@@ -83,6 +85,36 @@ def test_template_sentences_surface_forms():
     assert template_sentences("then", "the dog runs.", "the cat sits.") == [
         "The dog runs then the cat sits.",
     ]
+
+
+GRAMMAR_TRUTH = SymbolicGroundTruth({"g": ["a", "b", "b", "c", "c", "c", "d"]})
+
+
+@pytest.mark.parametrize("word,template", [
+    (word, i) for word, (templates, _, _) in _GRAMMAR.items() for i in range(len(templates))
+])
+def test_every_template_grounds_as_the_oracle_and_its_roles_say(word, template):
+    """Each surface template of each word, composed over the adjacent runs b
+    (1-2, earlier) and c (3-5, later) of a video of distinct runs: the query's
+    moment is the oracle's answer, its context is the member the grammar
+    names, and its context fragment alone localizes to that context."""
+    members = (Moment(1, 2), Moment(3, 5))
+    sentence = template_sentences(word, "b.", "c.")[template]
+    query = _compose(word, "g", sentence, members[0], "b", members[1], "c")
+    _, _, ctx = _GRAMMAR[word]
+    assert query.temporal_word == word and query.sentence == sentence
+    assert query.moment == oracle_localize(query, GRAMMAR_TRUTH)
+    assert query.moment == {"before": members[0], "after": members[1], "then": Moment(1, 5)}[word]
+    assert query.context == ContextMoment.single(members[ctx])
+    assert query.context_sentence == "bc"[ctx]
+    fragment = TemporalQuery("g", query.context_sentence, Moment(0, 0))
+    assert oracle_localize(fragment, GRAMMAR_TRUTH) == members[ctx]
+
+
+@pytest.mark.parametrize("word", ["while", "none", "during"])
+def test_template_sentences_rejects_words_without_templates(word):
+    with pytest.raises(ValueError, match=f"no templates for kind '{word}'"):
+        template_sentences(word, "the dog runs", "the cat sits")
 
 
 def test_generate_template_queries_ratio_and_grounding():

@@ -219,6 +219,17 @@ def test_score_grid_equals_numpy_oracle_for_any_groups(mode, lengths, data):
     assert not any(_candidate_table(mode, n)[1].flags.writeable for n in lengths)
 
 
+def test_latent_candidate_lists_share_their_contexts():
+    """Every moment's latent candidates are the same ContextMoment objects,
+    so the table holds n(n+1)/2 contexts, not their square; each list is
+    still a list of its own, and the global candidate is one of them."""
+    sets, _ = _candidate_table("latent", 5)
+    assert sets[0] is not sets[-1]
+    assert all(a is b for a, b in zip(sets[0], sets[-1], strict=True))
+    (whole,) = context_set("global", Moment(2, 3), 5)
+    assert whole is sets[0][4] and whole.slots == (Moment(0, 4),)
+
+
 def test_score_grid_rejects_no_bases_and_bases_beyond_the_video(rng):
     cfg = tiny_model_config()
     params = init_params(cfg, rng)
