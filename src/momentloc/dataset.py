@@ -327,12 +327,12 @@ class Corpus:
         return next(iter(tables.values())).n_segments
 
     def validate(self) -> None:
+        modalities = set(self.modalities()) if self.features else set()
         for vid, tables in self.features.items():
-            dims = {m: t.dim for m, t in tables.items()}
             lengths = {t.n_segments for t in tables.values()}
             if len(lengths) != 1:
                 raise ValueError(f"video {vid!r}: modalities disagree on segment count")
-            if set(tables) != set(self.modalities()):
+            if set(tables) != modalities:
                 raise ValueError(f"video {vid!r}: missing modalities, has {sorted(tables)}")
         for i, q in enumerate(self.queries):
             if q.video_id not in self.features:
@@ -602,7 +602,8 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
     """The entries of a corpus manifest as (kind, key, file) triples: `key` is
     the modality of a features line, the split of an annotations line and
     None for the truth line; `file` is relative to the manifest's directory.
-    Blank and `#` lines are skipped; any other line is a `file:line` error."""
+    Blank and `#` lines are skipped; any other line, or a second line for
+    the same modality, split or truth, is a `file:line` error."""
     entries = []
     with open(manifest_path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -611,11 +612,15 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
                 continue
             parts = line.split()
             if parts[0] in ("features", "annotations") and len(parts) == 3:
-                entries.append((parts[0], parts[1], parts[2]))
+                entry = (parts[0], parts[1], parts[2])
             elif parts[0] == "truth" and len(parts) == 2:
-                entries.append(("truth", None, parts[1]))
+                entry = ("truth", None, parts[1])
             else:
                 raise ValueError(f"{manifest_path}:{lineno}: cannot parse {line!r}")
+            if any(e[:2] == entry[:2] for e in entries):
+                raise ValueError(f"{manifest_path}:{lineno}: repeats an earlier "
+                                 f"{' '.join(parts[:-1])!r} line")
+            entries.append(entry)
     return entries
 
 
@@ -649,7 +654,7 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
         features[vid] = {}
         for mod, tables in per_mod.items():
             if vid not in tables:
-                raise ValueError(f"video {vid!r} has no {mod} features")
+                raise ValueError(f"video {vid!r} has no {mod} features in {feature_paths[mod]}")
             features[vid][mod] = tables[vid]
     corpus = Corpus(features, queries)
     corpus.validate()

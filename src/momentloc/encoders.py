@@ -10,6 +10,7 @@ batch of queries as one stack.
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -186,53 +187,110 @@ def fusion_weights(modalities: Sequence[str], fusion_lambda: float) -> dict[str,
 
 
 def save_features(path: str, tables: Mapping[str, SegmentFeatureTable]) -> None:
+    """One block per video in id order, each written as one string: the
+    header, then a line of `repr` values per segment (`tolist` gives the
+    Python floats, so every value round-trips)."""
     with atomic_open(path) as fh:
         for vid in sorted(tables):
             t = tables[vid]
-            fh.write(f"{t.video_id} {t.n_segments} {t.dim}\n")
-            for row in t.features:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+            rows = "\n".join(" ".join(map(repr, row)) for row in t.features.tolist())
+            fh.write(f"{t.video_id} {t.n_segments} {t.dim}\n{rows}\n")
 
 
 def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
-    tables: dict[str, SegmentFeatureTable] = {}
+    """The tables of a `save_features` file, in file order.
+
+    The walk steps from header to header, one step per video; the rows of
+    every block of one width are then parsed by one `np.loadtxt` call,
+    numpy's C reader, which rounds as `float()` does. A malformed file fails
+    at its first faulty line as `path:line: ...`: a header fault stops the
+    walk, but a faulty row above it is reported first, and the row checks
+    (width, numeric, finite) read the rows one by one only once a width's
+    parse has failed. Lines end at `\n`, `\r\n` or `\r`, as an editor
+    counts them; `readlines` never holds the whole text at once.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.readlines()
+    # video id -> (index of its first row line, n_segments, dim, offset of
+    # its first row in the stack of its width)
+    blocks: dict[str, tuple[int, int, int, int]] = {}
+    rows_of: dict[int, list[str]] = {}
+    walk_error = None
     i = 0
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
-        header = lines[i].split()
-        if len(header) != 3:
-            raise ValueError(f"{path}:{i + 1}: expected 'video_id n_segments dim'")
-        vid, n_str, d_str = header
         try:
-            n, d = int(n_str), int(d_str)
-        except ValueError:
-            raise ValueError(f"{path}:{i + 1}: non-integer header fields") from None
-        if n < 1 or d < 1:
-            raise ValueError(f"{path}:{i + 1}: n_segments and dim must be >= 1, got {n} and {d}")
-        if vid in tables:
-            raise ValueError(f"{path}:{i + 1}: duplicate video id {vid!r}")
-        rows = np.zeros((n, d))
-        for r in range(n):
-            lineno = i + 2 + r
-            if lineno > len(lines):
-                raise ValueError(f"{path}: truncated block for video {vid!r}")
-            vals = lines[lineno - 1].split()
-            if len(vals) != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} values, got {len(vals)}")
-            try:
-                rows[r] = [float(v) for v in vals]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric feature value") from None
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{path}:{i + 2 + int(np.argmin(finite))}: non-finite feature value")
-        tables[vid] = SegmentFeatureTable(vid, modality, rows)
+            vid, n, d = _feature_header(lines[i].split(), blocks)
+        except ValueError as exc:
+            walk_error = f"{path}:{i + 1}: {exc}"
+            break
+        rows = rows_of.setdefault(d, [])
+        blocks[vid] = (i + 1, n, d, len(rows))
+        rows += lines[i + 1:i + 1 + n]
         i += 1 + n
-    return tables
+        if i > len(lines):
+            walk_error = f"{path}: truncated block for video {vid!r}"
+    stacks = {d: _parse_rows(rows, d) for d, rows in rows_of.items()}
+    if any(stack is None for stack in stacks.values()):
+        for start, n, d, _ in blocks.values():
+            for lineno in range(start + 1, min(start + n, len(lines)) + 1):
+                fault = _row_fault(lines[lineno - 1], d)
+                if fault:
+                    raise ValueError(f"{path}:{lineno}: {fault}")
+    if walk_error:
+        raise ValueError(walk_error)
+    # one copy per video, so that a split which keeps a few of the file's
+    # videos does not hold the whole stack of their width
+    return {
+        vid: SegmentFeatureTable(vid, modality, stacks[d][offset:offset + n].copy())
+        for vid, (_, n, d, offset) in blocks.items()
+    }
+
+
+def _feature_header(fields: list[str], seen: Mapping[str, object]) -> tuple[str, int, int]:
+    if len(fields) != 3:
+        raise ValueError("expected 'video_id n_segments dim'")
+    vid, n_str, d_str = fields
+    try:
+        n, d = int(n_str), int(d_str)
+    except ValueError:
+        raise ValueError("non-integer header fields") from None
+    if n < 1 or d < 1:
+        raise ValueError(f"n_segments and dim must be >= 1, got {n} and {d}")
+    if vid in seen:
+        raise ValueError(f"duplicate video id {vid!r}")
+    return vid, n, d
+
+
+def _parse_rows(rows: list[str], d: int) -> np.ndarray | None:
+    """`rows` as a (len(rows), d) array of finite values, or None if any row
+    is faulty. `np.loadtxt` skips blank lines (hence the row count check) and
+    warns, rather than fails, when every line is blank."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            values = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if values.shape != (len(rows), d) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _row_fault(line: str, d: int) -> str | None:
+    """What is wrong with one row line of a width-`d` block, if anything."""
+    fields = line.split()
+    if len(fields) != d:
+        return f"expected {d} values, got {len(fields)}"
+    try:
+        values = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return "non-numeric feature value"
+    if not np.isfinite(values).all():
+        return "non-finite feature value"
+    return None
 
 
 def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:

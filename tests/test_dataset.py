@@ -29,6 +29,7 @@ from momentloc.dataset import (
     tokenize,
     word_stats,
 )
+from momentloc.encoders import load_features, save_features
 from momentloc.temporal import ContextMoment, Moment
 
 
@@ -371,6 +372,44 @@ def test_manifest_line_errors_name_file_and_line(tmp_path):
     for load in (corpus_files, load_corpus):
         with pytest.raises(ValueError, match=f"corpus.manifest:{lineno}: cannot parse 'truth'"):
             load(manifest)
+
+
+def test_feature_file_load_then_save_is_byte_identical(tmp_path):
+    save_corpus(str(tmp_path / "gen"), generate_synthetic(CFG))
+    for mod in ("rgb", "flow"):
+        written = tmp_path / "gen" / f"features_{mod}.txt"
+        again = tmp_path / f"again_{mod}.txt"
+        save_features(str(again), load_features(str(written), mod))
+        assert again.read_bytes() == written.read_bytes()
+
+
+@pytest.mark.parametrize("line, kind", [
+    ("features rgb features_flow.txt", "features rgb"),
+    ("annotations test queries_train.json", "annotations test"),
+    ("truth truth.json", "truth"),
+])
+def test_manifest_rejects_a_repeated_entry(tmp_path, line, kind):
+    manifest = save_corpus(str(tmp_path), generate_synthetic(CFG))
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with open(manifest, encoding="utf-8") as fh:
+        lineno = len(fh.read().splitlines())
+    for load in (corpus_files, load_corpus):
+        with pytest.raises(ValueError, match=f"corpus.manifest:{lineno}: repeats an earlier '{kind}' line"):
+            load(manifest)
+
+
+def test_missing_features_name_the_feature_file(tmp_path):
+    syn = generate_synthetic(CFG)
+    manifest = save_corpus(str(tmp_path), syn)
+    vid = syn.train.queries[0].video_id
+    path = tmp_path / "features_flow.txt"
+    tables = load_features(str(path), "flow")
+    del tables[vid]
+    save_features(str(path), tables)
+    with pytest.raises(ValueError) as err:
+        load_corpus(manifest, split="train")
+    assert str(err.value) == f"video {vid!r} has no flow features in {path}"
 
 
 def test_corpus_integrity_missing_video(tmp_path):

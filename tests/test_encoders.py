@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,68 @@ def test_feature_file_errors(tmp_path):
         bad.write_text(f"v0 2 2\n1 2\n3 {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="bad.txt:3: non-finite feature value"):
             load_features(str(bad), "rgb")
+
+
+def test_feature_file_line_format(tmp_path):
+    # each value is its shortest round-trip repr; blocks go in id order and
+    # may differ in width
+    tables = {
+        "w": SegmentFeatureTable("w", "rgb", np.array([[1.5]])),
+        "v": SegmentFeatureTable("v", "rgb", np.array([
+            [-0.0, 5e-324, 1e-05],
+            [1e16, 1.7976931348623157e308, -2.5e-7],
+        ])),
+    }
+    path = tmp_path / "features_rgb.txt"
+    save_features(str(path), tables)
+    assert path.read_bytes() == (
+        b"v 2 3\n"
+        b"-0.0 5e-324 1e-05\n"
+        b"1e+16 1.7976931348623157e+308 -2.5e-07\n"
+        b"w 1 1\n"
+        b"1.5\n"
+    )
+    loaded = load_features(str(path), "rgb")
+    assert list(loaded) == ["v", "w"]
+    for vid in tables:
+        assert loaded[vid].features.tobytes() == tables[vid].features.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v0 1 2\n1.0 oops\n", "bad.txt:2: non-numeric feature value"),
+    ("v0 1 2\n1.0 2.0 3.0\n", "bad.txt:2: expected 2 values, got 3"),
+    ("v0 2 2\n1 2\n3\n", "bad.txt:3: expected 2 values, got 1"),
+    ("v0 2 2\n1.0 2.0\n", "bad.txt: truncated block for video 'v0'"),
+    ("v0 1\n", "bad.txt:1: expected 'video_id n_segments dim'"),
+    ("v0 1 x\n1\n", "bad.txt:1: non-integer header fields"),
+    ("v0 1 2\n1 2\nv0 1 2\n3 4\n", "bad.txt:3: duplicate video id 'v0'"),
+    ("v0 2 2\n1 2\n3 nan\n", "bad.txt:3: non-finite feature value"),
+    # a block one row short reads the next header as its last row
+    ("v0 3 2\n1 2\n3 4\nv1 1 2\n5 6\n", "bad.txt:4: expected 2 values, got 3"),
+    ("v0 3 2\n1 2\n\n3 4\n", "bad.txt:3: expected 2 values, got 0"),
+    ("v0 1 2\n  \n", "bad.txt:2: expected 2 values, got 0"),
+    ("v0 2 2\n1 2\n3 4#\n", "bad.txt:3: non-numeric feature value"),
+    ("v0 2 2\n1 2\n# 4\n", "bad.txt:3: non-numeric feature value"),
+    # float() accepts digit separators; the feature reader does not
+    ("v0 2 2\n1 2\n1_0 4\n", "bad.txt:3: non-numeric feature value"),
+    # the first faulty line in the file wins, whatever the widths of its block
+    ("a 1 2\n1 2\nb 1 3\n1 2 x\nc 1 2\n1 y\n", "bad.txt:4: non-numeric feature value"),
+    ("a 1 2\n1 2\nb 1 3\n1 2 3\nc 1 2\n1 y\nd 1 3\n1 2 inf\n", "bad.txt:6: non-numeric feature value"),
+    ("v0 2 2\n1 nan\n1 x\n", "bad.txt:2: non-finite feature value"),
+    # lines end at newlines, as an editor counts them; a form feed is
+    # whitespace inside a row
+    ("v0 1 2\r\n1 x\r\n", "bad.txt:2: non-numeric feature value"),
+    ("v0 1 2\n1\x0c2\nv1 1 x\n", "bad.txt:3: non-integer header fields"),
+])
+def test_feature_file_faults_name_their_line(tmp_path, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    # the error is the whole report: numpy's "no data" warning stays inside
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError) as err:
+        warnings.simplefilter("always")
+        load_features(str(bad), "rgb")
+    assert str(err.value) == f"{bad.parent}/{message}"
+    assert not caught
 
 
 def test_embedding_file(tmp_path):
