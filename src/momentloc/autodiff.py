@@ -465,7 +465,9 @@ class Tape:
                 _accumulate_owned(w, g @ xv)
                 _accumulate_owned(b, np.asarray(g.sum()))
 
-        return self._make(prod + bv, back)
+        # the product is a fresh array, so the bias goes in place
+        prod += bv
+        return self._make(prod, back)
 
     def _rows_and_row(self, x: Node, v: Node, op: str) -> None:
         if x.value.ndim != 2 or v.value.shape not in (x.value.shape[1:], x.value.shape):

@@ -106,7 +106,11 @@ def cmd_eval(args: argparse.Namespace) -> Record:
     corpus = dataset.load_corpus(args.corpus, split=args.split)
     bundle = load_model(args.model)
     trainer.check_corpus(corpus, bundle.config)
-    rows = [(f"model[{args.mode}]", evaluation.evaluate(corpus, bundle, mode=args.mode))]
+    wanted = [key for key, on in (("context_conditioned_delta", args.context_delta),
+                                  ("context_fragment_eval", args.fragment_eval)) if on]
+    report, analyses = evaluation.evaluate_with_analyses(
+        corpus, bundle, args.mode, evaluation.ANALYSED_WORDS if wanted else ())
+    rows = [(f"model[{args.mode}]", report)]
     if args.baseline_prior:
         train_split = dataset.load_corpus(args.corpus, split="train")
         prior = evaluation.FrequencyPrior.fit(train_split.queries)
@@ -117,11 +121,7 @@ def cmd_eval(args: argparse.Namespace) -> Record:
         "mode": args.mode,
         "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
     }
-    wanted = [key for key, on in (("context_conditioned_delta", args.context_delta),
-                                  ("context_fragment_eval", args.fragment_eval)) if on]
-    if wanted:
-        analyses = evaluation.context_analyses(corpus, bundle)
-        doc.update((key, analyses[key]) for key in wanted)
+    doc.update((key, analyses[key]) for key in wanted)
     configio.write_json(os.path.join(args.out, "metrics.json"), doc)
     table = evaluation.format_comparison_table(rows)
     with configio.atomic_open(os.path.join(args.out, "metrics.txt")) as fh:

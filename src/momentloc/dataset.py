@@ -523,6 +523,14 @@ def query_to_record(q: TemporalQuery) -> dict:
     return rec
 
 
+def _text(value: object, key: str) -> str:
+    """A sentence field that the query encoder can read: a string with at
+    least one token."""
+    if not isinstance(value, str) or not tokenize(value):
+        raise ValueError(f"{key} must be a string with at least one token, got {value!r}")
+    return value
+
+
 def record_to_query(rec: dict, where: str) -> TemporalQuery:
     """One annotation record as a query; every malformed field raises a
     ValueError that starts with `where`."""
@@ -538,8 +546,11 @@ def record_to_query(rec: dict, where: str) -> TemporalQuery:
             context = ContextMoment.pair(*regions)
         elif regions:
             raise ValueError(f"a context has 1 or 2 regions, got {len(regions)}")
-        return TemporalQuery(rec["video_id"], rec["sentence"], moment,
-                             rec.get("temporal_word", "none"), context, rec.get("context_sentence"))
+        context_sentence = rec.get("context_sentence")
+        return TemporalQuery(rec["video_id"], _text(rec["sentence"], "sentence"), moment,
+                             rec.get("temporal_word", "none"), context,
+                             None if context_sentence is None
+                             else _text(context_sentence, "context_sentence"))
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Node, Tape
 from .dataset import Corpus, TemporalQuery, tokenize
-from .encoders import SegmentFeatureTable, encode_query
+from .encoders import SegmentFeatureTable, encode_queries, encode_query
 from .model import ModelBundle, ScoredMoment, score_grid
 from .temporal import Moment, iou, moments_of, segment_iou
 
@@ -114,6 +114,8 @@ def _bucket(group: Sequence[QueryResult]) -> BucketMetrics:
 
 # -- model ranking ---------------------------------------------------------------
 
+ANALYSED_WORDS = ("before", "after")
+
 
 def rank_moments(
     video: Mapping[str, SegmentFeatureTable],
@@ -123,6 +125,7 @@ def rank_moments(
     tape: Tape | None = None,
     cache: dict | None = None,
     tokens: Sequence[str] | None = None,
+    encoded: Node | None = None,
 ) -> list[ScoredMoment]:
     """Score every candidate moment of the video for one query and sort by
     descending score (ties keep enumeration order).
@@ -130,6 +133,13 @@ def rank_moments(
     latent: contexts come from the model's context mode. gt_context: the
     stored ground-truth context is the only candidate; a query without one is
     an error here, callers decide the fallback.
+
+    The query is `tokens` when given (a context fragment), else the query's
+    sentence. `encoded` is that text already encoded, a (joint_dim,) node on
+    `tape`: the evaluation walk passes each query its row of the video's one
+    `encode_queries` stack, which is bit for bit the encoding of the text
+    alone. Without it (a cold call, such as `inspect`) the query is encoded
+    here. Either way the moments are scored by one `score_grid` call.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"eval mode must be one of {EVAL_MODES}, got {mode!r}")
@@ -141,11 +151,12 @@ def rank_moments(
     if cache is None:
         cache = {}
     n = next(iter(video.values())).n_segments
-    ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
-    fl = encode_query(tape, ids, params)
+    if encoded is None:
+        ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
+        encoded = encode_query(tape, ids, params)
     bases = moments_of(n)
     pinned = query.context if mode == "gt_context" else None
-    fused, chosen = score_grid(tape, cache, fl, [(video, 0, bases, pinned)], cfg, params)
+    fused, chosen = score_grid(tape, cache, encoded, [(video, 0, bases, pinned)], cfg, params)
     scored = [
         ScoredMoment(base, float(value), context)
         for base, value, context in zip(bases, fused.value, chosen)
@@ -158,44 +169,99 @@ def evaluate(
 ) -> MetricsReport:
     """Bucketed metrics over a corpus split. In gt_context mode, queries that
     carry no stored context fall back to latent scoring."""
+    return evaluate_with_analyses(corpus, bundle, mode, words=())[0]
+
+
+def evaluate_with_analyses(
+    corpus: Corpus, bundle: ModelBundle, mode: str = "latent",
+    words: Sequence[str] = ANALYSED_WORDS,
+) -> tuple[MetricsReport, dict]:
+    """`evaluate` and `context_analyses` from one walk over the split. In
+    latent mode an analysed query's metrics ranking is also the analyses'
+    full-sentence ranking, so it is ranked twice (sentence and fragment);
+    gt_context mode adds its pinned ranking."""
     results = []
-    for query, ranking in iter_rankings(corpus, bundle, mode):
-        results.append(
-            QueryResult(query.temporal_word, tuple(s.moment for s in ranking), (query.moment,))
-        )
-    return compute_metrics(results)
+
+    def analysed():
+        for query, ranking, analysis in _by_video(corpus, bundle, mode, words):
+            results.append(_result(query, ranking))
+            if query.temporal_word in words:
+                yield query, analysis
+
+    analyses = _analyses(analysed(), words)
+    return compute_metrics(results), analyses
 
 
 def iter_rankings(corpus: Corpus, bundle: ModelBundle, mode: str = "latent"):
     """(query, ranking) pairs, sharing one inference tape per video so
     query-independent visual work is reused."""
-    for query, rank in _by_video(corpus, bundle):
-        q_mode = mode if (mode == "latent" or query.context is not None) else "latent"
-        yield query, rank(q_mode)
+    for query, ranking, _ in _by_video(corpus, bundle, mode):
+        yield query, ranking
 
 
-def _by_video(corpus: Corpus, bundle: ModelBundle, words: Sequence[str] | None = None):
-    """Group the queries by video (only those of `words`, when given) and
-    walk the videos in sorted id order. Yields each query with its ranker:
-    `rank(mode="latent", tokens=None)` calls rank_moments on the video's
-    shared inference tape and cache."""
+def _result(query: TemporalQuery, ranking: Sequence[ScoredMoment]) -> QueryResult:
+    return QueryResult(query.temporal_word, tuple(s.moment for s in ranking), (query.moment,))
+
+
+def _by_video(
+    corpus: Corpus, bundle: ModelBundle, mode: str | None = None, words: Sequence[str] = ()
+):
+    """Walk the queries video by video, in sorted video id order, and yield
+    `(query, ranking, analysis)` for each.
+
+    `ranking` is the query's metrics ranking in `mode` (a gt_context query
+    without a stored context falls back to latent), or None when `mode` is
+    None; then only the queries of `words` are walked. `analysis` is the
+    query's `(full-sentence ranking, fragment ranking)`, both latent, when its
+    word is one of `words` and it has a stored context and a context
+    fragment; otherwise None. In latent mode the full-sentence ranking is the
+    metrics ranking itself.
+
+    Each video gets one inference tape and cache, shared by its rankings, and
+    one `encode_queries` call over the sentences it ranks and the fragments
+    it analyses; a query that is not ranked is not encoded. Every ranking is
+    one `rank_moments` call with its text's row of that stack (`take_row`).
+    """
     by_video: dict[str, list[TemporalQuery]] = {}
     for q in corpus.queries:
-        if words is None or q.temporal_word in words:
+        if mode is not None or q.temporal_word in words:
             by_video.setdefault(q.video_id, []).append(q)
     for vid in sorted(by_video):
-        video = corpus.features[vid]
+        texts: list[Sequence[str]] = []
+        plan = []  # per query: its sentence's and its fragment's rows of the stack
+        for q in by_video[vid]:
+            analyse = q.temporal_word in words and q.context is not None \
+                and q.context_sentence is not None
+            sentence = fragment = None
+            if mode is not None or analyse:
+                sentence = len(texts)
+                texts.append(q.tokens)
+            if analyse:
+                fragment = len(texts)
+                texts.append(tokenize(q.context_sentence))
+            plan.append((q, sentence, fragment))
         tape = Tape(recording=False)
         cache: dict = {}
-        for query in by_video[vid]:
-            yield query, functools.partial(rank_moments, video, query, bundle, tape=tape, cache=cache)
+        if texts:
+            stack = encode_queries(tape, [bundle.vocab.encode(t) for t in texts], bundle.params)
+        rank = functools.partial(rank_moments, corpus.features[vid], bundle=bundle, tape=tape,
+                                 cache=cache)
+        for q, sentence, fragment in plan:
+            ranking = analysis = None
+            if mode is not None:
+                q_mode = mode if (mode == "latent" or q.context is not None) else "latent"
+                ranking = rank(q, mode=q_mode, encoded=tape.take_row(stack, sentence))
+            if fragment is not None:
+                full = ranking if mode == "latent" else rank(q, encoded=tape.take_row(stack, sentence))
+                analysis = (full, rank(q, encoded=tape.take_row(stack, fragment)))
+            yield q, ranking, analysis
 
 
 # -- context analyses --------------------------------------------------------------
 
 
 def context_analyses(
-    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
+    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
     """Both context analyses from one walk over the queries of `words`, with
     one ranking of the full sentence and one of its context sentence fragment
@@ -213,16 +279,23 @@ def context_analyses(
     the full sentence's rank-1 moment. R@1 is exact segment-set equality and
     mIoU is segment-set IoU, so two-region contexts are handled.
     """
+    return _analyses(((q, analysis) for q, _, analysis in _by_video(corpus, bundle, None, words)),
+                     words)
+
+
+def _analyses(items, words: Sequence[str]) -> dict:
+    """The tables of context_analyses from `(query, analysis)` items in walk
+    order, `analysis` as `_by_video` yields it (None for an excluded query)."""
     rows: dict[str, dict[str, list]] = {w: {"all": [], "subset": []} for w in words}
     frag_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
     chosen_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
     excluded = two_region = 0
-    for q, rank in _by_video(corpus, bundle, words):
-        if q.context is None or q.context_sentence is None:
+    for q, analysis in items:
+        if analysis is None:
             excluded += 1
             continue
-        ranking = rank()
-        frag_top = rank(tokens=tokenize(q.context_sentence))[0].moment
+        ranking, fragment = analysis
+        frag_top = fragment[0].moment
         gt_set = q.context.segment_set()
         top = frozenset(frag_top.segments())
         frag_rows[q.temporal_word].append((float(top == gt_set), segment_iou(top, gt_set)))
@@ -268,14 +341,14 @@ def context_analyses(
 
 
 def context_conditioned_delta(
-    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
+    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
     """The context_conditioned_delta table of context_analyses."""
     return context_analyses(corpus, bundle, words)["context_conditioned_delta"]
 
 
 def context_fragment_eval(
-    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ("before", "after")
+    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
     """The context_fragment_eval table of context_analyses."""
     return context_analyses(corpus, bundle, words)["context_fragment_eval"]

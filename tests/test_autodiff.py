@@ -468,6 +468,26 @@ def test_row_ops_match_single_vector_ops_exactly():
             assert dist[i] == t.squared_distance(row, t.constant(v)).value
 
 
+@pytest.mark.parametrize("n_rows, k, m", [(1000, 7, 3), (1296, 24, 24), (1296, 24, 1)])
+def test_linear_rows_of_a_large_stack_match_per_row_products(n_rows, k, m):
+    """At the row counts of a latent ranking's similarity layer, each row of
+    `linear_rows` is `w @ x + b` of that row alone, bit for bit, for matrix
+    and for vector weights, and the op leaves its inputs as they were."""
+    rng = np.random.default_rng(n_rows + m)
+    x, w, b = rng.normal(size=(n_rows, k)), rng.normal(size=(m, k)), rng.normal(size=m)
+    v, s = w[0], b[0]
+    kept = (x.copy(), w.copy(), b.copy())
+    t = Tape(recording=False)
+    xs = t.constant(x)
+    lin = t.linear_rows(xs, t.constant(w), t.constant(b)).value
+    dot = t.linear_rows(xs, t.constant(v), t.constant(np.float64(s))).value
+    assert lin.shape == (n_rows, m) and dot.shape == (n_rows,)
+    for i in range(n_rows):
+        assert np.array_equal(lin[i], w @ x[i] + b)
+        assert dot[i] == v @ x[i] + s
+    assert all(np.array_equal(a, c) for a, c in zip((x, w, b), kept))
+
+
 def test_row_ops_over_two_stacks_match_single_vector_ops_exactly():
     """Pairing row i of one stack with row i of another gives, per row, the
     single-vector op on the two rows, bit for bit."""

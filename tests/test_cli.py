@@ -184,6 +184,25 @@ def test_eval_ranks_each_analysed_query_three_times(ws, tmp_path, monkeypatch, c
     assert len(calls) == len(split.queries) + 2 * len(analysed)
 
 
+@pytest.mark.parametrize("flags", [["--context-delta", "--fragment-eval"], ["--context-delta"],
+                                   ["--fragment-eval"], []])
+def test_latent_eval_ranks_each_analysed_query_twice(ws, tmp_path, monkeypatch, capsys, flags):
+    """In latent mode an analysed query's metrics ranking is the analyses'
+    full-sentence ranking: with either analysis it is ranked twice (sentence
+    and fragment), without one once, like every other query."""
+    split = load_corpus(ws["manifest"], split="test")
+    analysed = [q.sentence for q in split.queries if q.temporal_word in ("before", "after")
+                and q.context is not None and q.context_sentence is not None]
+    assert analysed
+    calls = count_rank_calls(monkeypatch)
+    assert main([
+        "eval", "--corpus", ws["manifest"], "--model", str(ws["model"]), *flags,
+        "--out", str(tmp_path / "eval"),
+    ]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted([q.sentence for q in split.queries] + (analysed if flags else []))
+
+
 def test_eval_into_the_model_directory_fails(ws, tmp_path, capsys):
     """Writing eval's run record into the model directory would replace the
     train manifest that a later `train --resume` reads."""

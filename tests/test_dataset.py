@@ -344,6 +344,33 @@ def test_annotation_errors(tmp_path):
         load_annotations(str(path))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sentence", 5),
+    ("sentence", ""),
+    ("sentence", " ... "),
+    ("context_sentence", 7),
+    ("context_sentence", ""),
+    ("context_sentence", "!?"),
+])
+def test_annotation_text_without_tokens_names_the_record(tmp_path, field, value):
+    """A sentence or present context fragment that is not a string, or has no
+    token, fails at load time with the file and record, not later in the
+    query encoder (where a bad fragment would fail its whole video)."""
+    good = {"video_id": "v", "sentence": "Ev001 before ev002.", "start_seg": 0, "end_seg": 0,
+            "temporal_word": "before", "ctx_regions": [[1, 1]], "context_sentence": "ev002"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([good, {**good, field: value}]), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_annotations(str(path))
+    assert str(err.value) == (
+        f"{path}: record 1: {field} must be a string with at least one token, got {value!r}"
+    )
+    # an absent fragment is still fine
+    del good["context_sentence"]
+    path.write_text(json.dumps([good]), encoding="utf-8")
+    assert load_annotations(str(path))[0].context_sentence is None
+
+
 def test_corpus_roundtrip(tmp_path):
     syn = generate_synthetic(CFG)
     manifest = save_corpus(str(tmp_path), syn)

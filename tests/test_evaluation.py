@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from momentloc import evaluation
 from momentloc.autodiff import Tape
 from momentloc.dataset import Corpus, TemporalQuery, tokenize
-from momentloc.encoders import Vocabulary
+from momentloc.encoders import Vocabulary, encode_queries
 from momentloc.evaluation import (
+    ANALYSED_WORDS,
+    EVAL_MODES,
     BucketMetrics,
     FrequencyPrior,
     MetricsReport,
@@ -17,9 +20,11 @@ from momentloc.evaluation import (
     context_conditioned_delta,
     context_fragment_eval,
     evaluate,
+    evaluate_with_analyses,
     format_comparison_table,
     iter_rankings,
     rank_moments,
+    _by_video,
 )
 from momentloc.model import ModelBundle, conform_context, init_params, score
 from momentloc.temporal import ContextMoment, Moment, enumerate_moments, iou
@@ -338,6 +343,111 @@ def test_context_analyses_rank_each_analysed_query_twice(rng, monkeypatch):
     assert both["context_conditioned_delta"]["after"] is None
     assert both["context_fragment_eval"]["excluded"] == 1
     assert both["context_fragment_eval"]["chosen_context"]["after"]["count"] == 1
+
+
+# -- the per-video stack -----------------------------------------------------------
+
+
+def stack_fixture(rng):
+    """Two videos whose sentences and fragments differ in length (1 to 7
+    tokens), so the stacked LSTM keeps the state of ended rows
+    (`select_rows`); v0 mixes analysed, fragment-less, context-less and
+    untemporal queries, and v1's only before/after query has no fragment."""
+    features = {"v0": tiny_video(rng, 5, modalities=("rgb", "flow"), video_id="v0"),
+                "v1": tiny_video(rng, 4, modalities=("rgb", "flow"), video_id="v1")}
+    ctx = ContextMoment.single
+    queries = [
+        TemporalQuery("v0", "one two three four five six seven.", Moment(0, 1), "before",
+                      ctx(Moment(2, 2)), "ctx"),
+        TemporalQuery("v0", "Short.", Moment(3, 3)),
+        TemporalQuery("v1", "three before four and more.", Moment(1, 1), "after",
+                      ctx(Moment(0, 0))),
+        TemporalQuery("v0", "eight after nine.", Moment(2, 4), "after",
+                      ctx(Moment(0, 1)), "the long context fragment here now"),
+        TemporalQuery("v0", "ten then eleven.", Moment(1, 2), "then", ctx(Moment(0, 0)), "ten"),
+        TemporalQuery("v0", "twelve before.", Moment(4, 4), "before"),
+        TemporalQuery("v1", "Thirteen fourteen.", Moment(2, 3)),
+        TemporalQuery("v0", "fifteen after sixteen.", Moment(1, 1), "after",
+                      ctx(Moment(3, 4)), "ctx two"),
+    ]
+    fragments = [q.context_sentence for q in queries if q.context_sentence]
+    bundle = make_bundle(queries, extra_sentences=fragments, similarity="normalized_mult",
+                         context_mode="latent", modalities=("rgb", "flow"))
+    return Corpus(features, queries), bundle
+
+
+def triples(ranking):
+    return [(s.moment, s.score, s.chosen_context) for s in ranking]
+
+
+def test_stacked_walk_matches_isolated_rankings(rng):
+    """Every ranking of the walk, from its query's row of the video's one
+    `encode_queries` stack, equals a cold `rank_moments` call of that text
+    alone, bit for bit: metrics rankings in both eval modes, and the full
+    sentence and fragment rankings of the analyses."""
+    corpus, bundle = stack_fixture(rng)
+
+    def alone(q, mode="latent", tokens=None):
+        return triples(rank_moments(corpus.features[q.video_id], q, bundle, mode, tokens=tokens))
+
+    for mode in EVAL_MODES:
+        for q, ranking in iter_rankings(corpus, bundle, mode):
+            assert triples(ranking) == alone(q, mode if q.context is not None else "latent")
+    analysed = 0
+    for mode in (None, *EVAL_MODES):
+        walked = list(_by_video(corpus, bundle, mode, ANALYSED_WORDS))
+        assert len(walked) == (len(corpus.queries) if mode else 5)
+        for q, ranking, analysis in walked:
+            if mode is not None:
+                assert triples(ranking) == alone(q, mode if q.context is not None else "latent")
+            if analysis is None:
+                assert q.temporal_word not in ANALYSED_WORDS or q.context_sentence is None
+                continue
+            analysed += 1
+            assert triples(analysis[0]) == alone(q)
+            assert triples(analysis[1]) == alone(q, tokens=tokenize(q.context_sentence))
+    assert analysed == 3 * 3
+
+
+def test_one_walk_gives_the_metrics_and_the_analyses(rng):
+    """`evaluate_with_analyses` is `evaluate` and `context_analyses` in one
+    walk, in both eval modes, and without analysed words it is `evaluate`."""
+    corpus, bundle = stack_fixture(rng)
+    analyses = context_analyses(corpus, bundle)
+    assert analyses["context_conditioned_delta"]["excluded"] == 2
+    for mode in EVAL_MODES:
+        report, both = evaluate_with_analyses(corpus, bundle, mode)
+        assert report.to_dict() == evaluate(corpus, bundle, mode).to_dict()
+        assert both == analyses
+        assert evaluate_with_analyses(corpus, bundle, mode, ())[0].to_dict() == report.to_dict()
+
+
+def test_each_video_is_encoded_in_one_stack(rng, monkeypatch):
+    """A walk makes one `encode_queries` call per video with a ranked query
+    and no `encode_query` call. The stack holds each ranked sentence once and
+    each analysed fragment; excluded queries are not encoded, so a video
+    with none to rank is not encoded at all."""
+    corpus, bundle = stack_fixture(rng)
+    stacks = []
+
+    def counted(tape, token_lists, params):
+        stacks.append(len(token_lists))
+        return encode_queries(tape, token_lists, params)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the walk encoded a query on its own")
+
+    monkeypatch.setattr(evaluation, "encode_queries", counted)
+    monkeypatch.setattr(evaluation, "encode_query", refused)
+    for mode in EVAL_MODES:
+        evaluate(corpus, bundle, mode)
+        assert stacks == [6, 2]  # v0's six sentences, v1's two
+        stacks.clear()
+        evaluate_with_analyses(corpus, bundle, mode)
+        assert stacks == [6 + 3, 2]  # and v0's three analysed fragments
+        stacks.clear()
+    context_analyses(corpus, bundle)
+    assert stacks == [3 + 3]  # v1's only after query has no fragment
 
 
 # -- frequency prior ------------------------------------------------------------------
