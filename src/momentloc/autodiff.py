@@ -21,6 +21,10 @@ Design, in brief:
   call per row, the same BLAS call a single-vector ``matmul`` makes. A row of
   the stack is therefore bit-identical to the same vector computed alone. One
   gemm (``x @ w.T``) would round differently. Backward passes use gemm.
+- ``gather_rows`` builds a stack from parts (indexed rows of a table, a
+  stack as it is, one vector in every row) by writing each part in turn
+  into its columns of one preallocated output, so a per-pair stack is
+  written once and at most one part's indexed rows are held beside it.
 - Stacked reductions that stand for a chain of scalar adds (``segment_sums``,
   and the scatter of repeated rows' gradients) add left to right, so their
   values equal the chain's bit for bit: they sum zero-padded slabs over a
@@ -566,27 +570,29 @@ class Tape:
         part. A part is (node, rows): an (m, d) node with an index array of
         length n gives its indexed rows (repeats allowed); an (n, d) node
         with None gives its rows as they are; a (d,) node with None gives
-        itself in every row."""
+        itself in every row. The parts' shapes are checked first; then each
+        part in turn is written into its columns of the one (n, total width)
+        output, so at most one part's indexed rows are held beside it."""
         if not parts:
             raise ValueError("gather_rows of zero parts")
-        blocks = []
+        shapes = []
         for node, rows in parts:
             v = node.value
             if rows is not None and v.ndim == 2:
-                blocks.append(v[rows])
+                shapes.append((len(rows), v.shape[1]))
             elif rows is None and v.ndim in (1, 2):
-                blocks.append(v)
+                shapes.append(v.shape)
             else:
                 index = "an index" if rows is not None else "no index"
                 raise ValueError(f"gather_rows: a part of shape {v.shape} cannot take {index}")
-        n_rows = {b.shape[0] for b in blocks if b.ndim == 2}
+        n_rows = {s[0] for s in shapes if len(s) == 2}
         if len(n_rows) != 1:
-            raise ValueError(
-                f"gather_rows: parts disagree on the row count: {[b.shape for b in blocks]}"
-            )
+            raise ValueError(f"gather_rows: parts disagree on the row count: {shapes}")
         (n,) = n_rows
-        blocks = [np.broadcast_to(b, (n, b.shape[0])) if b.ndim == 1 else b for b in blocks]
-        offsets = np.cumsum([0] + [b.shape[1] for b in blocks])
+        offsets = np.cumsum([0] + [s[-1] for s in shapes])
+        out = np.empty((n, int(offsets[-1])))
+        for (p, rows), lo, hi in zip(parts, offsets, offsets[1:]):
+            out[:, lo:hi] = p.value if rows is None else p.value.take(rows, axis=0)
 
         def back(node: Node) -> None:
             for (p, rows), lo, hi in zip(parts, offsets, offsets[1:]):
@@ -600,7 +606,7 @@ class Tape:
                 else:
                     _accumulate(p, g)
 
-        return self._make(np.concatenate(blocks, axis=1), back)
+        return self._make(out, back)
 
     def group_max(self, x: Node, sizes: Sequence[int]) -> tuple[Node, np.ndarray]:
         """Max over each group of a vector's entries, the groups being

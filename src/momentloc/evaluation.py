@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Node, Tape
 from .dataset import Corpus, TemporalQuery, tokenize
 from .encoders import SegmentFeatureTable, encode_queries, encode_query
-from .model import ModelBundle, ScoredMoment, score_grid
+from .model import ModelBundle, ScoredMoment, check_query_context, score_grid
 from .temporal import Moment, iou, moments_of, segment_iou
 
 BUCKET_ORDER = ("none", "before", "after", "then", "while")
@@ -156,6 +156,8 @@ def rank_moments(
         encoded = encode_query(tape, ids, params)
     bases = moments_of(n)
     pinned = query.context if mode == "gt_context" else None
+    if pinned is not None:
+        check_query_context(pinned, query.moment, cfg.context_slots, query.video_id, query.sentence)
     fused, chosen = score_grid(tape, cache, encoded, [(video, 0, bases, pinned)], cfg, params)
     scored = [
         ScoredMoment(base, float(value), context)

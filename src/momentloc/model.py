@@ -246,6 +246,17 @@ def conform_context(context: ContextMoment, base: Moment, n_slots: int) -> Conte
     )
 
 
+def check_query_context(context: ContextMoment, base: Moment, n_slots: int,
+                        video_id: str, sentence: str) -> None:
+    """Raise `conform_context`'s error for a query's stored context that does
+    not fit the slot count, naming the query's video and sentence. Whether a
+    context fits does not depend on the base."""
+    try:
+        conform_context(context, base, n_slots)
+    except ValueError as err:
+        raise ValueError(f"video {video_id!r}, query {sentence!r}: {err}") from None
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -307,14 +318,20 @@ def _grid_pairs(
 
 def _pool_stack(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
     """The (videos, moments, dim) pooled features of tables of one shape,
-    each video's moments in moments_of order (see _pool_moments)."""
+    each video's moments in moments_of order (see _pool_moments): one
+    preallocated array that the running sums are written into and that is
+    then divided in place."""
     n, dim = tables[0].features.shape
     if dim == 1:
         return np.array([[t.features[m.start_seg : m.end_seg + 1].mean(axis=0)
                           for m in moments_of(n)] for t in tables])
     feats = np.stack([t.features for t in tables])
-    sums = np.concatenate([np.cumsum(feats[:, s:], axis=1) for s in range(n)], axis=1)
-    pooled = sums / _moment_lengths(n)
+    pooled = np.empty((len(tables), n * (n + 1) // 2, dim))
+    at = 0
+    for s in range(n):
+        np.cumsum(feats[:, s:], axis=1, out=pooled[:, at : at + n - s])
+        at += n - s
+    pooled /= _moment_lengths(n)
     pooled += 0.0  # a run of -0.0 rows pools to +0.0, as mean gives
     return pooled
 
@@ -328,7 +345,9 @@ def _pool_moments(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
     Tables of one shape are stacked into one (videos, segments, dim) array,
     and one running sum per start segment along the segment axis (`np.cumsum`,
     which adds in the same order) gives the sums of every video's moments
-    that start there; one division by the moment lengths makes them means.
+    that start there. Each start segment's sums are written straight into its
+    block of one preallocated (videos, moments, dim) array, and one in-place
+    division by the moment lengths makes them means.
     The running sum starts from the first row and `mean` from +0.0, which
     differ only where every row added so far is -0.0; adding +0.0 to the
     means makes those +0.0 too. A single feature column is summed pairwise
@@ -365,7 +384,11 @@ def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg,
     The pair layout is built once for all modalities: the distinct videos get
     consecutive blocks of moment keys, and the base and context MLPs run over
     the distinct moments that the pairs reference. Per modality the distinct
-    videos are pooled in one `_pool_moments` call."""
+    videos are pooled in one `_pool_moments` call. The projection input is
+    one `gather_rows` of the MLP outputs and the endpoint features, the
+    constant table of every moment key's (start, end) read by the base keys
+    and, for contef, by each slot's keys, so the per-pair block is written
+    once."""
     key = ("fv", tuple((video[cfg.modalities[0]].video_id, k) for video, k in zip(videos, pair_counts)),
            base_rows.tobytes(), slot_rows.tobytes())
     if key in cache:
@@ -391,11 +414,10 @@ def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg,
         branches.append(("ctx", slot_keys, None))
     tail = []
     if cfg.tef_mode != "none":
-        tefs = np.concatenate(video_tefs + [[PAD_TEF]])
-        block = tefs[base_keys]
+        tefs = tape.constant(np.concatenate(video_tefs + [[PAD_TEF]]))
+        tail.append((tefs, base_keys))
         if cfg.tef_mode == "contef":
-            block = np.concatenate([block, tefs[slot_keys].reshape(len(block), -1)], axis=1)
-        tail.append((tape.constant(block), None))
+            tail.extend((tefs, keys) for keys in slot_keys.T)
     fvs = {}
     for m in cfg.modalities:
         tables = [video[m] for video in distinct]

@@ -23,6 +23,7 @@ from .model import (
     ModelBundle,
     ModelConfig,
     ModelParams,
+    check_query_context,
     init_params,
     log_logistic_loss,
     ranking_loss,
@@ -132,9 +133,12 @@ def _pinned_context(example: TemporalQuery, n_segments: int, cfg: ModelConfig) -
     the stored ground-truth context (when it fits the video), so the loss
     compares moments under the same known context rather than letting each
     side pick its own. Examples without a stored context, and weak mode, get
-    None: the max runs over the mode's candidate set."""
+    None: the max runs over the mode's candidate set. A stored context that
+    does not fit the slot count is an error naming the example."""
     if cfg.context_supervision == "strong" and example.context is not None:
         if all(r.end_seg < n_segments for r in example.context.regions):
+            check_query_context(example.context, example.moment, cfg.context_slots,
+                                example.video_id, example.sentence)
             return example.context
     return None
 

@@ -2,6 +2,7 @@
 finite differences, SGD mechanics, and the checkpoint wire format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -640,6 +641,48 @@ def test_gather_rows_gives_constant_parts_no_gradient():
         assert constant._grad is None
         assert not constant.grad.any()
     np.testing.assert_allclose(p.grad, _add_at_reference((4, 3), rows, w[:, :3]), rtol=1e-12)
+
+
+def test_gather_rows_equals_the_concatenation_of_its_parts():
+    """The one output holds, bit for bit, what concatenating the parts'
+    blocks gives: indexed rows (repeats, and -1 for the last row), stacks as
+    they are and vectors in every row, in any order."""
+    rng = np.random.default_rng(6)
+    tape = Tape(recording=False)
+    table = tape.constant(rng.normal(size=(5, 3)))
+    stack = tape.constant(rng.normal(size=(7, 2)))
+    vec = tape.constant(rng.normal(size=4))
+    rows = np.array([4, 0, -1, 2, 2, -1, 1])
+    other = np.array([3, 3, 3, 0, 1, 2, -1])
+    for parts in ([(table, rows)], [(stack, None), (vec, None)],
+                  [(vec, None), (table, rows), (stack, None), (table, other), (vec, None)]):
+        blocks = [np.broadcast_to(n.value, (7, n.value.shape[0])) if n.value.ndim == 1
+                  else n.value if r is None else n.value[r] for n, r in parts]
+        got = tape.gather_rows(parts).value
+        assert got.shape == (7, sum(b.shape[1] for b in blocks))
+        assert got.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
+
+def test_gather_rows_holds_no_copy_of_every_part():
+    """A 1296-row gather of three indexed parts, the shape of an 8-segment
+    ranking's projection input, never holds more than its output and one
+    part's rows at a time. numpy reports its allocations to tracemalloc, so
+    the peak is exact."""
+    rng = np.random.default_rng(7)
+    tape = Tape(recording=False)
+    widths = (24, 24, 4)
+    parts = [(tape.constant(rng.normal(size=(37, w))), rng.integers(-1, 37, size=1296))
+             for w in widths]
+    out_bytes = 1296 * sum(widths) * 8
+    largest = 1296 * max(widths) * 8
+    tracemalloc.start()
+    try:
+        out = tape.gather_rows(parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.value.nbytes == out_bytes
+    assert peak < out_bytes + largest + 16 * 1024
 
 
 def test_segment_sums_add_left_to_right_like_a_chain_of_adds():

@@ -189,6 +189,18 @@ def test_rank_moments_gt_context_mode(rng):
         rank_moments(video, query, bundle, mode="oracle")
 
 
+def test_gt_context_eval_names_the_query_whose_context_does_not_fit(rng):
+    """A two-region stored context under a 1-slot model fails the gt_context
+    evaluation with an error that names the video and the sentence."""
+    features = {"v0": tiny_video(rng, 5, video_id="v0")}
+    two = ContextMoment.pair(Moment(0, 0), Moment(4, 4))
+    queries = [TemporalQuery("v0", "First thing.", Moment(1, 1)),
+               TemporalQuery("v0", "A between b and c.", Moment(2, 3), "while", two)]
+    bundle = make_bundle(queries, context_mode="latent")
+    with pytest.raises(ValueError, match=r"video 'v0', query 'A between b and c\.'.*does not fit"):
+        evaluate(Corpus(features, queries), bundle, "gt_context")
+
+
 def test_evaluate_and_fallback(rng):
     features = {
         "v0": tiny_video(rng, 4, video_id="v0"),

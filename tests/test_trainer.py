@@ -497,6 +497,15 @@ def test_train_strong_supervision_path(rng):
     assert len(history) == 2
 
 
+def test_strong_supervision_names_the_example_whose_context_does_not_fit(rng):
+    corpus = small_corpus(rng)
+    corpus.queries[1] = replace(corpus.queries[1],
+                                context=ContextMoment.pair(Moment(0, 0), Moment(3, 3)))
+    cfg = tiny_model_config(context_supervision="strong", context_mode="latent")
+    with pytest.raises(ValueError, match=r"video 'v1', query 'B after a\.'.*does not fit"):
+        train(corpus, cfg, TrainConfig(epochs=1, batch_size=3, seed=2))
+
+
 def test_train_frozen_embedding(rng):
     corpus = small_corpus(rng)
     cfg = tiny_model_config(embed_dim=2)
