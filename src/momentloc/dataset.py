@@ -326,7 +326,11 @@ class Corpus:
         tables = self.features[video_id]
         return next(iter(tables.values())).n_segments
 
-    def validate(self) -> None:
+    def validate(self, record: str = "query") -> None:
+        """Raise a ValueError for videos whose modalities disagree and for a
+        query whose video is missing or whose moment or context runs past the
+        video's end. A query's error starts with `{record} {i}:`, `i` its
+        index; `load_corpus` passes `{file}: record`."""
         modalities = set(self.modalities()) if self.features else set()
         for vid, tables in self.features.items():
             lengths = {t.n_segments for t in tables.values()}
@@ -335,15 +339,16 @@ class Corpus:
             if set(tables) != modalities:
                 raise ValueError(f"video {vid!r}: missing modalities, has {sorted(tables)}")
         for i, q in enumerate(self.queries):
-            if q.video_id not in self.features:
-                raise ValueError(
-                    f"query {i} references missing video {q.video_id!r}"
-                )
-            n = self.n_segments(q.video_id)
-            validate_moment(q.moment, n)
-            if q.context is not None:
-                for region in q.context.regions:
-                    validate_moment(region, n)
+            try:
+                if q.video_id not in self.features:
+                    raise ValueError(f"references missing video {q.video_id!r}")
+                n = self.n_segments(q.video_id)
+                validate_moment(q.moment, n)
+                for region in q.context.regions if q.context is not None else ():
+                    if region.end_seg >= n:
+                        raise ValueError(f"context {region} exceeds video with {n} segments")
+            except ValueError as exc:
+                raise ValueError(f"{record} {i}: {exc}") from None
 
 
 @dataclass
@@ -531,14 +536,35 @@ def _text(value: object, key: str) -> str:
     return value
 
 
+def _segment(value: object, key: str) -> int:
+    """A segment index field: an integer, a float with no fractional part, or
+    a string of digits. A boolean or any other value is an error naming
+    `key`; a string that is no integer keeps int()'s error."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)) \
+            or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{key}: {value!r} is not a whole segment index")
+
+
 def record_to_query(rec: dict, where: str) -> TemporalQuery:
     """One annotation record as a query; every malformed field raises a
     ValueError that starts with `where`."""
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: expected an object, got {type(rec).__name__}")
     try:
-        moment = Moment(int(rec["start_seg"]), int(rec["end_seg"]))
-        regions = [Moment(int(s), int(e)) for s, e in rec.get("ctx_regions") or ()]
+        video_id = rec["video_id"]
+        if not isinstance(video_id, str):
+            raise ValueError(f"video_id must be a string, got {video_id!r}")
+        moment = Moment(_segment(rec["start_seg"], "start_seg"),
+                        _segment(rec["end_seg"], "end_seg"))
+        pairs = rec.get("ctx_regions")
+        if pairs is None:
+            pairs = []
+        if not isinstance(pairs, list) \
+                or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ValueError(f"ctx_regions must be a list of [start_seg, end_seg] pairs, "
+                             f"got {pairs!r}")
+        regions = [Moment(_segment(s, "ctx_regions"), _segment(e, "ctx_regions")) for s, e in pairs]
         context = None
         if len(regions) == 1:
             context = ContextMoment.single(regions[0])
@@ -547,7 +573,7 @@ def record_to_query(rec: dict, where: str) -> TemporalQuery:
         elif regions:
             raise ValueError(f"a context has 1 or 2 regions, got {len(regions)}")
         context_sentence = rec.get("context_sentence")
-        return TemporalQuery(rec["video_id"], _text(rec["sentence"], "sentence"), moment,
+        return TemporalQuery(video_id, _text(rec["sentence"], "sentence"), moment,
                              rec.get("temporal_word", "none"), context,
                              None if context_sentence is None
                              else _text(context_sentence, "context_sentence"))
@@ -657,8 +683,12 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
             f"{manifest_path}: no annotations for split {split!r}, "
             f"have {sorted(annotation_paths)}"
         )
-    queries = load_annotations(annotation_paths[split])
+    path = annotation_paths[split]
+    queries = load_annotations(path)
     per_mod = {mod: load_features(p, mod) for mod, p in feature_paths.items()}
+    for i, q in enumerate(queries):
+        if not any(q.video_id in tables for tables in per_mod.values()):
+            raise ValueError(f"{path}: record {i}: no feature file has video {q.video_id!r}")
     videos = {q.video_id for q in queries}
     features: dict[str, dict[str, SegmentFeatureTable]] = {}
     for vid in sorted(videos):
@@ -668,6 +698,6 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
                 raise ValueError(f"video {vid!r} has no {mod} features in {feature_paths[mod]}")
             features[vid][mod] = tables[vid]
     corpus = Corpus(features, queries)
-    corpus.validate()
+    corpus.validate(f"{path}: record")
     return corpus
 

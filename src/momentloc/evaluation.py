@@ -157,7 +157,8 @@ def rank_moments(
     bases = moments_of(n)
     pinned = query.context if mode == "gt_context" else None
     if pinned is not None:
-        check_query_context(pinned, query.moment, cfg.context_slots, query.video_id, query.sentence)
+        check_query_context(pinned, query.moment, cfg.context_slots, n, query.video_id,
+                            query.sentence)
     fused, chosen = score_grid(tape, cache, encoded, [(video, 0, bases, pinned)], cfg, params)
     scored = [
         ScoredMoment(base, float(value), context)
@@ -175,29 +176,43 @@ def evaluate(
 
 
 def evaluate_with_analyses(
-    corpus: Corpus, bundle: ModelBundle, mode: str = "latent",
+    corpus: Corpus, bundle: ModelBundle, mode: str | None = "latent",
     words: Sequence[str] = ANALYSED_WORDS,
-) -> tuple[MetricsReport, dict]:
-    """`evaluate` and `context_analyses` from one walk over the split. In
-    latent mode an analysed query's metrics ranking is also the analyses'
-    full-sentence ranking, so it is ranked twice (sentence and fragment);
-    gt_context mode adds its pinned ranking."""
+) -> tuple[MetricsReport | None, dict]:
+    """The metrics in `mode` and both context analyses of `words` from one
+    walk over the split. With `mode` None the walk ranks only the analysed
+    queries and the report is None. Each analysed query has one ranking of
+    the full sentence and one of its context sentence fragment, both latent;
+    in latent mode the first is also its metrics ranking, and gt_context mode
+    adds its pinned ranking. Queries lacking a stored context or fragment are
+    excluded and counted.
+
+    context_conditioned_delta: how much easier are queries whose context the
+    model already finds? Per word, the metrics of the subset whose fragment
+    ranks the ground-truth context at rank 1, against all queries of the
+    word, and their deltas. Two-region contexts are excluded too.
+
+    context_fragment_eval: can the model localize the context itself? Row
+    "fragment_as_query" scores the fragment's rank-1 moment against the
+    ground-truth context; row "chosen_context" scores the chosen context of
+    the full sentence's rank-1 moment. R@1 is exact segment-set equality and
+    mIoU is segment-set IoU, so two-region contexts are handled.
+    """
     results = []
-
-    def analysed():
-        for query, ranking, analysis in _by_video(corpus, bundle, mode, words):
+    items = []
+    for query, ranking, analysis in _by_video(corpus, bundle, mode, words):
+        if ranking is not None:
             results.append(_result(query, ranking))
-            if query.temporal_word in words:
-                yield query, analysis
-
-    analyses = _analyses(analysed(), words)
-    return compute_metrics(results), analyses
+        if query.temporal_word in words:
+            items.append((query, analysis))
+    report = None if mode is None else compute_metrics(results)
+    return report, _analyses(items, words)
 
 
 def iter_rankings(corpus: Corpus, bundle: ModelBundle, mode: str = "latent"):
     """(query, ranking) pairs, sharing one inference tape per video so
     query-independent visual work is reused."""
-    for query, ranking, _ in _by_video(corpus, bundle, mode):
+    for query, ranking, _ in _by_video(corpus, bundle, mode, ()):
         yield query, ranking
 
 
@@ -205,19 +220,19 @@ def _result(query: TemporalQuery, ranking: Sequence[ScoredMoment]) -> QueryResul
     return QueryResult(query.temporal_word, tuple(s.moment for s in ranking), (query.moment,))
 
 
-def _by_video(
-    corpus: Corpus, bundle: ModelBundle, mode: str | None = None, words: Sequence[str] = ()
-):
+def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str | None, words: Sequence[str]):
     """Walk the queries video by video, in sorted video id order, and yield
     `(query, ranking, analysis)` for each.
 
     `ranking` is the query's metrics ranking in `mode` (a gt_context query
     without a stored context falls back to latent), or None when `mode` is
-    None; then only the queries of `words` are walked. `analysis` is the
-    query's `(full-sentence ranking, fragment ranking)`, both latent, when its
-    word is one of `words` and it has a stored context and a context
-    fragment; otherwise None. In latent mode the full-sentence ranking is the
-    metrics ranking itself.
+    None: that is the analyses-only walk of `evaluate_with_analyses`, and it
+    walks only the queries of `words`. `analysis` is the query's
+    `(full-sentence ranking, fragment ranking)`, both latent, when its word
+    is one of `words` and it has a stored context and a context fragment;
+    otherwise None. `words` is empty for a walk without analyses (`evaluate`,
+    `iter_rankings`). In latent mode the full-sentence ranking is the metrics
+    ranking itself.
 
     Each video gets one inference tape and cache, shared by its rankings, and
     one `encode_queries` call over the sentences it ranks and the fragments
@@ -262,32 +277,10 @@ def _by_video(
 # -- context analyses --------------------------------------------------------------
 
 
-def context_analyses(
-    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
-) -> dict:
-    """Both context analyses from one walk over the queries of `words`, with
-    one ranking of the full sentence and one of its context sentence fragment
-    per query. Queries lacking a stored context or fragment are excluded and
-    counted.
-
-    context_conditioned_delta: how much easier are queries whose context the
-    model already finds? Per word, the metrics of the subset whose fragment
-    ranks the ground-truth context at rank 1, against all queries of the
-    word, and their deltas. Two-region contexts are excluded too.
-
-    context_fragment_eval: can the model localize the context itself? Row
-    "fragment_as_query" scores the fragment's rank-1 moment against the
-    ground-truth context; row "chosen_context" scores the chosen context of
-    the full sentence's rank-1 moment. R@1 is exact segment-set equality and
-    mIoU is segment-set IoU, so two-region contexts are handled.
-    """
-    return _analyses(((q, analysis) for q, _, analysis in _by_video(corpus, bundle, None, words)),
-                     words)
-
-
 def _analyses(items, words: Sequence[str]) -> dict:
-    """The tables of context_analyses from `(query, analysis)` items in walk
-    order, `analysis` as `_by_video` yields it (None for an excluded query)."""
+    """The tables of evaluate_with_analyses from its `(query, analysis)`
+    items in walk order, `analysis` as `_by_video` yields it (None for an
+    excluded query)."""
     rows: dict[str, dict[str, list]] = {w: {"all": [], "subset": []} for w in words}
     frag_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
     chosen_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
@@ -306,7 +299,7 @@ def _analyses(items, words: Sequence[str]) -> dict:
         if len(q.context.regions) != 1:
             two_region += 1
             continue
-        result = QueryResult(q.temporal_word, tuple(s.moment for s in ranking), (q.moment,))
+        result = _result(q, ranking)
         rows[q.temporal_word]["all"].append(result)
         if frag_top == q.context.regions[0]:
             rows[q.temporal_word]["subset"].append(result)
@@ -345,15 +338,15 @@ def _analyses(items, words: Sequence[str]) -> dict:
 def context_conditioned_delta(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
-    """The context_conditioned_delta table of context_analyses."""
-    return context_analyses(corpus, bundle, words)["context_conditioned_delta"]
+    """The context_conditioned_delta table of evaluate_with_analyses."""
+    return evaluate_with_analyses(corpus, bundle, None, words)[1]["context_conditioned_delta"]
 
 
 def context_fragment_eval(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
-    """The context_fragment_eval table of context_analyses."""
-    return context_analyses(corpus, bundle, words)["context_fragment_eval"]
+    """The context_fragment_eval table of evaluate_with_analyses."""
+    return evaluate_with_analyses(corpus, bundle, None, words)[1]["context_fragment_eval"]
 
 
 # -- frequency prior -----------------------------------------------------------------

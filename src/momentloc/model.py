@@ -246,12 +246,16 @@ def conform_context(context: ContextMoment, base: Moment, n_slots: int) -> Conte
     )
 
 
-def check_query_context(context: ContextMoment, base: Moment, n_slots: int,
+def check_query_context(context: ContextMoment, base: Moment, n_slots: int, n_segments: int,
                         video_id: str, sentence: str) -> None:
-    """Raise `conform_context`'s error for a query's stored context that does
-    not fit the slot count, naming the query's video and sentence. Whether a
-    context fits does not depend on the base."""
+    """Raise for a query's stored context that runs past the end of its video
+    of `n_segments`, or that does not fit the slot count (`conform_context`'s
+    error), naming the query's video and sentence. Whether a context fits
+    does not depend on the base."""
     try:
+        for region in context.regions:
+            if region.end_seg >= n_segments:
+                raise ValueError(f"context {region} exceeds video with {n_segments} segments")
         conform_context(context, base, n_slots)
     except ValueError as err:
         raise ValueError(f"video {video_id!r}, query {sentence!r}: {err}") from None

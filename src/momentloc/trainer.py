@@ -137,7 +137,7 @@ def _pinned_context(example: TemporalQuery, n_segments: int, cfg: ModelConfig) -
     does not fit the slot count is an error naming the example."""
     if cfg.context_supervision == "strong" and example.context is not None:
         if all(r.end_seg < n_segments for r in example.context.regions):
-            check_query_context(example.context, example.moment, cfg.context_slots,
+            check_query_context(example.context, example.moment, cfg.context_slots, n_segments,
                                 example.video_id, example.sentence)
             return example.context
     return None

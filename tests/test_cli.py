@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import count_rank_calls
 from momentloc.cli import main
@@ -630,6 +635,86 @@ def test_list_record_names_file_and_record(ws, tmp_path, capsys):
     corpus = _broken_queries(ws, tmp_path, edit)
     err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
     assert "record 2: expected an object, got list" in err
+
+
+def _set_field(index, key, value):
+    def edit(doc):
+        doc["records"][index][key] = value
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize("value", [5, None, [1], {}])
+def test_non_string_video_id_names_file_and_record(ws, tmp_path, capsys, value):
+    corpus = _broken_queries(ws, tmp_path, _set_field(0, "video_id", value))
+    err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
+    assert f"record 0: video_id must be a string, got {value!r}" in err
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("end_seg", 5.99, "end_seg: 5.99"),
+    ("start_seg", True, "start_seg: True"),
+    ("ctx_regions", [[4.9, 5.2]], "ctx_regions: 4.9"),
+])
+def test_fractional_or_boolean_segment_names_key_and_value(ws, tmp_path, capsys, key, value, shown):
+    corpus = _broken_queries(ws, tmp_path, _set_field(1, key, value))
+    err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
+    assert f"queries_test.json: record 1: {shown} is not a whole segment index" in err
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("end_seg", 99, "moment Moment(start_seg=1, end_seg=99) exceeds video with 4 segments"),
+    ("ctx_regions", [[0, 0], [2, 9]], "context Moment(start_seg=2, end_seg=9) exceeds video "
+                                      "with 4 segments"),
+])
+def test_out_of_range_annotation_names_file_and_record(ws, tmp_path, capsys, key, value, shown):
+    def edit(doc):
+        doc["records"][0].update(start_seg=1, end_seg=1)
+        doc["records"][0][key] = value
+        return json.dumps(doc)
+
+    corpus = _broken_queries(ws, tmp_path, edit)
+    err = _eval_fails_naming(tmp_path, capsys, corpus, ws["model"], "queries_test.json")
+    assert f"queries_test.json: record 0: {shown}" in err
+
+
+ANNOTATION_FIELDS = ("video_id", "sentence", "start_seg", "end_seg", "temporal_word",
+                     "ctx_regions", "context_sentence")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.integers() | st.floats()
+    | st.text(max_size=8) | st.sampled_from(("before", "after", "then", "while", "none")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), key=st.sampled_from(ANNOTATION_FIELDS))
+def test_any_json_value_in_an_annotation_field_fails_cleanly(ws, tmp_path, data, key):
+    """Whatever JSON value an annotation field holds, `eval` either runs or
+    exits 1 with one `error:` line naming the file and the record."""
+    corpus = tmp_path / "corpus"
+    if not corpus.exists():
+        shutil.copytree(ws["corpus"], corpus)
+    path = corpus / "queries_test.json"
+    doc = json.loads((ws["corpus"] / "queries_test.json").read_text(encoding="utf-8"))
+    index = data.draw(st.integers(0, len(doc["records"]) - 1), label="record")
+    videos = sorted({rec["video_id"] for rec in doc["records"]})
+    doc["records"][index][key] = data.draw(JSON_VALUES | st.sampled_from(videos), label="value")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([
+            "eval", "--corpus", str(corpus / "corpus.manifest"), "--model", str(ws["model"]),
+            "--context-delta", "--fragment-eval", "--out", tempfile.mkdtemp(dir=tmp_path),
+        ])
+    if code != 0:
+        assert code == 1
+        assert err.getvalue().startswith(f"error: {path}: record {index}: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_vocabulary_without_tokens_names_file(ws, tmp_path, capsys):

@@ -16,7 +16,6 @@ from momentloc.evaluation import (
     QueryResult,
     compute_metrics,
     consensus,
-    context_analyses,
     context_conditioned_delta,
     context_fragment_eval,
     evaluate,
@@ -123,6 +122,23 @@ def make_bundle(queries, extra_sentences=(), **overrides):
     cfg = replace(cfg, vocab_size=vocab.size)
     params = init_params(cfg, np.random.default_rng(0))
     return ModelBundle(cfg, params, vocab)
+
+
+@pytest.mark.parametrize("context_mode, context", [
+    ("latent", ContextMoment.single(Moment(3, 5))),
+    ("global", ContextMoment.single(Moment(6, 7))),
+    ("before_after", ContextMoment.pair(Moment(0, 0), Moment(5, 6))),
+])
+def test_cold_gt_context_ranking_rejects_a_context_outside_the_video(rng, context_mode, context):
+    """A gt_context ranking scores under the stored context or not at all: a
+    context that runs past the video's end is an error naming the query. It
+    does not fall back to latent candidates the way a training negative in a
+    too-short video does."""
+    query = TemporalQuery("v0", "One before two.", Moment(0, 1), "before", context)
+    bundle = make_bundle([query], context_mode=context_mode)
+    with pytest.raises(ValueError, match=r"^video 'v0', query 'One before two.': "
+                                         r"context Moment\(.*\) exceeds video with 4 segments$"):
+        rank_moments(tiny_video(rng, 4), query, bundle, "gt_context")
 
 
 def test_rank_moments_orders_all_candidates(rng):
@@ -347,7 +363,7 @@ def test_context_analyses_rank_each_analysed_query_twice(rng, monkeypatch):
     views = {"context_conditioned_delta": context_conditioned_delta(corpus, bundle),
              "context_fragment_eval": context_fragment_eval(corpus, bundle)}
     calls = count_rank_calls(monkeypatch)
-    both = context_analyses(corpus, bundle)
+    both = evaluate_with_analyses(corpus, bundle, None)[1]
     analysed = [q.sentence for q in corpus.queries if q.context is not None]
     assert sorted(calls) == sorted(analysed * 2)
     assert both == views
@@ -422,10 +438,11 @@ def test_stacked_walk_matches_isolated_rankings(rng):
 
 
 def test_one_walk_gives_the_metrics_and_the_analyses(rng):
-    """`evaluate_with_analyses` is `evaluate` and `context_analyses` in one
-    walk, in both eval modes, and without analysed words it is `evaluate`."""
+    """`evaluate_with_analyses` gives `evaluate`'s metrics and its own
+    analyses-only tables (mode None) from one walk, in both eval modes, and
+    without analysed words it is `evaluate`."""
     corpus, bundle = stack_fixture(rng)
-    analyses = context_analyses(corpus, bundle)
+    analyses = evaluate_with_analyses(corpus, bundle, None)[1]
     assert analyses["context_conditioned_delta"]["excluded"] == 2
     for mode in EVAL_MODES:
         report, both = evaluate_with_analyses(corpus, bundle, mode)
@@ -458,7 +475,7 @@ def test_each_video_is_encoded_in_one_stack(rng, monkeypatch):
         evaluate_with_analyses(corpus, bundle, mode)
         assert stacks == [6 + 3, 2]  # and v0's three analysed fragments
         stacks.clear()
-    context_analyses(corpus, bundle)
+    evaluate_with_analyses(corpus, bundle, None)[1]
     assert stacks == [3 + 3]  # v1's only after query has no fragment
 
 
