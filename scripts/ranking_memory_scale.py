@@ -3,15 +3,16 @@
     python3 scripts/ranking_memory_scale.py
 
 For videos of 6 segments (rgb), 8 and 12 segments (rgb + flow) it ranks one
-query with `rank_moments` on a fresh inference tape and cache, as `momentloc
-inspect` does, with the benchmark's model (latent contexts, contef endpoint
+query with `rank_moments` on a fresh inference tape, as `momentloc inspect`
+does, with the benchmark's model (latent contexts, contef endpoint
 features, normalized_mult similarity, 16-wide features, 32 hidden units,
 24-wide visual and joint spaces). It prints the `tracemalloc` peak of one
 cold ranking in KB, after a first ranking has built the per-length tables,
 and the median ms of 21 cold rankings. The sizes and times describe the
 machine and the numpy build it runs on and are not a check; the script exits
-1 unless a second, warm ranking on the same tape and cache gives the same
-moments, scores and chosen contexts as the cold one, bit for bit.
+1 unless a second, warm ranking on the same tape reads the first one's
+entry in `tape.memo` and gives the same moments, scores and chosen contexts
+as the cold one, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ def main() -> int:
             started = time.perf_counter()
             rank_moments(video, query, bundle)
             times.append((time.perf_counter() - started) * 1e3)
-        tape, cache = Tape(recording=False), {}
-        cold = rank_moments(video, query, bundle, tape=tape, cache=cache)
-        warm = rank_moments(video, query, bundle, tape=tape, cache=cache)
-        same = triples(cold) == triples(warm)
+        tape = Tape(recording=False)
+        cold = rank_moments(video, query, bundle, tape=tape)
+        warm = rank_moments(video, query, bundle, tape=tape)
+        same = triples(cold) == triples(warm) and len(tape.memo) == 1
         failed |= not same
         print(f"{n:>8} {'+'.join(modalities):>10} {peak / 1024:>8.0f} "
               f"{statistics.median(times):>8.2f}  {'identical' if same else 'DIFFERS'}")

@@ -10,6 +10,8 @@ Design, in brief:
   without recording anything. Inference uses this mode and produces values
   bit-identical to a recording tape, because there is exactly one code path
   for the math.
+- ``Tape.memo`` holds what a caller computes once per tape and reads again
+  (``model._projected_rows``' visual rows); it lives as long as the tape.
 - No implicit broadcasting: elementwise ops require equal shapes, matmul
   supports the (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,) cases only. The row ops
   (``linear_rows``, ``add_rows``, ...) take a stack of row vectors and apply
@@ -216,6 +218,7 @@ class Tape:
         self.nodes: list[Node] = []
         self._swept = False
         self._params: dict[Parameter, Node] = {}
+        self.memo: dict = {}
 
     def _make(self, value: np.ndarray, backward=None) -> Node:
         node = Node(value)

@@ -64,9 +64,12 @@ def _resume(args: argparse.Namespace, vocab, embedding):
         raise ValueError("--model-config cannot be combined with --resume")
     prev = load_model(args.resume)
     manifest = os.path.join(args.resume, "manifest.json")
-    named = os.path.exists(manifest) and configio.read_json(manifest).get("inputs", {}).get("embeddings")
-    if named and embedding is None:
-        raise ValueError(f"{manifest} names the embeddings input {named}; pass --embeddings")
+    doc = configio.read_json(manifest) if os.path.exists(manifest) else {}
+    inputs = doc.get("inputs", {}) if isinstance(doc, dict) else None
+    if not isinstance(inputs, dict):
+        raise ValueError(f"{manifest}: expected a JSON object whose 'inputs' is an object")
+    if inputs.get("embeddings") and embedding is None:
+        raise ValueError(f"{manifest} names the embeddings input {inputs['embeddings']}; pass --embeddings")
     if embedding is not None:
         same = np.array_equal(embedding, prev.params["lang.embed"].value)
         if not same or vocab.tokens != prev.vocab.tokens:

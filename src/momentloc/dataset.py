@@ -292,6 +292,9 @@ class SyntheticCorpusConfig:
             raise ValueError("need at least one training video")
         if self.n_segments < 2:
             raise ValueError("need at least two segments")
+        for name in ("feature_dim", "queries_per_video"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.n_events < self.n_segments + 1:
             raise ValueError(
                 f"need more distinct events ({self.n_events}) than segments "

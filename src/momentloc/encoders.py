@@ -33,7 +33,7 @@ class SegmentFeatureTable:
     def __post_init__(self) -> None:
         # C order: a moment's pooled mean then adds its rows one by one
         self.features = np.ascontiguousarray(as_array(self.features))
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError(
                 f"features for {self.video_id!r}/{self.modality} must be "
                 f"(n_segments, dim), got shape {self.features.shape}"

@@ -123,7 +123,6 @@ def rank_moments(
     bundle: ModelBundle,
     mode: str = "latent",
     tape: Tape | None = None,
-    cache: dict | None = None,
     tokens: Sequence[str] | None = None,
     encoded: Node | None = None,
 ) -> list[ScoredMoment]:
@@ -148,8 +147,6 @@ def rank_moments(
         raise ValueError(f"query {query.sentence!r} has no ground-truth context")
     if tape is None:
         tape = Tape(recording=False)
-    if cache is None:
-        cache = {}
     n = next(iter(video.values())).n_segments
     if encoded is None:
         ids = bundle.vocab.encode(tokens if tokens is not None else query.tokens)
@@ -159,7 +156,7 @@ def rank_moments(
     if pinned is not None:
         check_query_context(pinned, query.moment, cfg.context_slots, n, query.video_id,
                             query.sentence)
-    fused, chosen = score_grid(tape, cache, encoded, [(video, 0, bases, pinned)], cfg, params)
+    fused, chosen = score_grid(tape, encoded, [(video, 0, bases, pinned)], cfg, params)
     scored = [
         ScoredMoment(base, float(value), context)
         for base, value, context in zip(bases, fused.value, chosen)
@@ -234,7 +231,7 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str | None, words: Sequ
     `iter_rankings`). In latent mode the full-sentence ranking is the metrics
     ranking itself.
 
-    Each video gets one inference tape and cache, shared by its rankings, and
+    Each video gets one inference tape, whose `memo` its rankings share, and
     one `encode_queries` call over the sentences it ranks and the fragments
     it analyses; a query that is not ranked is not encoded. Every ranking is
     one `rank_moments` call with its text's row of that stack (`take_row`).
@@ -258,11 +255,9 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str | None, words: Sequ
                 texts.append(tokenize(q.context_sentence))
             plan.append((q, sentence, fragment))
         tape = Tape(recording=False)
-        cache: dict = {}
         if texts:
             stack = encode_queries(tape, [bundle.vocab.encode(t) for t in texts], bundle.params)
-        rank = functools.partial(rank_moments, corpus.features[vid], bundle=bundle, tape=tape,
-                                 cache=cache)
+        rank = functools.partial(rank_moments, corpus.features[vid], bundle=bundle, tape=tape)
         for q, sentence, fragment in plan:
             ranking = analysis = None
             if mode is not None:

@@ -377,13 +377,13 @@ def _mlp_rows(tape, x, params, prefix):
     return tape.linear_rows(h, tape.param(params[f"{prefix}.w2"]), tape.param(params[f"{prefix}.b2"]))
 
 
-def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg, params):
+def _projected_rows(tape, videos, pair_counts, base_rows, slot_rows, cfg, params):
     """Projected (and, for normalized_mult, normalized) visual vectors of the
     pairs, one row each, per modality, for pairs from several videos:
     `pair_counts[g]` consecutive pairs come from `videos[g]`. Query-independent,
-    so cached as one entry per (groups' videos, pair rows) for the cache's
-    lifetime, a batch in training and a video's queries in evaluation; on
-    recording tapes reuse is plain subgraph sharing.
+    so kept as one `tape.memo` entry per (groups' mappings, pair rows): a batch
+    in training, a video's queries in evaluation. The entry holds the mappings,
+    so their ids are not reused; on recording tapes reuse is subgraph sharing.
 
     The pair layout is built once for all modalities: the distinct videos get
     consecutive blocks of moment keys, and the base and context MLPs run over
@@ -393,10 +393,10 @@ def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg,
     constant table of every moment key's (start, end) read by the base keys
     and, for contef, by each slot's keys, so the per-pair block is written
     once."""
-    key = ("fv", tuple((video[cfg.modalities[0]].video_id, k) for video, k in zip(videos, pair_counts)),
+    key = ("fv", tuple((id(video), k) for video, k in zip(videos, pair_counts)),
            base_rows.tobytes(), slot_rows.tobytes())
-    if key in cache:
-        return cache[key]
+    if key in tape.memo:
+        return tape.memo[key][1]
     # every distinct video gets its own block of moment keys, and key -1, the
     # last row, is a padded context slot: zero features, PAD_TEF
     first: dict[int, int] = {}
@@ -431,7 +431,7 @@ def _projected_rows(tape, cache, videos, pair_counts, base_rows, slot_rows, cfg,
         fv = tape.linear_rows(tape.gather_rows(parts + tail),
                               tape.param(params[f"{m}.proj_w"]), tape.param(params[f"{m}.proj_b"]))
         fvs[m] = tape.l2_normalize_rows(fv) if cfg.similarity == "normalized_mult" else fv
-    cache[key] = fvs
+    tape.memo[key] = (videos, fvs)
     return fvs
 
 
@@ -468,7 +468,6 @@ def _similarity_rows(tape, fv, fl_ready, cfg, params, modality):
 
 def score_grid(
     tape: Tape,
-    cache: dict,
     fl: Node,
     groups: Sequence[tuple[Mapping[str, SegmentFeatureTable], int, Sequence[Moment],
                            ContextMoment | None]],
@@ -488,8 +487,8 @@ def score_grid(
     pair alone, so a call records one base MLP, one context MLP, one
     projection, one similarity head and one group max per modality, however
     many groups it scores. The query-independent part, every modality's
-    projected pairs, is one `cache` entry (`_projected_rows`), which a later
-    call over the same videos and pairs on the same tape reads instead.
+    projected pairs, is one `tape.memo` entry (`_projected_rows`) that a later
+    call on the same tape over the same mappings and pairs reads instead.
 
     Returns the fused scores, one entry per base in group order (late fusion
     of the per-modality maxima; the training loss backpropagates through it),
@@ -508,7 +507,7 @@ def score_grid(
     sizes = np.array([len(c) for c in candidates], dtype=np.intp)
     pair_counts = [len(rows) for rows, _, _ in grids]
     fl_ready = _query_rows(tape, fl, groups, pair_counts, cfg)
-    fvs = _projected_rows(tape, cache, [video for video, _, _, _ in groups], pair_counts,
+    fvs = _projected_rows(tape, [video for video, _, _, _ in groups], pair_counts,
                           base_rows, slot_rows, cfg, params)
     weights = fusion_weights(cfg.modalities, cfg.fusion_lambda)
     fused: Node | None = None
@@ -525,7 +524,6 @@ def score_grid(
 
 def score_base(
     tape: Tape,
-    cache: dict | None,
     video: Mapping[str, SegmentFeatureTable],
     fl: Node,
     base: Moment,
@@ -537,9 +535,7 @@ def score_base(
     context_set, or `pinned` alone): `score_grid` for a single base and a
     single query vector `fl`. Returns the fused score node and the chosen
     context."""
-    node, chosen = score_grid(
-        tape, {} if cache is None else cache, fl, [(video, 0, [base], pinned)], cfg, params,
-    )
+    node, chosen = score_grid(tape, fl, [(video, 0, [base], pinned)], cfg, params)
     return tape.take_row(node, 0), chosen[0]
 
 
@@ -554,7 +550,7 @@ def score(
     """Inference-mode score of one (video, query, moment) triple."""
     tape = Tape(recording=False)
     fl = encode_query(tape, token_ids, params)
-    node, chosen = score_base(tape, {}, video, fl, base, gt_context, cfg, params)
+    node, chosen = score_base(tape, video, fl, base, gt_context, cfg, params)
     return ScoredMoment(base, float(node.value), chosen)
 
 

@@ -145,7 +145,6 @@ def _pinned_context(example: TemporalQuery, n_segments: int, cfg: ModelConfig) -
 
 def batch_scores(
     tape: Tape,
-    cache: dict,
     corpus: Corpus,
     batch: Sequence[TemporalQuery],
     negatives: Sequence[Negatives],
@@ -168,7 +167,7 @@ def batch_scores(
             pinned = _pinned_context(example, corpus.n_segments(vid), cfg)
             groups.append((corpus.features[vid], row, [neg], pinned))
     fl = encode_queries(tape, [vocab.encode(example.tokens) for example in batch], params)
-    fused, _ = score_grid(tape, cache, fl, groups, cfg, params)
+    fused, _ = score_grid(tape, fl, groups, cfg, params)
     scored, at = [], 0
     for negs in negatives:
         inter = at + 1 + len(negs.intra)
@@ -188,9 +187,9 @@ def example_scores(
     params: ModelParams,
     vocab: Vocabulary,
 ) -> ExampleScores:
-    """Positive and negative fused scores for one training example: the
-    one-example batch of `batch_scores`."""
-    return batch_scores(tape, cache, corpus, [example], [negatives], cfg, params, vocab)[0]
+    """Positive and negative fused scores of one example, the one-example
+    batch of `batch_scores`; `cache` is not read (the tape keeps the memo)."""
+    return batch_scores(tape, corpus, [example], [negatives], cfg, params, vocab)[0]
 
 
 def batch_loss(tape: Tape, scored: Sequence[ExampleScores], cfg: ModelConfig) -> Node:
@@ -267,7 +266,7 @@ def train(
             if epoch < start_epoch:
                 continue
             tape = Tape()
-            scored = batch_scores(tape, {}, corpus, batch, negatives, cfg, params, vocab)
+            scored = batch_scores(tape, corpus, batch, negatives, cfg, params, vocab)
             loss = batch_loss(tape, scored, cfg)
             if not np.isfinite(loss.value):
                 raise ValueError(f"epoch {epoch} batch {b}: loss is not finite ({float(loss.value)})")

@@ -338,6 +338,18 @@ def test_stats_without_out_writes_nothing(ws, tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("key, value", [("feature_dim", 0), ("queries_per_video", -2)])
+def test_gen_rejects_a_config_that_makes_an_unusable_corpus(ws, tmp_path, capsys, key, value):
+    """A zero feature width, which the feature loader rejects, or no queries
+    per video is an `error:` line and exit 1, and writes no corpus."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(GEN_CFG.replace(f"{key} = ", f"{key} = {value}\n# "), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
+    assert not (tmp_path / "c" / "corpus.manifest").exists()
+
+
 def test_gen_compose(tmp_path, capsys):
     anns = tmp_path / "base.json"
     save_annotations(str(anns), [
@@ -439,6 +451,19 @@ def test_train_resume_history_errors(ws, tmp_path, capsys):
     assert _train(ws, tmp_path, ws["model"], 4, "--resume", str(ws["model"])) == 1
     assert "--out must differ from --resume" in capsys.readouterr().err
     assert (ws["model"] / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("doc", ["[]", '{"inputs": 5}', '"train"'])
+def test_train_resume_rejects_a_manifest_that_is_not_a_record(ws, tmp_path, capsys, doc):
+    """A resumed directory's manifest.json that is valid JSON but not an
+    object with an object `inputs` is one `error:` line naming the file."""
+    model = tmp_path / "model"
+    shutil.copytree(ws["model"], model)
+    (model / "manifest.json").write_text(doc, encoding="utf-8")
+    capsys.readouterr()
+    assert _train(ws, tmp_path, tmp_path / "out", 4, "--resume", str(model)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model / 'manifest.json'}: ") and err.count("\n") == 1
 
 
 def test_train_resume_with_embeddings(ws, tmp_path, capsys):

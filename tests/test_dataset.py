@@ -311,6 +311,14 @@ def test_synthetic_config_validation():
         dataclass_from_mapping(SyntheticCorpusConfig, {"n_videos": "3"})
 
 
+def test_synthetic_config_rejects_no_features_and_no_queries():
+    with pytest.raises(ValueError, match="feature_dim must be >= 1"):
+        SyntheticCorpusConfig(feature_dim=0)
+    for queries_per_video in (0, -2):
+        with pytest.raises(ValueError, match="queries_per_video must be >= 1"):
+            SyntheticCorpusConfig(queries_per_video=queries_per_video)
+
+
 # -- files -------------------------------------------------------------------------
 
 

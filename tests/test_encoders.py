@@ -33,6 +33,13 @@ def test_feature_table_validation():
         SegmentFeatureTable("v", "rgb", np.array([[1.0, np.nan]]))
 
 
+def test_feature_table_rejects_zero_width():
+    """A table needs at least one feature column, as a feature file header
+    needs dim >= 1."""
+    with pytest.raises(ValueError, match=r"got shape \(6, 0\)"):
+        SegmentFeatureTable("v", "rgb", np.zeros((6, 0)))
+
+
 def test_tef_block_modes():
     assert tef_length("none", 2) == 0
     assert tef_length("tef", 2) == 2

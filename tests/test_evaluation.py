@@ -284,20 +284,47 @@ def test_shared_video_cache_matches_fresh_rankings(rng, context_mode):
 
 
 def test_a_ranking_leaves_one_cache_entry(rng):
-    """The scorer caches one ("fv", ...) entry per score_grid call that
+    """The scorer memoizes one ("fv", ...) entry per score_grid call that
     misses, whatever the modalities: a second latent query of the video finds
     it, and a gt_context query with a new pinned context adds one."""
     video = tiny_video(rng, 4, modalities=("rgb", "flow"))
     first = TemporalQuery("v0", "One thing.", Moment(0, 0), "before", ContextMoment.single(Moment(1, 2)))
     second = TemporalQuery("v0", "Another thing.", Moment(1, 1))
     bundle = make_bundle([first, second], modalities=("rgb", "flow"))
-    tape, cache = Tape(recording=False), {}
-    rank_moments(video, first, bundle, tape=tape, cache=cache)
-    assert [key[0] for key in cache] == ["fv"]
-    rank_moments(video, second, bundle, tape=tape, cache=cache)
-    assert len(cache) == 1
-    rank_moments(video, first, bundle, mode="gt_context", tape=tape, cache=cache)
-    assert [key[0] for key in cache] == ["fv", "fv"]
+    tape = Tape(recording=False)
+    rank_moments(video, first, bundle, tape=tape)
+    assert [key[0] for key in tape.memo] == ["fv"]
+    rank_moments(video, second, bundle, tape=tape)
+    assert len(tape.memo) == 1
+    rank_moments(video, first, bundle, mode="gt_context", tape=tape)
+    assert [key[0] for key in tape.memo] == ["fv", "fv"]
+
+
+def test_one_tape_ranks_other_videos_that_share_an_id(rng):
+    """The scorer's memo names a video by its feature mapping, not by its
+    `video_id`: one inference tape that ranks two different videos both
+    called "v0", or the same two through mappings built afresh for every
+    call, whose addresses the allocator hands out again, gives each ranking
+    exactly its cold `rank_moments` result."""
+    videos = [tiny_video(rng, 4, modalities=("rgb", "flow"), video_id="v0") for _ in range(2)]
+    query = TemporalQuery("v0", "One thing.", Moment(0, 0))
+    bundle = make_bundle([query], modalities=("rgb", "flow"))
+
+    def summary(ranking):
+        return [(s.moment, s.score, s.chosen_context) for s in ranking]
+
+    cold = [summary(rank_moments(video, query, bundle)) for video in videos]
+    assert cold[0] != cold[1]
+    tape = Tape(recording=False)
+    assert [summary(rank_moments(video, query, bundle, tape=tape)) for video in videos] == cold
+    assert len(tape.memo) == 2
+    tape = Tape(recording=False)
+    for i in (0, 1, 0, 1):
+        mapping = {modality: table for modality, table in videos[i].items()}
+        got = rank_moments(mapping, query, bundle, tape=tape)
+        del mapping  # the next mapping may take its address
+        assert summary(got) == cold[i]
+    assert len(tape.memo) == 4
 
 
 # -- context analyses -----------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_score_grid_equals_numpy_oracle_for_any_groups(mode, lengths, data):
             want_scores.append(value)
             want_chosen.append(contexts[idx])
     tape = Tape(recording=False)
-    got, chosen = score_grid(tape, {}, encode_query(tape, ids, params), groups, cfg, params)
+    got, chosen = score_grid(tape, encode_query(tape, ids, params), groups, cfg, params)
     assert got.value.tolist() == want_scores
     assert chosen == want_chosen
     assert not any(_candidate_table(mode, n)[1].flags.writeable for n in lengths)
@@ -238,12 +238,12 @@ def test_score_grid_rejects_no_bases_and_bases_beyond_the_video(rng):
     fl = encode_query(tape, [1, 2], params)
     for groups in ([], [(video, 0, [], None)], [(video, 0, [], ContextMoment.single(Moment(3, 3)))]):
         with pytest.raises(ValueError, match="at least one base"):
-            score_grid(tape, {}, fl, groups, cfg, params)
+            score_grid(tape, fl, groups, cfg, params)
     for pinned in (None, ContextMoment.single(Moment(3, 3))):
         with pytest.raises(ValueError, match="exceeds"):
-            score_grid(tape, {}, fl, [(video, 0, [Moment(0, 0), Moment(2, 4)], pinned)], cfg, params)
+            score_grid(tape, fl, [(video, 0, [Moment(0, 0), Moment(2, 4)], pinned)], cfg, params)
     with pytest.raises(ValueError, match="exceeds"):
-        score_grid(tape, {}, fl, [(video, 0, [Moment(0, 0)], ContextMoment.single(Moment(3, 4)))],
+        score_grid(tape, fl, [(video, 0, [Moment(0, 0)], ContextMoment.single(Moment(3, 4)))],
                    cfg, params)
 
 

@@ -181,7 +181,7 @@ def _batch_nodes(corpus, batch_size, monkeypatch):
 
     monkeypatch.setattr(trainer, "score_grid", counted)
     tape = Tape()
-    batch_loss(tape, batch_scores(tape, {}, corpus, batch, negatives, cfg, params, vocab), cfg)
+    batch_loss(tape, batch_scores(tape, corpus, batch, negatives, cfg, params, vocab), cfg)
     return len(tape.nodes), grid_nodes
 
 
@@ -232,7 +232,7 @@ def test_batch_tape_is_freed_without_the_cycle_collector(rng, sim):
     gc.disable()
     try:
         tape = Tape()
-        scored = batch_scores(tape, {}, corpus, corpus.queries, negatives, cfg, params, vocab)
+        scored = batch_scores(tape, corpus, corpus.queries, negatives, cfg, params, vocab)
         backward(tape, batch_loss(tape, scored, cfg))
         freed = weakref.ref(tape)
         del tape, scored
@@ -284,7 +284,7 @@ def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, t
         params = init_params(cfg, rng)
         arrays = params.arrays()
         tape = Tape(recording=False)
-        scored = batch_scores(tape, {}, corpus, batch, negatives, cfg, params, vocab)
+        scored = batch_scores(tape, corpus, batch, negatives, cfg, params, vocab)
         for ex, negs, got in zip(batch, negatives, scored):
             ids = vocab.encode(ex.tokens)
             alone = example_scores(Tape(recording=False), {}, corpus, ex, negs, cfg, params, vocab)
@@ -298,7 +298,7 @@ def test_batch_scores_equal_per_example_grids_and_numpy_oracle(rng, sim, mode, t
                 n = corpus.n_segments(vid)
                 pinned = _pinned_context(ex, n, cfg)
                 t = Tape(recording=False)
-                grid, _ = score_grid(t, {}, encode_query(t, ids, params),
+                grid, _ = score_grid(t, encode_query(t, ids, params),
                                      [(features[vid], 0, bases, pinned)], cfg, params)
                 for base, at, other, one in zip(bases, entries, others, grid.value):
                     contexts = (context_set(mode, base, n) if pinned is None
@@ -351,12 +351,12 @@ def test_batch_loss_equals_the_per_score_chain(rng, sim, mode):
             def run(loss_fn, examples, negatives, per_example):
                 for p in params.parameters():
                     p.grad[...] = 0.0
-                tape, cache = Tape(), {}
+                tape = Tape()
                 if per_example:
-                    scored = [example_scores(tape, cache, corpus, ex, negs, cfg, params, vocab)
+                    scored = [example_scores(tape, {}, corpus, ex, negs, cfg, params, vocab)
                               for ex, negs in zip(examples, negatives)]
                 else:
-                    scored = batch_scores(tape, cache, corpus, examples, negatives, cfg, params, vocab)
+                    scored = batch_scores(tape, corpus, examples, negatives, cfg, params, vocab)
                 root = loss_fn(tape, scored, cfg)
                 backward(tape, root)
                 return root.value.tobytes(), {p.name: p.grad.copy() for p in params.parameters()}
