@@ -205,10 +205,6 @@ class Node:
             return np.zeros_like(self.value)
         return self._grad
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
 
 class Tape:
     """Operation recorder. All ops are methods so the graph has one owner."""
@@ -397,15 +393,15 @@ class Tape:
 
     # -- similarity building blocks -----------------------------------------
 
-    def l2_normalize(self, a: Node, eps: float = NORMALIZE_EPS) -> Node:
+    def l2_normalize(self, a: Node) -> Node:
         if a.value.ndim != 1:
             raise ValueError(f"l2_normalize needs a vector, got shape {a.value.shape}")
         norm = float(np.sqrt(np.dot(a.value, a.value)))
-        denom = max(norm, eps)
+        denom = max(norm, NORMALIZE_EPS)
         out = a.value / denom
 
         def back(node: Node) -> None:
-            if norm >= eps:
+            if norm >= NORMALIZE_EPS:
                 _accumulate_owned(a, (node._grad - np.dot(node._grad, out) * out) / denom)
             else:
                 _accumulate_owned(a, node._grad / denom)
@@ -551,15 +547,15 @@ class Tape:
 
         return self._make(np.where(keep, a.value, b.value), back)
 
-    def l2_normalize_rows(self, x: Node, eps: float = NORMALIZE_EPS) -> Node:
+    def l2_normalize_rows(self, x: Node) -> Node:
         """``l2_normalize`` of every row."""
         if x.value.ndim != 2:
             raise ValueError(f"l2_normalize_rows needs an (n, d) stack, got shape {x.value.shape}")
         xc = np.ascontiguousarray(x.value)
         norm = np.sqrt((xc[:, None, :] @ xc[:, :, None])[:, 0, 0])
-        denom = np.maximum(norm, eps)[:, None]
+        denom = np.maximum(norm, NORMALIZE_EPS)[:, None]
         out = xc / denom
-        big = (norm >= eps)[:, None]
+        big = (norm >= NORMALIZE_EPS)[:, None]
 
         def back(node: Node) -> None:
             g = node._grad

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import typing
 
@@ -104,11 +105,14 @@ def _coerce(value: str, typ, key: str):
     try:
         if typ is int:
             return int(value)
-        if typ is float:
-            return float(value)
+        if typ is not float:
+            return value
+        number = float(value)
     except ValueError:
         raise ValueError(f"config key {key!r}: cannot parse {typ.__name__} from {value!r}") from None
-    return value
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r}: float must be finite, got {value!r}")
+    return number
 
 
 def dataclass_from_mapping(cls, mapping: dict[str, str], source: str = "config"):

@@ -48,19 +48,6 @@ class SegmentFeatureTable:
         return self.features.shape[1]
 
 
-def tef_length(tef_mode: str, n_context_slots: int) -> int:
-    """Length of the endpoint block appended to each visual vector. none:
-    empty. tef: the base moment's endpoints. contef: base endpoints followed
-    by each context slot's endpoints ((-1, -1) for a padded slot)."""
-    if tef_mode == "none":
-        return 0
-    if tef_mode == "tef":
-        return 2
-    if tef_mode == "contef":
-        return 2 + 2 * n_context_slots
-    raise ValueError(f"unknown tef mode {tef_mode!r}")
-
-
 # -- language ----------------------------------------------------------------
 
 

@@ -32,7 +32,6 @@ from .encoders import (
     fusion_weights,
     load_vocabulary,
     save_vocabulary,
-    tef_length,
 )
 from .temporal import (
     CONTEXT_MODES,
@@ -40,7 +39,6 @@ from .temporal import (
     ContextMoment,
     Moment,
     context_set,
-    context_slot_count,
     moment_index,
     moments_of,
 )
@@ -108,11 +106,15 @@ class ModelConfig:
 
     @property
     def context_slots(self) -> int:
-        return context_slot_count(self.context_mode)
+        """Regions per context: two for before_after, one otherwise."""
+        return 2 if self.context_mode == "before_after" else 1
 
     @property
     def tef_len(self) -> int:
-        return tef_length(self.tef_mode, self.context_slots)
+        """Length of the endpoint block appended to each visual vector. none:
+        empty. tef: the base moment's endpoints. contef: base endpoints followed
+        by each context slot's endpoints ((-1, -1) for a padded slot)."""
+        return {"none": 0, "tef": 2, "contef": 2 + 2 * self.context_slots}[self.tef_mode]
 
     def to_text(self) -> str:
         return configio.dataclass_to_text(self)
@@ -456,13 +458,11 @@ def _similarity_rows(tape, fv, fl_ready, cfg, params, modality):
         return tape.scale(tape.squared_distance_rows(fv, fl_ready), -1.0)
     if kind in ("mult", "normalized_mult"):
         x = tape.hadamard_rows(fv, fl_ready)
-    elif kind == "tall_sim":
+    else:  # tall_sim
         x = tape.gather_rows([
             (fv, None), (fl_ready, None),
             (tape.hadamard_rows(fv, fl_ready), None), (tape.add_rows(fv, fl_ready), None),
         ])
-    else:
-        raise ValueError(f"unknown similarity {kind!r}")
     return _mlp_rows(tape, x, params, f"{m}.sim")
 
 

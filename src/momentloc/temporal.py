@@ -94,12 +94,6 @@ def moment_index(moment: Moment, n_segments: int) -> int:
     return s * n_segments - s * (s - 1) // 2 + moment.end_seg - s
 
 
-def context_slot_count(context_mode: str) -> int:
-    if context_mode not in CONTEXT_MODES:
-        raise ValueError(f"unknown context mode {context_mode!r}")
-    return 2 if context_mode == "before_after" else 1
-
-
 @functools.lru_cache(maxsize=None)
 def _single_contexts(n_segments: int) -> tuple[ContextMoment, ...]:
     """The single-region context of every moment, in moments_of order, built

@@ -41,6 +41,19 @@ def test_shape_mismatch_errors():
         tape.matmul(a, tape.constant(np.ones((3, 2))))
     with pytest.raises(ValueError):
         tape.concat([a, tape.constant(np.ones((2, 2)))])
+    with pytest.raises(ValueError, match="concat of zero vectors"):
+        tape.concat([])
+    for lo, hi in ((1, 3), (2, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="slice1d"):
+            tape.slice1d(a, lo, hi)
+    with pytest.raises(ValueError, match="slice1d"):
+        tape.slice1d(tape.constant(np.ones((2, 2))), 0, 1)
+    with pytest.raises(ValueError, match="l2_normalize needs a vector"):
+        tape.l2_normalize(tape.constant(np.ones((2, 2))))
+    with pytest.raises(ValueError, match="max_select over an empty set"):
+        tape.max_select([])
+    with pytest.raises(ValueError, match="max_select needs scalars"):
+        tape.max_select([tape.constant(1.0), a])
 
 
 def test_relu_zero_gradient_at_negative_and_zero():
@@ -152,6 +165,7 @@ def test_sgd_step_updates_and_zeroes():
     assert np.array_equal(frozen.value, [5.0])
     assert np.array_equal(p.grad, [0.0, 0.0])
     assert np.array_equal(frozen.grad, [0.0])
+    assert repr(frozen) == "Parameter('q', shape=(1,), trainable=False)"
 
 
 def _check_unary(op_name, x, make_root=None, n_points=25, seed=0):
@@ -261,6 +275,9 @@ def test_l2_normalize_tiny_vector_guard():
     v = tape.constant([0.0, 0.0])
     out = tape.l2_normalize(v)
     assert np.array_equal(out.value, [0.0, 0.0])
+    # below the guard the op is a division by the guard, and so is its gradient
+    backward(tape, tape.sum_all(out))
+    assert np.array_equal(v.grad, [1e8, 1e8])
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -720,3 +737,8 @@ def test_take_and_segment_sums_shape_errors():
             tape.segment_sums(vec, sizes)
     with pytest.raises(ValueError, match="segment_sums"):
         tape.segment_sums(tape.constant(np.ones((2, 2))), [2])
+    # no index is no error: an empty vector that passes no gradient back
+    none = tape.take(vec, [])
+    assert none.value.shape == (0,)
+    backward(tape, tape.sum_all(none))
+    assert np.array_equal(vec.grad, np.zeros(4))

@@ -262,6 +262,25 @@ def test_inspect_command(ws, tmp_path, monkeypatch, capsys):
     assert {d: sorted(os.listdir(ws[d])) for d in ("corpus", "model")} == before
 
 
+def test_inspect_before_after_model_shows_padded_context(ws, tmp_path, capsys):
+    """Under before_after, the whole-video moment has a padded slot on both
+    sides, so its context column reads (padded) and its timeline no ▲."""
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(MODEL_CFG.replace("context_mode = latent", "context_mode = before_after"),
+                   encoding="utf-8")
+    model = tmp_path / "model"
+    assert main(["train", "--corpus", ws["manifest"], "--model-config", str(cfg), "--train-config",
+                 str(ws["root"] / "train.cfg"), "--quiet", "--out", str(model)]) == 0
+    assert main([
+        "inspect", "--corpus", ws["manifest"], "--model", str(model),
+        "--split", "test", "--query", "0", "--top", "30",
+    ]) == 0
+    ranked = [line.split() for line in capsys.readouterr().out.splitlines()
+              if line and line.split()[0].isdigit()]
+    assert len(ranked) == 10  # every moment of a 4-segment video
+    assert [row[3:] for row in ranked if row[2] == "[0,3]"] == [["(padded)", "■■■■"]]
+
+
 def test_inspect_bad_index(ws, capsys):
     assert main([
         "inspect", "--corpus", ws["manifest"], "--model", str(ws["model"]),
@@ -348,6 +367,29 @@ def test_gen_rejects_a_config_that_makes_an_unusable_corpus(ws, tmp_path, capsys
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
     assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
     assert not (tmp_path / "c" / "corpus.manifest").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "mix_then", "nan"),
+    ("gen", "noise_sigma", "inf"),
+    ("train", "margin", "nan"),
+])
+def test_non_finite_config_value_names_its_key(ws, tmp_path, capsys, command, key, value):
+    """A nan or infinite float in a config file fails when the file is read,
+    with one `error:` line naming the key, instead of later in the sampler or
+    the tape with a message that names none."""
+    if command == "gen":
+        (tmp_path / "gen.cfg").write_text(GEN_CFG + f"{key} = {value}\n", encoding="utf-8")
+        args = ["gen", "--config", str(tmp_path / "gen.cfg")]
+    else:
+        (tmp_path / "model.cfg").write_text(MODEL_CFG + f"{key} = {value}\n", encoding="utf-8")
+        args = ["train", "--corpus", ws["manifest"], "--model-config", str(tmp_path / "model.cfg"),
+                "--train-config", str(ws["root"] / "train.cfg"), "--quiet"]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config key {key!r}: float must be finite, got {value!r}\n"
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_gen_compose(tmp_path, capsys):
@@ -600,6 +642,12 @@ def test_ablate_bad_grid(ws, tmp_path, capsys):
         "--out", str(tmp_path / "x"),
     ]) == 1
     assert "cells" in capsys.readouterr().err
+    grid.write_text("cells =\n" + MODEL_CFG, encoding="utf-8")
+    assert main([
+        "ablate", "--corpus", ws["manifest"], "--grid", str(grid),
+        "--out", str(tmp_path / "x"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {grid}: empty cell list\n"
 
 
 def test_ablate_failing_cell_names_it(ws, tmp_path, capsys):

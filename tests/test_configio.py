@@ -120,6 +120,20 @@ def test_unknown_key_is_named_in_the_error(cfg, key):
         dataclass_from_mapping(cls, {**mapping, key: "1"})
 
 
+@pytest.mark.parametrize("cls, key, value, message", [
+    (TrainConfig, "epochs", "three", "cannot parse int from 'three'"),
+    (TrainConfig, "epochs", "2.5", "cannot parse int from '2.5'"),
+    (TrainConfig, "lr", "fast", "cannot parse float from 'fast'"),
+    (TrainConfig, "lr", "nan", "float must be finite, got 'nan'"),
+    (ModelConfig, "margin", "inf", "float must be finite, got 'inf'"),
+    (SyntheticCorpusConfig, "noise_sigma", "-Infinity", "float must be finite, got '-Infinity'"),
+])
+def test_unparseable_or_non_finite_number_names_its_key(cls, key, value, message):
+    with pytest.raises(ValueError) as err:
+        dataclass_from_mapping(cls, {key: value})
+    assert str(err.value) == f"config key {key!r}: {message}"
+
+
 def test_parse_flat_config_rejects_include_lines():
     assert parse_flat_config("a = 1  # note\n\nb=x y\n") == {"a": "1", "b": "x y"}
     with pytest.raises(ValueError, match=r"<text>:2: expected 'key = value'"):

@@ -29,7 +29,7 @@ from momentloc.dataset import (
     tokenize,
     word_stats,
 )
-from momentloc.encoders import load_features, save_features
+from momentloc.encoders import SegmentFeatureTable, load_features, save_features
 from momentloc.temporal import ContextMoment, Moment
 
 
@@ -196,6 +196,13 @@ def test_oracle_rejects_while_and_unparseable():
         oracle_localize(q("v1", "A while b.", "while"), TRUTH)
     with pytest.raises(OracleError):
         oracle_localize(q("v1", "A b c before d.", "before"), TRUTH)
+    with pytest.raises(OracleError, match="cannot parse simple query"):
+        oracle_localize(q("v1", "A b.", "none"), TRUTH)
+    # the word last: neither the infix nor the leading template
+    with pytest.raises(OracleError, match="cannot parse temporal query"):
+        oracle_localize(q("v1", "A b before.", "before"), TRUTH)
+    with pytest.raises(OracleError, match="cannot parse 'then' query"):
+        oracle_localize(q("v1", "Then a, b.", "then"), TRUTH)
     with pytest.raises(OracleError):
         oracle_localize(q("nope", "A.", "none"), TRUTH)
 
@@ -307,6 +314,15 @@ def test_synthetic_config_validation():
         SyntheticCorpusConfig(n_events=5, n_segments=6)
     with pytest.raises(ValueError):
         SyntheticCorpusConfig(repeat_prob=1.5)
+    with pytest.raises(ValueError, match="need at least one training video"):
+        SyntheticCorpusConfig(n_train_videos=0)
+    with pytest.raises(ValueError, match="n_test_videos must be >= 0"):
+        SyntheticCorpusConfig(n_test_videos=-1)
+    for prob in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="ctx_alias_prob"):
+            SyntheticCorpusConfig(ctx_alias_prob=prob)
+    with pytest.raises(ValueError, match="noise_sigma"):
+        SyntheticCorpusConfig(noise_sigma=-0.1)
     with pytest.raises(ValueError, match="unknown keys"):
         dataclass_from_mapping(SyntheticCorpusConfig, {"n_videos": "3"})
 
@@ -350,6 +366,16 @@ def test_annotation_errors(tmp_path):
     }]), encoding="utf-8")
     with pytest.raises(ValueError, match="invalid moment"):
         load_annotations(str(path))
+    path.write_text(json.dumps([{
+        "video_id": "v", "sentence": "x", "start_seg": 1, "end_seg": 1,
+        "ctx_regions": [[0, 0], [2, 2], [4, 4]],
+    }]), encoding="utf-8")
+    with pytest.raises(ValueError, match="record 0: a context has 1 or 2 regions, got 3"):
+        load_annotations(str(path))
+    for doc in ({"records": {"video_id": "v"}}, "records"):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.json: expected a record array"):
+            load_annotations(str(path))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -394,6 +420,9 @@ def test_corpus_roundtrip(tmp_path):
             )
     truth = load_truth(str(tmp_path / "truth.json"))
     assert truth.events == syn.truth.events
+    (tmp_path / "truth.json").write_text('[["ev001"]]', encoding="utf-8")
+    with pytest.raises(ValueError, match="truth.json: expected a video -> event list mapping"):
+        load_truth(str(tmp_path / "truth.json"))
     with pytest.raises(ValueError, match="split"):
         load_corpus(manifest, split="validation")
 
@@ -407,6 +436,12 @@ def test_manifest_line_errors_name_file_and_line(tmp_path):
     for load in (corpus_files, load_corpus):
         with pytest.raises(ValueError, match=f"corpus.manifest:{lineno}: cannot parse 'truth'"):
             load(manifest)
+    with open(manifest, encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith(("features ", "truth"))]
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ValueError, match="corpus.manifest: no feature files listed"):
+        load_corpus(manifest)
 
 
 def test_feature_file_load_then_save_is_byte_identical(tmp_path):
@@ -467,3 +502,19 @@ def test_corpus_validate_rejects_out_of_range_context():
     ])
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_corpus_validate_rejects_inconsistent_videos_and_missing_ones():
+    syn = generate_synthetic(SyntheticCorpusConfig(n_train_videos=2, n_test_videos=1, seed=1))
+    vid = syn.train.video_ids()[-1]  # the first video sets the modalities
+    query = TemporalQuery("ghost", "Ev001.", Moment(0, 0))
+    with pytest.raises(ValueError, match="query 0: references missing video 'ghost'"):
+        Corpus(syn.train.features, [query]).validate()
+    rgb = syn.train.features[vid]["rgb"]
+    short = SegmentFeatureTable(vid, "rgb", rgb.features[:-1])
+    for tables, message in [
+        ({**syn.train.features[vid], "rgb": short}, "modalities disagree on segment count"),
+        ({"rgb": rgb}, "missing modalities, has \\['rgb'\\]"),
+    ]:
+        with pytest.raises(ValueError, match=f"video {vid!r}: {message}"):
+            Corpus({**syn.train.features, vid: tables}, syn.train.queries).validate()

@@ -16,8 +16,8 @@ from momentloc.encoders import (
     load_embeddings,
     load_features,
     save_features,
-    tef_length,
 )
+from momentloc.model import ModelConfig
 
 
 def table(rng, n=4, d=3, vid="v0", mod="rgb"):
@@ -41,10 +41,10 @@ def test_feature_table_rejects_zero_width():
 
 
 def test_tef_block_modes():
-    assert tef_length("none", 2) == 0
-    assert tef_length("tef", 2) == 2
-    assert tef_length("contef", 1) == 4
-    assert tef_length("contef", 2) == 6
+    assert ModelConfig(tef_mode="none", context_mode="before_after").tef_len == 0
+    assert ModelConfig(tef_mode="tef", context_mode="before_after").tef_len == 2
+    assert ModelConfig(tef_mode="contef", context_mode="latent").tef_len == 4
+    assert ModelConfig(tef_mode="contef", context_mode="before_after").tef_len == 6
 
 
 def test_vocabulary_roundtrip():
@@ -169,6 +169,13 @@ def test_feature_file_roundtrip(tmp_path, rng):
     for vid in tables:
         assert np.array_equal(loaded[vid].features, tables[vid].features)
         assert loaded[vid].modality == "rgb"
+    # blank lines before and between blocks are skipped
+    va, vb = path.read_text(encoding="utf-8").split("vb ")
+    path.write_text(f"\n{va}\n \nvb {vb}", encoding="utf-8")
+    spaced = load_features(str(path), "rgb")
+    assert sorted(spaced) == ["va", "vb"]
+    for vid in tables:
+        assert np.array_equal(spaced[vid].features, tables[vid].features)
 
 
 def test_feature_file_errors(tmp_path):
@@ -275,4 +282,12 @@ def test_embedding_file(tmp_path):
     for value in ("nan", "inf", "-Infinity", "1e999"):
         path.write_text(f"dog 1 2\ncat 3 {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="emb.txt:2: non-finite component"):
+            load_embeddings(str(path))
+    for text, message in [
+        ("dog 1 2\ncat\n", "emb.txt:2: token 'cat' has no vector"),
+        ("dog 1 2\ncat 3 x\n", "emb.txt:2: non-numeric component"),
+        ("\n  \n", "emb.txt: empty embedding file"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
             load_embeddings(str(path))

@@ -46,6 +46,17 @@ def test_config_validation():
         ModelConfig(margin=0.0)
     with pytest.raises(ValueError, match="modalities"):
         ModelConfig(modalities=("rgb", "rgb"))
+    with pytest.raises(ValueError, match="tef_mode"):
+        ModelConfig(tef_mode="ends")
+    with pytest.raises(ValueError, match="context_supervision"):
+        ModelConfig(context_supervision="none")
+    for weight in ("tall_alpha_c", "tall_alpha_w"):
+        with pytest.raises(ValueError, match="loss weights must be non-negative"):
+            ModelConfig(**{weight: -0.5})
+    with pytest.raises(ValueError, match="joint_dim must be >= 1"):
+        ModelConfig(joint_dim=0)
+    with pytest.raises(ValueError, match="vocab_size must be >= 0"):
+        ModelConfig(vocab_size=-1)
 
 
 def test_config_unknown_key_errors():
@@ -78,6 +89,8 @@ def test_init_params_deterministic_and_shaped():
         assert a[name].value.shape == shapes[name]
         assert np.array_equal(a[name].value, b[name].value)
     assert np.array_equal(a["lang.b"].value, np.zeros(4 * cfg.lstm_hidden))
+    with pytest.raises(ValueError, match="pretrained embedding shape"):
+        init_params(cfg, np.random.default_rng(7), np.zeros((cfg.vocab_size, cfg.embed_dim + 1)))
 
 
 # Ids: tef_mode-similarity, with a -context_mode suffix except for latent.
@@ -244,6 +257,10 @@ def test_score_grid_rejects_no_bases_and_bases_beyond_the_video(rng):
             score_grid(tape, fl, [(video, 0, [Moment(0, 0), Moment(2, 4)], pinned)], cfg, params)
     with pytest.raises(ValueError, match="exceeds"):
         score_grid(tape, fl, [(video, 0, [Moment(0, 0)], ContextMoment.single(Moment(3, 4)))],
+                   cfg, params)
+    # a single query vector has no row 1
+    with pytest.raises(ValueError, match="only query row 0"):
+        score_grid(tape, fl, [(video, 0, [Moment(0, 0)], None), (video, 1, [Moment(1, 1)], None)],
                    cfg, params)
 
 

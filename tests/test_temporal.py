@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentloc.model import ModelConfig
 from momentloc.temporal import (
     ContextMoment,
     Moment,
     context_set,
-    context_slot_count,
     enumerate_moments,
     iou,
     moments_of,
@@ -89,11 +89,11 @@ def test_context_set_latent_includes_base_and_whole_video():
 
 
 def test_context_slot_count():
-    assert context_slot_count("global") == 1
-    assert context_slot_count("latent") == 1
-    assert context_slot_count("before_after") == 2
+    assert ModelConfig(context_mode="global").context_slots == 1
+    assert ModelConfig(context_mode="latent").context_slots == 1
+    assert ModelConfig(context_mode="before_after").context_slots == 2
     with pytest.raises(ValueError):
-        context_slot_count("nope")
+        ModelConfig(context_mode="nope")
 
 
 def test_iou_hand_cases():
@@ -143,6 +143,8 @@ def test_context_set_sizes_and_padding_at_video_boundaries(n, data):
     for mode in ("global", "before_after", "latent"):
         with pytest.raises(ValueError, match="exceeds"):
             context_set(mode, Moment(base.start_seg, n), n)
+    with pytest.raises(ValueError, match="unknown context mode 'sideways'"):
+        context_set("sideways", base, n)
 
 
 @settings(max_examples=300, deadline=None)
