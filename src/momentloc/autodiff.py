@@ -12,17 +12,19 @@ Design, in brief:
   for the math.
 - ``Tape.memo`` holds what a caller computes once per tape and reads again
   (``model._projected_rows``' visual rows); it lives as long as the tape.
-- No implicit broadcasting: elementwise ops require equal shapes, matmul
-  supports the (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,) cases only. The row ops
-  (``linear_rows``, ``add_rows``, ...) take a stack of row vectors and apply
-  one vector to every row, or pair row i with row i of a second stack, by
-  name. Shape mismatches raise immediately with the shapes in the message.
-- Row ops are exact per row: each forward product is a stack of
-  matrix-vector products (``w[None] @ x[:, :, None]``) or of dot products
-  (``x[:, None, :] @ y[:, :, None]``), which numpy runs as one gemv or dot
-  call per row, the same BLAS call a single-vector ``matmul`` makes. A row of
-  the stack is therefore bit-identical to the same vector computed alone. One
-  gemm (``x @ w.T``) would round differently. Backward passes use gemm.
+- One broadcasting rule: a binary elementwise op takes two operands of
+  equal shape, or an (n, d) stack and one (d,) row that every row of the
+  stack uses. matmul supports the (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,)
+  cases only. Shape mismatches raise immediately with the shapes in the
+  message.
+- An op that takes a vector also takes a stack of row vectors and is exact
+  per row: each forward product is a stack of matrix-vector products
+  (``w[None] @ x[:, :, None]``) or of dot products
+  (``x[..., None, :] @ y[..., :, None]``), which numpy runs as one gemv or
+  dot call per row, the same BLAS call a single-vector ``matmul`` makes. A
+  row of the stack is therefore bit-identical to the same vector computed
+  alone. One gemm (``x @ w.T``) would round differently. Backward passes
+  use gemm.
 - ``gather_rows`` builds a stack from parts (indexed rows of a table, a
   stack as it is, one vector in every row) by writing each part in turn
   into its columns of one preallocated output, so a per-pair stack is
@@ -113,10 +115,9 @@ def _buffer(node: "Node") -> np.ndarray:
 
 
 def _add_row_grad(v: "Node", g: np.ndarray, owned: bool) -> None:
-    """Add the gradient `g` of a stack's rows to the node `v` that a row op
-    paired them with: summed over the rows when `v` is the one vector every
-    row used."""
-    if v.value.ndim == 1:
+    """Add the gradient `g` of an op's output to its operand `v`: summed over
+    the rows when `v` is the one row that every row of a stack used."""
+    if v.value.ndim < g.ndim:
         _accumulate_owned(v, g.sum(axis=0))
     elif owned:
         _accumulate_owned(v, g)
@@ -244,15 +245,17 @@ class Tape:
     # -- elementwise -------------------------------------------------------
 
     def _binary_elementwise(self, a: Node, b: Node, op: str) -> None:
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
+        """`b` has `a`'s shape, or `a` is an (n, d) stack and `b` one (d,) row."""
+        sa, sb = a.value.shape, b.value.shape
+        if sa != sb and not (len(sa) == 2 and sb == sa[1:]):
+            raise ValueError(f"{op}: shape mismatch {sa} vs {sb}")
 
     def add(self, a: Node, b: Node) -> Node:
         self._binary_elementwise(a, b, "add")
 
         def back(node: Node) -> None:
             _accumulate(a, node._grad)
-            _accumulate(b, node._grad)
+            _add_row_grad(b, node._grad, owned=False)
 
         return self._make(a.value + b.value, back)
 
@@ -261,7 +264,7 @@ class Tape:
 
         def back(node: Node) -> None:
             _accumulate(a, node._grad)
-            _accumulate_owned(b, -node._grad)
+            _add_row_grad(b, -node._grad, owned=True)
 
         return self._make(a.value - b.value, back)
 
@@ -270,7 +273,7 @@ class Tape:
 
         def back(node: Node) -> None:
             _accumulate_owned(a, node._grad * b.value)
-            _accumulate_owned(b, node._grad * a.value)
+            _add_row_grad(b, node._grad * a.value, owned=True)
 
         return self._make(a.value * b.value, back)
 
@@ -352,7 +355,8 @@ class Tape:
         return self._make(np.concatenate([p.value for p in parts]), back)
 
     def slice1d(self, a: Node, lo: int, hi: int) -> Node:
-        if a.value.ndim != 1 or not 0 <= lo <= hi <= a.value.shape[0]:
+        """Entries [lo, hi) of a vector, or rows [lo, hi) of a stack."""
+        if a.value.ndim not in (1, 2) or not 0 <= lo <= hi <= a.value.shape[0]:
             raise ValueError(f"slice1d: bad range [{lo}, {hi}) for shape {a.value.shape}")
 
         def back(node: Node) -> None:
@@ -394,30 +398,36 @@ class Tape:
     # -- similarity building blocks -----------------------------------------
 
     def l2_normalize(self, a: Node) -> Node:
-        if a.value.ndim != 1:
-            raise ValueError(f"l2_normalize needs a vector, got shape {a.value.shape}")
-        norm = float(np.sqrt(np.dot(a.value, a.value)))
-        denom = max(norm, NORMALIZE_EPS)
-        out = a.value / denom
+        """A vector, or every row of a stack, divided by its norm; a norm
+        below ``NORMALIZE_EPS`` divides by the guard instead."""
+        if a.value.ndim not in (1, 2):
+            raise ValueError(f"l2_normalize needs a vector or an (n, d) stack, got shape {a.value.shape}")
+        x = np.ascontiguousarray(a.value)
+        norm = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0])
+        denom = np.maximum(norm, NORMALIZE_EPS)
+        out = x / denom
+        big = norm >= NORMALIZE_EPS
 
         def back(node: Node) -> None:
-            if norm >= NORMALIZE_EPS:
-                _accumulate_owned(a, (node._grad - np.dot(node._grad, out) * out) / denom)
-            else:
-                _accumulate_owned(a, node._grad / denom)
+            g = node._grad
+            radial = np.where(big, (g * out).sum(axis=-1, keepdims=True) * out, 0.0)
+            _accumulate_owned(a, (g - radial) / denom)
 
         return self._make(out, back)
 
     def squared_distance(self, a: Node, b: Node) -> Node:
+        """``|a - b|^2``: a scalar for two vectors, (n,) for a stack."""
         self._binary_elementwise(a, b, "squared_distance")
+        if a.value.ndim not in (1, 2):
+            raise ValueError(f"squared_distance needs vectors or (n, d) stacks, got shape {a.value.shape}")
         diff = a.value - b.value
 
         def back(node: Node) -> None:
-            g = 2.0 * node._grad * diff
-            _accumulate_owned(b, -g)
+            g = 2.0 * node._grad[..., None] * diff
+            _add_row_grad(b, -g, owned=True)
             _accumulate_owned(a, g)
 
-        return self._make(np.asarray(np.dot(diff, diff)), back)
+        return self._make(np.asarray((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]), back)
 
     def max_select(self, scores: Sequence[Node]) -> tuple[Node, int]:
         """Max over scalar nodes; ties go to the earliest. Subgradient routes
@@ -472,55 +482,6 @@ class Tape:
         prod += bv
         return self._make(prod, back)
 
-    def _rows_and_row(self, x: Node, v: Node, op: str) -> None:
-        if x.value.ndim != 2 or v.value.shape not in (x.value.shape[1:], x.value.shape):
-            raise ValueError(
-                f"{op}: need an (n, d) stack and a (d,) vector or another (n, d) "
-                f"stack, got {x.value.shape} and {v.value.shape}"
-            )
-
-    def add_rows(self, x: Node, v: Node) -> Node:
-        """``x_i + v`` (or ``x_i + v_i``) for every row."""
-        self._rows_and_row(x, v, "add_rows")
-
-        def back(node: Node) -> None:
-            _accumulate(x, node._grad)
-            _add_row_grad(v, node._grad, owned=False)
-
-        return self._make(x.value + v.value, back)
-
-    def hadamard_rows(self, x: Node, v: Node) -> Node:
-        """``x_i * v`` (or ``x_i * v_i``) for every row."""
-        self._rows_and_row(x, v, "hadamard_rows")
-
-        def back(node: Node) -> None:
-            _accumulate_owned(x, node._grad * v.value)
-            _add_row_grad(v, node._grad * x.value, owned=True)
-
-        return self._make(x.value * v.value, back)
-
-    def squared_distance_rows(self, x: Node, v: Node) -> Node:
-        """``|x_i - v|^2`` (or ``|x_i - v_i|^2``) for every row, shape (n,)."""
-        self._rows_and_row(x, v, "squared_distance_rows")
-        diff = x.value - v.value
-
-        def back(node: Node) -> None:
-            g = 2.0 * node._grad[:, None] * diff
-            _add_row_grad(v, -g, owned=True)
-            _accumulate_owned(x, g)
-
-        return self._make((diff[:, None, :] @ diff[:, :, None])[:, 0, 0], back)
-
-    def slice_rows(self, x: Node, lo: int, hi: int) -> Node:
-        """Rows [lo, hi) of a stack."""
-        if x.value.ndim != 2 or not 0 <= lo <= hi <= x.value.shape[0]:
-            raise ValueError(f"slice_rows: bad range [{lo}, {hi}) for shape {x.value.shape}")
-
-        def back(node: Node) -> None:
-            _buffer(x)[lo:hi] += node._grad
-
-        return self._make(x.value[lo:hi].copy(), back)
-
     def slice_cols(self, x: Node, lo: int, hi: int) -> Node:
         """Columns [lo, hi) of every row of a stack."""
         if x.value.ndim != 2 or not 0 <= lo <= hi <= x.value.shape[1]:
@@ -546,23 +507,6 @@ class Tape:
             _accumulate_owned(b, np.where(keep, 0.0, node._grad))
 
         return self._make(np.where(keep, a.value, b.value), back)
-
-    def l2_normalize_rows(self, x: Node) -> Node:
-        """``l2_normalize`` of every row."""
-        if x.value.ndim != 2:
-            raise ValueError(f"l2_normalize_rows needs an (n, d) stack, got shape {x.value.shape}")
-        xc = np.ascontiguousarray(x.value)
-        norm = np.sqrt((xc[:, None, :] @ xc[:, :, None])[:, 0, 0])
-        denom = np.maximum(norm, NORMALIZE_EPS)[:, None]
-        out = xc / denom
-        big = (norm >= NORMALIZE_EPS)[:, None]
-
-        def back(node: Node) -> None:
-            g = node._grad
-            radial = np.where(big, (g * out).sum(axis=1, keepdims=True) * out, 0.0)
-            _accumulate_owned(x, (g - radial) / denom)
-
-        return self._make(out, back)
 
     def gather_rows(self, parts: Sequence[tuple[Node, np.ndarray | None]]) -> Node:
         """Stack of n rows, each the concatenation of one row from every
@@ -600,10 +544,8 @@ class Tape:
                 g = node._grad[:, lo:hi]
                 if rows is not None:
                     _scatter_rows(p, rows, g)
-                elif p.value.ndim == 1:
-                    _accumulate_owned(p, g.sum(axis=0))
                 else:
-                    _accumulate(p, g)
+                    _add_row_grad(p, g, owned=False)
 
         return self._make(out, back)
 

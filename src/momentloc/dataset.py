@@ -290,8 +290,9 @@ class SyntheticCorpusConfig:
     def __post_init__(self) -> None:
         if self.n_train_videos < 1:
             raise ValueError("need at least one training video")
-        if self.n_test_videos < 0:
-            raise ValueError("n_test_videos must be >= 0")
+        for name in ("n_test_videos", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.n_segments < 2:
             raise ValueError("need at least two segments")
         for name in ("feature_dim", "queries_per_video"):
@@ -603,6 +604,9 @@ def load_truth(path: str) -> SymbolicGroundTruth:
     videos = doc["videos"] if isinstance(doc, dict) and "schema" in doc and "videos" in doc else doc
     if not isinstance(videos, dict):
         raise ValueError(f"{path}: expected a video -> event list mapping")
+    for v, toks in videos.items():
+        if not isinstance(toks, list) or not all(isinstance(t, str) for t in toks):
+            raise ValueError(f"{path}: video {v!r}: expected a list of event names")
     return SymbolicGroundTruth({v: list(toks) for v, toks in videos.items()})
 
 

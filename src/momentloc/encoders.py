@@ -100,7 +100,8 @@ def encode_queries(
     The sequences run side by side over a padded token matrix, one step per
     token position. A row whose sequence has ended keeps its state
     (`select_rows`), so each row is bit for bit the encoding of its sequence
-    alone: the gate pre-activations are `(W x + U h) + b` as row ops, every
+    alone: the gate pre-activations are `(W x + U h) + b`, each product a
+    `linear_rows` and `b` the one row added to every row of the stack, every
     other step is elementwise, and the gates take sigmoid and tanh of all of
     the pre-activations and keep their own columns.
     """
@@ -129,8 +130,8 @@ def encode_queries(
     h = c = tape.constant(np.zeros((n_rows, hidden)))
     shortest = int(lengths.min())
     for step in range(n_steps):
-        wx_step = tape.slice_rows(wx, step * n_rows, (step + 1) * n_rows)
-        z = tape.add_rows(tape.add(wx_step, tape.linear_rows(h, u, no_bias)), b)
+        wx_step = tape.slice1d(wx, step * n_rows, (step + 1) * n_rows)
+        z = tape.add(tape.add(wx_step, tape.linear_rows(h, u, no_bias)), b)
         gates, cand = tape.sigmoid(z), tape.tanh(z)
         c_next = tape.add(
             tape.hadamard(tape.slice_cols(gates, hidden, 2 * hidden), c),

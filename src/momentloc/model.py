@@ -432,7 +432,7 @@ def _projected_rows(tape, videos, pair_counts, base_rows, slot_rows, cfg, params
                             f"{m}.{name}"), rows) for name, keys, rows in branches]
         fv = tape.linear_rows(tape.gather_rows(parts + tail),
                               tape.param(params[f"{m}.proj_w"]), tape.param(params[f"{m}.proj_b"]))
-        fvs[m] = tape.l2_normalize_rows(fv) if cfg.similarity == "normalized_mult" else fv
+        fvs[m] = tape.l2_normalize(fv) if cfg.similarity == "normalized_mult" else fv
     tape.memo[key] = (videos, fvs)
     return fvs
 
@@ -442,12 +442,12 @@ def _query_rows(tape, fl, groups, pair_counts, cfg):
     normalized_mult: row `query row` of the (queries, joint_dim) stack `fl`
     for the pairs of each group, or `fl` itself when it is one (joint_dim,)
     vector."""
+    if cfg.similarity == "normalized_mult":
+        fl = tape.l2_normalize(fl)
     if fl.value.ndim == 1:
         if any(q != 0 for _, q, _, _ in groups):
             raise ValueError("a single query vector has only query row 0")
-        return tape.l2_normalize(fl) if cfg.similarity == "normalized_mult" else fl
-    if cfg.similarity == "normalized_mult":
-        fl = tape.l2_normalize_rows(fl)
+        return fl
     return tape.gather_rows([(fl, np.repeat([q for _, q, _, _ in groups], pair_counts))])
 
 
@@ -455,13 +455,13 @@ def _similarity_rows(tape, fv, fl_ready, cfg, params, modality):
     m = modality
     kind = cfg.similarity
     if kind == "distance":
-        return tape.scale(tape.squared_distance_rows(fv, fl_ready), -1.0)
+        return tape.scale(tape.squared_distance(fv, fl_ready), -1.0)
     if kind in ("mult", "normalized_mult"):
-        x = tape.hadamard_rows(fv, fl_ready)
+        x = tape.hadamard(fv, fl_ready)
     else:  # tall_sim
         x = tape.gather_rows([
             (fv, None), (fl_ready, None),
-            (tape.hadamard_rows(fv, fl_ready), None), (tape.add_rows(fv, fl_ready), None),
+            (tape.hadamard(fv, fl_ready), None), (tape.add(fv, fl_ready), None),
         ])
     return _mlp_rows(tape, x, params, f"{m}.sim")
 

@@ -1,8 +1,11 @@
 """Unit coverage for the tape engine: op semantics, backward rules against
 finite differences, SGD mechanics, and the checkpoint wire format."""
 
+import ast
+import inspect
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,10 +49,11 @@ def test_shape_mismatch_errors():
     for lo, hi in ((1, 3), (2, 1), (-1, 1)):
         with pytest.raises(ValueError, match="slice1d"):
             tape.slice1d(a, lo, hi)
+    cube = tape.constant(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="slice1d"):
-        tape.slice1d(tape.constant(np.ones((2, 2))), 0, 1)
-    with pytest.raises(ValueError, match="l2_normalize needs a vector"):
-        tape.l2_normalize(tape.constant(np.ones((2, 2))))
+        tape.slice1d(cube, 0, 1)
+    with pytest.raises(ValueError, match="l2_normalize needs a vector or an"):
+        tape.l2_normalize(cube)
     with pytest.raises(ValueError, match="max_select over an empty set"):
         tape.max_select([])
     with pytest.raises(ValueError, match="max_select needs scalars"):
@@ -278,6 +282,14 @@ def test_l2_normalize_tiny_vector_guard():
     # below the guard the op is a division by the guard, and so is its gradient
     backward(tape, tape.sum_all(out))
     assert np.array_equal(v.grad, [1e8, 1e8])
+    # in a stack the guard holds per row: the zero row alone is divided by it
+    tape = Tape()
+    x = tape.constant([[3.0, 4.0], [0.0, 0.0]])
+    out = tape.l2_normalize(x)
+    assert np.array_equal(out.value, [[0.6, 0.8], [0.0, 0.0]])
+    backward(tape, tape.sum_all(out))
+    assert np.array_equal(x.grad[1], [1e8, 1e8])
+    assert np.allclose(x.grad[0], [0.032, -0.024])
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -383,28 +395,51 @@ def _check_rows_op(build, shapes, seed, what, n_points=20):
          lambda t, ns: t.linear_rows(ns[0], ns[1], ns[2])),
         ("linear_rows vector", [(5, 4), (4,), ()],
          lambda t, ns: t.linear_rows(ns[0], ns[1], ns[2])),
-        ("add_rows", [(5, 3), (3,)], lambda t, ns: t.add_rows(ns[0], ns[1])),
-        ("hadamard_rows", [(5, 3), (3,)], lambda t, ns: t.hadamard_rows(ns[0], ns[1])),
-        ("squared_distance_rows", [(5, 3), (3,)],
-         lambda t, ns: t.squared_distance_rows(ns[0], ns[1])),
-        ("l2_normalize_rows", [(5, 3)], lambda t, ns: t.l2_normalize_rows(ns[0])),
+        ("add row", [(5, 3), (3,)], lambda t, ns: t.add(ns[0], ns[1])),
+        ("sub row", [(5, 3), (3,)], lambda t, ns: t.sub(ns[0], ns[1])),
+        ("hadamard row", [(5, 3), (3,)], lambda t, ns: t.hadamard(ns[0], ns[1])),
+        ("squared_distance row", [(5, 3), (3,)],
+         lambda t, ns: t.squared_distance(ns[0], ns[1])),
+        ("l2_normalize stack", [(5, 3)], lambda t, ns: t.l2_normalize(ns[0])),
+        # row 2 is zero whatever the finite difference moves: the guard per row
+        ("l2_normalize stack with a zero row", [(5, 3)],
+         lambda t, ns: t.l2_normalize(t.select_rows(np.arange(5) != 2, ns[0], t.constant(np.zeros((5, 3)))))),
         ("gather_rows", [(4, 3), (2,), (6, 2)],
          lambda t, ns: t.gather_rows([(ns[0], np.array([3, 0, 3, 1, 1, 2])), (ns[1], None), (ns[2], None)])),
         ("take_row vector", [(4,)], lambda t, ns: t.take_row(ns[0], 2)),
         ("take", [(5,)], lambda t, ns: t.take(ns[0], [4, 0, 4, 2, 4])),
+        ("max_select", [(4,)], lambda t, ns: t.max_select([t.take_row(ns[0], i) for i in range(4)])[0]),
         ("segment_sums", [(7,)], lambda t, ns: t.segment_sums(ns[0], [3, 1, 2, 1])),
-        ("add_rows stack", [(5, 3), (5, 3)], lambda t, ns: t.add_rows(ns[0], ns[1])),
-        ("hadamard_rows stack", [(5, 3), (5, 3)], lambda t, ns: t.hadamard_rows(ns[0], ns[1])),
-        ("squared_distance_rows stack", [(5, 3), (5, 3)],
-         lambda t, ns: t.squared_distance_rows(ns[0], ns[1])),
+        ("add stack", [(5, 3), (5, 3)], lambda t, ns: t.add(ns[0], ns[1])),
+        ("hadamard stack", [(5, 3), (5, 3)], lambda t, ns: t.hadamard(ns[0], ns[1])),
+        ("squared_distance stack", [(5, 3), (5, 3)],
+         lambda t, ns: t.squared_distance(ns[0], ns[1])),
         ("slice_cols", [(4, 6)], lambda t, ns: t.slice_cols(ns[0], 1, 4)),
-        ("slice_rows", [(6, 4)], lambda t, ns: t.slice_rows(ns[0], 1, 4)),
+        ("slice1d stack", [(6, 4)], lambda t, ns: t.slice1d(ns[0], 1, 4)),
         ("select_rows", [(5, 3), (5, 3)],
          lambda t, ns: t.select_rows(np.array([True, False, False, True, False]), ns[0], ns[1])),
     ],
 )
 def test_row_op_gradients(what, shapes, build):
     _check_rows_op(build, shapes, seed=len(what), what=what)
+
+
+def test_every_tape_op_has_a_finite_difference_case():
+    """Every public op of Tape but the leaves is called in a test of this
+    file that compares gradients with finite differences: a test function
+    that runs a finite-difference check, its parametrize cases included."""
+    ops = {name for name, _ in inspect.getmembers(Tape, inspect.isfunction)
+           if not name.startswith("_")} - {"constant", "param"}
+    checks = {"numeric_gradients", "_check_unary", "_check_rows_op"}
+    covered = set()
+    for fn in ast.parse(Path(__file__).read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))  # the decorators too
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in checks for n in nodes):
+            covered |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            covered |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert sorted(ops - covered) == []
 
 
 def test_group_max_gradient_away_from_ties():
@@ -476,8 +511,8 @@ def test_row_ops_match_single_vector_ops_exactly():
         xs = t.constant(x)
         lin = t.linear_rows(xs, t.constant(w), t.constant(b)).value
         dot = t.linear_rows(xs, t.constant(v), t.constant(s)).value
-        norm = t.l2_normalize_rows(xs).value
-        dist = t.squared_distance_rows(xs, t.constant(v)).value
+        norm = t.l2_normalize(xs).value
+        dist = t.squared_distance(xs, t.constant(v)).value
         for i in range(n):
             row = t.constant(x[i])
             assert np.array_equal(lin[i], t.add(t.matmul(t.constant(w), row), t.constant(b)).value)
@@ -515,9 +550,9 @@ def test_row_ops_over_two_stacks_match_single_vector_ops_exactly():
         x, y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         t = Tape(recording=False)
         xs, ys = t.constant(x), t.constant(y)
-        added = t.add_rows(xs, ys).value
-        prod = t.hadamard_rows(xs, ys).value
-        dist = t.squared_distance_rows(xs, ys).value
+        added = t.add(xs, ys).value
+        prod = t.hadamard(xs, ys).value
+        dist = t.squared_distance(xs, ys).value
         for i in range(n):
             a, b = t.constant(x[i]), t.constant(y[i])
             assert np.array_equal(added[i], t.add(a, b).value)
@@ -530,7 +565,7 @@ def test_slice_and_select_rows_values():
     x = tape.constant(np.arange(12.0).reshape(3, 4))
     assert np.array_equal(tape.slice_cols(x, 1, 3).value, [[1, 2], [5, 6], [9, 10]])
     assert tape.slice_cols(x, 2, 2).value.shape == (3, 0)
-    assert np.array_equal(tape.slice_rows(x, 1, 3).value, [[4, 5, 6, 7], [8, 9, 10, 11]])
+    assert np.array_equal(tape.slice1d(x, 1, 3).value, [[4, 5, 6, 7], [8, 9, 10, 11]])
     y = tape.constant(-np.ones((3, 4)))
     picked = tape.select_rows(np.array([False, True, False]), x, y)
     assert np.array_equal(picked.value, [[-1] * 4, [4, 5, 6, 7], [-1] * 4])
@@ -549,13 +584,19 @@ def test_row_op_shape_mismatch_errors():
         tape.linear_rows(stack, tape.constant(np.ones((2, 3))), vec3)
     with pytest.raises(ValueError, match="linear_rows"):
         tape.linear_rows(vec3, tape.constant(np.ones((2, 3))), vec2)
-    for op in (tape.add_rows, tape.hadamard_rows, tape.squared_distance_rows):
+    cube = tape.constant(np.ones((2, 4, 3)))
+    for op in (tape.add, tape.hadamard, tape.squared_distance):
         with pytest.raises(ValueError, match=op.__name__):
             op(stack, vec2)
         with pytest.raises(ValueError, match=op.__name__):
-            op(vec3, vec3)
-    with pytest.raises(ValueError, match="l2_normalize_rows"):
-        tape.l2_normalize_rows(vec3)
+            op(vec3, stack)
+        with pytest.raises(ValueError, match=op.__name__):
+            op(cube, vec3)
+    with pytest.raises(ValueError, match="l2_normalize"):
+        tape.l2_normalize(tape.constant(1.0))
+    for same in (tape.constant(1.0), cube):
+        with pytest.raises(ValueError, match="squared_distance needs vectors"):
+            tape.squared_distance(same, same)
     with pytest.raises(ValueError, match="gather_rows"):
         tape.gather_rows([(stack, np.array([0, 1])), (tape.constant(np.ones((3, 2))), None)])
     with pytest.raises(ValueError, match="gather_rows"):
@@ -571,7 +612,7 @@ def test_row_op_shape_mismatch_errors():
     with pytest.raises(ValueError, match="take_row"):
         tape.take_row(vec3, 3)
     other_rows = tape.constant(np.ones((5, 3)))
-    for op in (tape.add_rows, tape.hadamard_rows, tape.squared_distance_rows):
+    for op in (tape.add, tape.hadamard, tape.squared_distance):
         with pytest.raises(ValueError, match=op.__name__):
             op(stack, other_rows)
     with pytest.raises(ValueError, match="slice_cols"):
@@ -580,10 +621,10 @@ def test_row_op_shape_mismatch_errors():
         tape.slice_cols(stack, 2, 4)
     with pytest.raises(ValueError, match="slice_cols"):
         tape.slice_cols(stack, 2, 1)
-    with pytest.raises(ValueError, match="slice_rows"):
-        tape.slice_rows(vec3, 0, 1)
-    with pytest.raises(ValueError, match="slice_rows"):
-        tape.slice_rows(stack, 3, 5)
+    with pytest.raises(ValueError, match="slice1d"):
+        tape.slice1d(tape.constant(1.0), 0, 0)
+    with pytest.raises(ValueError, match="slice1d"):
+        tape.slice1d(stack, 3, 5)
     mask = np.array([True, False, True, False])
     with pytest.raises(ValueError, match="select_rows"):
         tape.select_rows(mask, stack, other_rows)

@@ -392,6 +392,28 @@ def test_non_finite_config_value_names_its_key(ws, tmp_path, capsys, command, ke
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("command, source", [("gen", "file"), ("gen", "flag"), ("train", "file"), ("train", "flag")])
+def test_negative_seed_names_its_key(ws, tmp_path, capsys, command, source):
+    """A negative seed, in a config file or as `--seed -1`, fails when the
+    config is built, with one `error:` line naming the key, instead of in
+    the random generator with numpy's message."""
+    name, text, seed, negative = {"gen": ("gen.cfg", GEN_CFG, "seed = 5", "seed = -1"),
+                                  "train": ("train.cfg", TRAIN_CFG, "seed = 1", "seed = -3")}[command]
+    cfg = ws["root"] / name
+    if source == "file":
+        cfg = tmp_path / name
+        cfg.write_text(text.replace(seed, negative), encoding="utf-8")
+    args = ["gen", "--config", str(cfg)] if command == "gen" else [
+        "train", "--corpus", ws["manifest"], "--model-config", str(ws["root"] / "model.cfg"),
+        "--train-config", str(cfg), "--quiet"]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_gen_compose(tmp_path, capsys):
     anns = tmp_path / "base.json"
     save_annotations(str(anns), [

@@ -318,6 +318,8 @@ def test_synthetic_config_validation():
         SyntheticCorpusConfig(n_train_videos=0)
     with pytest.raises(ValueError, match="n_test_videos must be >= 0"):
         SyntheticCorpusConfig(n_test_videos=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SyntheticCorpusConfig(seed=-1)
     for prob in (-0.1, 1.5):
         with pytest.raises(ValueError, match="ctx_alias_prob"):
             SyntheticCorpusConfig(ctx_alias_prob=prob)
@@ -423,6 +425,11 @@ def test_corpus_roundtrip(tmp_path):
     (tmp_path / "truth.json").write_text('[["ev001"]]', encoding="utf-8")
     with pytest.raises(ValueError, match="truth.json: expected a video -> event list mapping"):
         load_truth(str(tmp_path / "truth.json"))
+    # a number would fail in list(), a string would load as its letters
+    for events in ('5', '"ev001"', '["ev001", 7]'):
+        (tmp_path / "truth.json").write_text(f'{{"v0": {events}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match="truth.json: video 'v0': expected a list of event names"):
+            load_truth(str(tmp_path / "truth.json"))
     with pytest.raises(ValueError, match="split"):
         load_corpus(manifest, split="validation")
 

@@ -61,6 +61,7 @@ def test_lr_schedule():
 def test_train_config_validation():
     for bad in (
         {"epochs": -1},
+        {"seed": -3},
         {"batch_size": 0},
         {"lr": 0.0},
         {"lr_decay_every": 0},
