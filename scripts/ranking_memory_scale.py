@@ -2,11 +2,11 @@
 
     python3 scripts/ranking_memory_scale.py
 
-For videos of 6 segments (rgb), 8 and 12 segments (rgb + flow) it ranks one
-query with `rank_moments` on a fresh inference tape, as `momentloc inspect`
-does, with the benchmark's model (latent contexts, contef endpoint
-features, normalized_mult similarity, 16-wide features, 32 hidden units,
-24-wide visual and joint spaces). It prints the `tracemalloc` peak of one
+For videos of 6 segments (rgb) and of 8, 12, 16 and 24 segments (rgb +
+flow) it ranks one query with `rank_moments` on a fresh inference tape, as
+`momentloc inspect` does, with the benchmark's model (latent contexts,
+contef endpoint features, normalized_mult similarity, 16-wide features, 32
+hidden units, 24-wide visual and joint spaces). It prints the `tracemalloc` peak of one
 cold ranking in KB, after a first ranking has built the per-length tables,
 and the median ms of 21 cold rankings. The sizes and times describe the
 machine and the numpy build it runs on and are not a check; the script exits
@@ -35,7 +35,8 @@ from momentloc.model import ModelBundle, ModelConfig, init_params  # noqa: E402
 from momentloc.temporal import Moment  # noqa: E402
 
 ROUNDS = 21
-CASES = ((6, ("rgb",)), (8, ("rgb", "flow")), (12, ("rgb", "flow")))
+CASES = ((6, ("rgb",)), (8, ("rgb", "flow")), (12, ("rgb", "flow")), (16, ("rgb", "flow")),
+         (24, ("rgb", "flow")))
 MODEL = dict(context_mode="latent", tef_mode="contef", similarity="normalized_mult",
              visual_dim=16, mlp_hidden=32, visual_out_dim=24, embed_dim=12,
              lstm_hidden=24, joint_dim=24, sim_hidden=24)

@@ -162,7 +162,7 @@ def cmd_ablate(args: argparse.Namespace) -> Record:
     for cell in cells:
         try:
             cfg = configio.dataclass_from_mapping(ModelConfig, {**shared, **overrides[cell]},
-                                                  f"cell {cell}")
+                                                  f"{args.grid}: cell {cell}")
             bundle, history = trainer.train(train_split, cfg, train_cfg, log=None)
             cell_dir = os.path.join(args.out, "cells", cell)
             save_model(cell_dir, bundle)

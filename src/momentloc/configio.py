@@ -54,10 +54,21 @@ def read_json(path: str):
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
+class _Located(str):
+    """A config value that remembers the `file:line` it was read from, so
+    that `_coerce` can name it."""
+
+    def __new__(cls, value: str, where: str):
+        self = super().__new__(cls, value)
+        self.where = where
+        return self
+
+
 def _parse(lines, source: str, include=None) -> dict[str, str]:
     """The line loop of both readers. `include(target, lineno)` returns the
     mapping an `include` line splices in; without it such a line is an
-    error like any other line without '='."""
+    error like any other line without '='. Each value is a `_Located`
+    string at `source:lineno`."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,7 +80,7 @@ def _parse(lines, source: str, include=None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        out[key.strip()] = _Located(value.strip(), f"{source}:{lineno}")
     return out
 
 
@@ -98,6 +109,9 @@ def _load(path: str, chain: tuple[str, ...]) -> dict[str, str]:
 
 
 def _coerce(value: str, typ, key: str):
+    """`value` as `typ`; an error names the value's `file:line` when it was
+    read from a file."""
+    at = f"{value.where}: " if isinstance(value, _Located) else ""
     origin = typing.get_origin(typ)
     if origin is tuple:
         items = [v.strip() for v in value.split(",") if v.strip()]
@@ -106,12 +120,12 @@ def _coerce(value: str, typ, key: str):
         if typ is int:
             return int(value)
         if typ is not float:
-            return value
+            return str(value)
         number = float(value)
     except ValueError:
-        raise ValueError(f"config key {key!r}: cannot parse {typ.__name__} from {value!r}") from None
+        raise ValueError(f"{at}config key {key!r}: cannot parse {typ.__name__} from {value!r}") from None
     if not math.isfinite(number):
-        raise ValueError(f"config key {key!r}: float must be finite, got {value!r}")
+        raise ValueError(f"{at}config key {key!r}: float must be finite, got {value!r}")
     return number
 
 

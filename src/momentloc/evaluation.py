@@ -173,14 +173,13 @@ def evaluate(
 
 
 def evaluate_with_analyses(
-    corpus: Corpus, bundle: ModelBundle, mode: str | None = "latent",
+    corpus: Corpus, bundle: ModelBundle, mode: str = "latent",
     words: Sequence[str] = ANALYSED_WORDS,
-) -> tuple[MetricsReport | None, dict]:
+) -> tuple[MetricsReport, dict]:
     """The metrics in `mode` and both context analyses of `words` from one
-    walk over the split. With `mode` None the walk ranks only the analysed
-    queries and the report is None. Each analysed query has one ranking of
-    the full sentence and one of its context sentence fragment, both latent;
-    in latent mode the first is also its metrics ranking, and gt_context mode
+    walk over the split. Each analysed query has one ranking of the full
+    sentence and one of its context sentence fragment, both latent; in
+    latent mode the first is also its metrics ranking, and gt_context mode
     adds its pinned ranking. Queries lacking a stored context or fragment are
     excluded and counted.
 
@@ -198,12 +197,10 @@ def evaluate_with_analyses(
     results = []
     items = []
     for query, ranking, analysis in _by_video(corpus, bundle, mode, words):
-        if ranking is not None:
-            results.append(_result(query, ranking))
+        results.append(_result(query, ranking))
         if query.temporal_word in words:
             items.append((query, analysis))
-    report = None if mode is None else compute_metrics(results)
-    return report, _analyses(items, words)
+    return compute_metrics(results), _analyses(items, words)
 
 
 def iter_rankings(corpus: Corpus, bundle: ModelBundle, mode: str = "latent"):
@@ -217,14 +214,12 @@ def _result(query: TemporalQuery, ranking: Sequence[ScoredMoment]) -> QueryResul
     return QueryResult(query.temporal_word, tuple(s.moment for s in ranking), (query.moment,))
 
 
-def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str | None, words: Sequence[str]):
+def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str, words: Sequence[str]):
     """Walk the queries video by video, in sorted video id order, and yield
     `(query, ranking, analysis)` for each.
 
     `ranking` is the query's metrics ranking in `mode` (a gt_context query
-    without a stored context falls back to latent), or None when `mode` is
-    None: that is the analyses-only walk of `evaluate_with_analyses`, and it
-    walks only the queries of `words`. `analysis` is the query's
+    without a stored context falls back to latent). `analysis` is the query's
     `(full-sentence ranking, fragment ranking)`, both latent, when its word
     is one of `words` and it has a stored context and a context fragment;
     otherwise None. `words` is empty for a walk without analyses (`evaluate`,
@@ -232,37 +227,33 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str | None, words: Sequ
     ranking itself.
 
     Each video gets one inference tape, whose `memo` its rankings share, and
-    one `encode_queries` call over the sentences it ranks and the fragments
-    it analyses; a query that is not ranked is not encoded. Every ranking is
-    one `rank_moments` call with its text's row of that stack (`take_row`).
+    one `encode_queries` call over its sentences and the fragments it
+    analyses. Every ranking is one `rank_moments` call with its text's row of
+    that stack (`take_row`).
     """
+    if mode not in EVAL_MODES:
+        raise ValueError(f"eval mode must be one of {EVAL_MODES}, got {mode!r}")
     by_video: dict[str, list[TemporalQuery]] = {}
     for q in corpus.queries:
-        if mode is not None or q.temporal_word in words:
-            by_video.setdefault(q.video_id, []).append(q)
+        by_video.setdefault(q.video_id, []).append(q)
     for vid in sorted(by_video):
         texts: list[Sequence[str]] = []
         plan = []  # per query: its sentence's and its fragment's rows of the stack
         for q in by_video[vid]:
-            analyse = q.temporal_word in words and q.context is not None \
-                and q.context_sentence is not None
-            sentence = fragment = None
-            if mode is not None or analyse:
-                sentence = len(texts)
-                texts.append(q.tokens)
-            if analyse:
+            sentence, fragment = len(texts), None
+            texts.append(q.tokens)
+            if q.temporal_word in words and q.context is not None \
+                    and q.context_sentence is not None:
                 fragment = len(texts)
                 texts.append(tokenize(q.context_sentence))
             plan.append((q, sentence, fragment))
         tape = Tape(recording=False)
-        if texts:
-            stack = encode_queries(tape, [bundle.vocab.encode(t) for t in texts], bundle.params)
+        stack = encode_queries(tape, [bundle.vocab.encode(t) for t in texts], bundle.params)
         rank = functools.partial(rank_moments, corpus.features[vid], bundle=bundle, tape=tape)
         for q, sentence, fragment in plan:
-            ranking = analysis = None
-            if mode is not None:
-                q_mode = mode if (mode == "latent" or q.context is not None) else "latent"
-                ranking = rank(q, mode=q_mode, encoded=tape.take_row(stack, sentence))
+            q_mode = mode if q.context is not None else "latent"
+            ranking = rank(q, mode=q_mode, encoded=tape.take_row(stack, sentence))
+            analysis = None
             if fragment is not None:
                 full = ranking if mode == "latent" else rank(q, encoded=tape.take_row(stack, sentence))
                 analysis = (full, rank(q, encoded=tape.take_row(stack, fragment)))
@@ -334,14 +325,14 @@ def context_conditioned_delta(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
     """The context_conditioned_delta table of evaluate_with_analyses."""
-    return evaluate_with_analyses(corpus, bundle, None, words)[1]["context_conditioned_delta"]
+    return evaluate_with_analyses(corpus, bundle, "latent", words)[1]["context_conditioned_delta"]
 
 
 def context_fragment_eval(
     corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
 ) -> dict:
     """The context_fragment_eval table of evaluate_with_analyses."""
-    return evaluate_with_analyses(corpus, bundle, None, words)[1]["context_fragment_eval"]
+    return evaluate_with_analyses(corpus, bundle, "latent", words)[1]["context_fragment_eval"]
 
 
 # -- frequency prior -----------------------------------------------------------------

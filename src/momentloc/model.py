@@ -353,23 +353,18 @@ def _pool_moments(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
     which adds in the same order) gives the sums of every video's moments
     that start there. Each start segment's sums are written straight into its
     block of one preallocated (videos, moments, dim) array, and one in-place
-    division by the moment lengths makes them means.
+    division by the moment lengths makes them means. Tables of mixed shapes
+    are pooled one by one; each row keeps its bits, since every running sum
+    runs along its own video's axis.
     The running sum starts from the first row and `mean` from +0.0, which
     differ only where every row added so far is -0.0; adding +0.0 to the
     means makes those +0.0 too. A single feature column is summed pairwise
     by numpy once a moment has 8 segments, which only `mean` itself
     reproduces."""
-    groups: dict[tuple[int, int], list[SegmentFeatureTable]] = {}
-    place = []
-    for t in tables:
-        group = groups.setdefault(t.features.shape, [])
-        place.append((t.features.shape, len(group)))
-        group.append(t)
-    blocks = {shape: _pool_stack(group) for shape, group in groups.items()}
-    if len(blocks) == 1:
-        (block,) = blocks.values()
-        return block.reshape(-1, block.shape[2])
-    return np.concatenate([blocks[shape][k] for shape, k in place])
+    if len({t.features.shape for t in tables}) > 1:
+        return np.concatenate([_pool_stack([t])[0] for t in tables])
+    block = _pool_stack(tables)
+    return block.reshape(-1, block.shape[2])
 
 
 def _mlp_rows(tape, x, params, prefix):

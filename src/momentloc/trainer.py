@@ -236,8 +236,12 @@ def train(
     their shuffles and negatives without training, so the result equals one
     uninterrupted run. A batch whose loss, or a step that leaves a trainable
     parameter, not finite stops the run with a ValueError naming the epoch
-    and the batch index.
+    and the batch index. A `start_epoch` past train_cfg.epochs is a
+    ValueError.
     """
+    if start_epoch > train_cfg.epochs:
+        raise ValueError(f"cannot resume after epoch {start_epoch}: the training config "
+                         f"stops after {train_cfg.epochs} epochs")
     if not corpus.queries:
         raise ValueError("corpus has no training queries")
     check_corpus(corpus, model_cfg)

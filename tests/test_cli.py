@@ -376,19 +376,64 @@ def test_gen_rejects_a_config_that_makes_an_unusable_corpus(ws, tmp_path, capsys
 ])
 def test_non_finite_config_value_names_its_key(ws, tmp_path, capsys, command, key, value):
     """A nan or infinite float in a config file fails when the file is read,
-    with one `error:` line naming the key, instead of later in the sampler or
-    the tape with a message that names none."""
+    with one `error:` line naming the file, the line and the key, instead of
+    later in the sampler or the tape with a message that names none."""
+    text = GEN_CFG if command == "gen" else MODEL_CFG
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(text + f"{key} = {value}\n", encoding="utf-8")
     if command == "gen":
-        (tmp_path / "gen.cfg").write_text(GEN_CFG + f"{key} = {value}\n", encoding="utf-8")
-        args = ["gen", "--config", str(tmp_path / "gen.cfg")]
+        args = ["gen", "--config", str(cfg)]
     else:
-        (tmp_path / "model.cfg").write_text(MODEL_CFG + f"{key} = {value}\n", encoding="utf-8")
-        args = ["train", "--corpus", ws["manifest"], "--model-config", str(tmp_path / "model.cfg"),
+        args = ["train", "--corpus", ws["manifest"], "--model-config", str(cfg),
                 "--train-config", str(ws["root"] / "train.cfg"), "--quiet"]
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: config key {key!r}: float must be finite, got {value!r}\n"
+    where = f"{cfg}:{len(text.splitlines()) + 1}"
+    assert captured.err == f"error: {where}: config key {key!r}: float must be finite, got {value!r}\n"
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("source", ["gen", "model_config", "include", "grid", "model_dir"])
+def test_unparsable_config_value_names_its_file_and_line(ws, tmp_path, capsys, source):
+    """A config value that cannot be parsed fails with one `error:` line that
+    names the file and line it was read from: a `gen --config` file, a
+    `--model-config` file, a file that one includes, an ablation grid's cell
+    override, and a model directory's model.cfg."""
+    bad_model = MODEL_CFG.replace("mlp_hidden = 4", "mlp_hidden = abc")
+    (tmp_path / "bad.cfg").write_text(bad_model, encoding="utf-8")
+    train = ["train", "--corpus", ws["manifest"], "--train-config", str(ws["root"] / "train.cfg"),
+             "--quiet", "--model-config"]
+    key, value, line, prefix = "mlp_hidden", "abc", 8, ""
+    if source == "gen":
+        where = tmp_path / "gen.cfg"
+        where.write_text(GEN_CFG + "n_events = many\n", encoding="utf-8")
+        args = ["gen", "--config", str(where)]
+        key, value, line = "n_events", "many", 10
+    elif source == "model_config":
+        where = tmp_path / "bad.cfg"
+        args = [*train, str(where)]
+    elif source == "include":
+        where = tmp_path / "bad.cfg"
+        (tmp_path / "top.cfg").write_text("margin = 0.2\ninclude bad.cfg\n", encoding="utf-8")
+        args = [*train, str(tmp_path / "top.cfg")]
+    elif source == "grid":
+        where = tmp_path / "grid.cfg"
+        where.write_text("cells = a\n" + MODEL_CFG + "a.mlp_hidden = q\n", encoding="utf-8")
+        args = ["ablate", "--corpus", ws["manifest"], "--grid", str(where)]
+        value, line, prefix = "q", 15, "ablation cell 'a' failed: "
+    else:
+        model = tmp_path / "model"
+        shutil.copytree(ws["model"], model)
+        where = model / "model.cfg"
+        where.write_text(where.read_text(encoding="utf-8").replace(
+            "mlp_hidden = 4", "mlp_hidden = abc"), encoding="utf-8")
+        line = where.read_text(encoding="utf-8").splitlines().index("mlp_hidden = abc") + 1
+        args = ["eval", "--corpus", ws["manifest"], "--model", str(model)]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {prefix}{where}:{line}: config key {key!r}: cannot parse int from {value!r}\n")
     assert os.listdir(tmp_path / "out") == []
 
 
@@ -499,7 +544,18 @@ def test_model_cfg_with_seed_loads_and_resumes(ws, tmp_path, capsys):
     grid.write_text("cells = full\n" + MODEL_CFG + "full.seed = 7\n", encoding="utf-8")
     assert main(["ablate", "--corpus", ws["manifest"], "--grid", str(grid),
                  "--out", str(tmp_path / "abl")]) == 1
-    assert "unknown keys ['seed']" in capsys.readouterr().err
+    assert f"{grid}: cell full: unknown keys ['seed']" in capsys.readouterr().err
+
+
+def test_train_resume_past_the_configured_epochs_fails(ws, tmp_path, capsys):
+    """Resuming a 3-epoch model with a 1-epoch training config is one
+    `error:` line naming both epoch counts, and writes no run record."""
+    assert _train(ws, tmp_path, tmp_path / "three", 3) == 0
+    capsys.readouterr()
+    assert _train(ws, tmp_path, tmp_path / "one", 1, "--resume", str(tmp_path / "three")) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot resume after epoch 3: the training config stops after 1 epochs\n")
+    assert not (tmp_path / "one" / "manifest.json").exists()
 
 
 def test_train_resume_history_errors(ws, tmp_path, capsys):

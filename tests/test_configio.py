@@ -134,6 +134,19 @@ def test_unparseable_or_non_finite_number_names_its_key(cls, key, value, message
     assert str(err.value) == f"config key {key!r}: {message}"
 
 
+def test_a_value_read_from_text_names_its_source_and_line():
+    """A value that the parser read carries its `source:line` into a coercion
+    error, also through ModelConfig.from_text, which reads model.cfg; the
+    config it builds holds plain strings."""
+    mapping = parse_flat_config("lr = 0.1\n\nepochs = three\n", "t.cfg")
+    with pytest.raises(ValueError) as err:
+        dataclass_from_mapping(TrainConfig, mapping)
+    assert str(err.value) == "t.cfg:3: config key 'epochs': cannot parse int from 'three'"
+    with pytest.raises(ValueError, match=r"^m\.cfg:2: config key 'margin': float must be finite"):
+        ModelConfig.from_text("loss = ranking\nmargin = nan\n", "m.cfg")
+    assert type(ModelConfig.from_text("context_mode = global\n", "m.cfg").context_mode) is str
+
+
 def test_parse_flat_config_rejects_include_lines():
     assert parse_flat_config("a = 1  # note\n\nb=x y\n") == {"a": "1", "b": "x y"}
     with pytest.raises(ValueError, match=r"<text>:2: expected 'key = value'"):

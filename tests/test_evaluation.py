@@ -379,10 +379,11 @@ def test_context_fragment_eval(rng):
     assert "after" not in out["fragment_as_query"]
 
 
-def test_context_analyses_rank_each_analysed_query_twice(rng, monkeypatch):
-    """One walk makes both tables, with one full-sentence and one fragment
-    ranking per analysed query; a two-region context counts in the fragment
-    table and is excluded from the delta table."""
+def test_context_analyses_rank_each_query_once_and_each_fragment_once(rng, monkeypatch):
+    """One latent walk makes both tables, with one ranking per query, which
+    is also the full-sentence ranking of an analysed query, and one per
+    analysed fragment; a two-region context counts in the fragment table and
+    is excluded from the delta table. The walk takes an eval mode only."""
     corpus, bundle = analysis_fixture(rng)
     two = TemporalQuery("v0", "Seven after eight.", Moment(1, 2), "after",
                         ContextMoment.pair(Moment(0, 0), Moment(3, 3)), "ctx one")
@@ -390,14 +391,16 @@ def test_context_analyses_rank_each_analysed_query_twice(rng, monkeypatch):
     views = {"context_conditioned_delta": context_conditioned_delta(corpus, bundle),
              "context_fragment_eval": context_fragment_eval(corpus, bundle)}
     calls = count_rank_calls(monkeypatch)
-    both = evaluate_with_analyses(corpus, bundle, None)[1]
+    both = evaluate_with_analyses(corpus, bundle, "latent")[1]
     analysed = [q.sentence for q in corpus.queries if q.context is not None]
-    assert sorted(calls) == sorted(analysed * 2)
+    assert sorted(calls) == sorted([q.sentence for q in corpus.queries] + analysed)
     assert both == views
     assert both["context_conditioned_delta"]["excluded"] == 2
     assert both["context_conditioned_delta"]["after"] is None
     assert both["context_fragment_eval"]["excluded"] == 1
     assert both["context_fragment_eval"]["chosen_context"]["after"]["count"] == 1
+    with pytest.raises(ValueError, match="eval mode"):
+        evaluate_with_analyses(corpus, bundle, None)
 
 
 # -- the per-video stack -----------------------------------------------------------
@@ -449,27 +452,26 @@ def test_stacked_walk_matches_isolated_rankings(rng):
         for q, ranking in iter_rankings(corpus, bundle, mode):
             assert triples(ranking) == alone(q, mode if q.context is not None else "latent")
     analysed = 0
-    for mode in (None, *EVAL_MODES):
+    for mode in EVAL_MODES:
         walked = list(_by_video(corpus, bundle, mode, ANALYSED_WORDS))
-        assert len(walked) == (len(corpus.queries) if mode else 5)
+        assert len(walked) == len(corpus.queries)
         for q, ranking, analysis in walked:
-            if mode is not None:
-                assert triples(ranking) == alone(q, mode if q.context is not None else "latent")
+            assert triples(ranking) == alone(q, mode if q.context is not None else "latent")
             if analysis is None:
                 assert q.temporal_word not in ANALYSED_WORDS or q.context_sentence is None
                 continue
             analysed += 1
             assert triples(analysis[0]) == alone(q)
             assert triples(analysis[1]) == alone(q, tokens=tokenize(q.context_sentence))
-    assert analysed == 3 * 3
+    assert analysed == 3 * 2
 
 
 def test_one_walk_gives_the_metrics_and_the_analyses(rng):
-    """`evaluate_with_analyses` gives `evaluate`'s metrics and its own
-    analyses-only tables (mode None) from one walk, in both eval modes, and
-    without analysed words it is `evaluate`."""
+    """`evaluate_with_analyses` gives `evaluate`'s metrics and the latent
+    walk's analyses from one walk, in both eval modes, and without analysed
+    words it is `evaluate`."""
     corpus, bundle = stack_fixture(rng)
-    analyses = evaluate_with_analyses(corpus, bundle, None)[1]
+    analyses = evaluate_with_analyses(corpus, bundle, "latent")[1]
     assert analyses["context_conditioned_delta"]["excluded"] == 2
     for mode in EVAL_MODES:
         report, both = evaluate_with_analyses(corpus, bundle, mode)
@@ -479,10 +481,10 @@ def test_one_walk_gives_the_metrics_and_the_analyses(rng):
 
 
 def test_each_video_is_encoded_in_one_stack(rng, monkeypatch):
-    """A walk makes one `encode_queries` call per video with a ranked query
-    and no `encode_query` call. The stack holds each ranked sentence once and
-    each analysed fragment; excluded queries are not encoded, so a video
-    with none to rank is not encoded at all."""
+    """A walk makes one `encode_queries` call per video and no
+    `encode_query` call. The stack holds each sentence once and each
+    analysed fragment; a query excluded from the analyses adds no
+    fragment."""
     corpus, bundle = stack_fixture(rng)
     stacks = []
 
@@ -502,8 +504,6 @@ def test_each_video_is_encoded_in_one_stack(rng, monkeypatch):
         evaluate_with_analyses(corpus, bundle, mode)
         assert stacks == [6 + 3, 2]  # and v0's three analysed fragments
         stacks.clear()
-    evaluate_with_analyses(corpus, bundle, None)[1]
-    assert stacks == [3 + 3]  # v1's only after query has no fragment
 
 
 # -- frequency prior ------------------------------------------------------------------

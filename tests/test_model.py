@@ -269,7 +269,7 @@ def test_running_sum_pooling_equals_mean():
     each video's moments, in list order, bit for bit as `mean(axis=0)` of
     their segment rows, as the numpy oracle pools them: videos of 1-12
     segments alone and in lists where two or more videos share a length
-    next to videos of other lengths (stacked, then put back in order), one
+    next to videos of other lengths (pooled one by one), one
     to 16 features per segment, features handed over in Fortran order and
     rows of -0.0."""
     rng = np.random.default_rng(8)

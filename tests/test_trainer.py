@@ -536,6 +536,18 @@ def test_train_resume_uses_absolute_epoch(rng):
     assert [row["lr"] for row in h2] == [0.05, 0.05]
 
 
+def test_resume_past_the_configured_epochs_is_an_error(rng):
+    """A resume at the configured epoch count trains nothing; one past it is
+    a ValueError that names both numbers."""
+    corpus = small_corpus(rng)
+    cfg = tiny_model_config()
+    first, _ = train(corpus, cfg, TrainConfig(epochs=3, batch_size=3, seed=6))
+    again = dict(vocab=first.vocab, init=first.params, start_epoch=3)
+    assert train(corpus, cfg, TrainConfig(epochs=3, batch_size=3, seed=6), **again)[1] == []
+    with pytest.raises(ValueError, match="after epoch 3: the training config stops after 1 epochs"):
+        train(corpus, cfg, TrainConfig(epochs=1, batch_size=3, seed=6), **again)
+
+
 def _split_run(corpus, cfg, tcfg, k, embedding=None, vocab=None):
     """k epochs, then a resume to tcfg.epochs from a copy of the k-epoch
     params, as a reloaded checkpoint gives them (every parameter trainable)."""
