@@ -8,7 +8,9 @@ later assignments overriding earlier ones.
 Every file the package writes goes through `atomic_open` (JSON through
 `write_json`): it is written beside its target and renamed into place, so a
 failed write leaves the previous file as it was. Every JSON file is read
-through `read_json`, whose errors name `file:line:col`.
+through `read_json`, whose errors name `file:line:col`, and every text file
+the program is given is opened with `open_text`, whose decoding errors name
+`file:line`.
 """
 
 from __future__ import annotations
@@ -46,8 +48,27 @@ def write_json(path: str, doc, indent: int = 1) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None):
+    """Open a text file the program is given, for reading as UTF-8. A byte
+    that is not UTF-8 fails as `path:line: not UTF-8 text`; only then is the
+    file read again, as bytes, to find that line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len((data[:exc.start] + b".").splitlines())
+                raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+            raise
+
+
 def read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -104,7 +125,7 @@ def _load(path: str, chain: tuple[str, ...]) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: included file {full} does not exist")
         return _load(full, chain)
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return _parse(fh.read().splitlines(), path, include)
 
 
@@ -144,7 +165,17 @@ def dataclass_from_mapping(cls, mapping: dict[str, str], source: str = "config")
     hints = typing.get_type_hints(cls)
     for key, value in mapping.items():
         kwargs[key] = _coerce(value, hints[key.strip()], key)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # a check names the key it rejects first; a key given on the command
+        # line has no file to name
+        named = mapping.get(str(exc).partition(" ")[0])
+        if isinstance(named, _Located):
+            raise ValueError(f"{named.where}: {exc}") from None
+        if named is None and any(isinstance(v, _Located) for v in mapping.values()):
+            raise ValueError(f"{source}: {exc}") from None
+        raise
 
 
 def dataclass_to_text(obj) -> str:

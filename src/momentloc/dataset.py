@@ -404,9 +404,12 @@ def _try_temporal_query(
     kind: str,
     video_id: str,
     truth: SymbolicGroundTruth,
+    runs: list[tuple[str, Moment]],
+    counts: Counter,
     ctx_alias_prob: float,
 ) -> TemporalQuery | None:
-    """Build one oracle-verified query of the given kind, or give up.
+    """Build one oracle-verified query of the given kind from the video's
+    `runs` and their event `counts`, or give up.
 
     Pairs whose base event occurs more than once in the video are tried first
     most of the time: those queries are unanswerable without context. Pairs
@@ -414,8 +417,6 @@ def _try_temporal_query(
     referring expressions. The context constituent surfaces as the event's
     alias form with probability ctx_alias_prob.
     """
-    runs = truth.runs(video_id)
-    counts = Counter(t for t, _ in runs)
     pairs = list(zip(runs, runs[1:]))
     _, grounds, ctx = _GRAMMAR[kind]
     pairs = [p for p in pairs if counts[p[ctx][0]] == 1] or pairs
@@ -442,14 +443,6 @@ def _try_temporal_query(
     return None
 
 
-def _simple_query(rng: np.random.Generator, video_id: str, truth: SymbolicGroundTruth) -> TemporalQuery:
-    runs = truth.runs(video_id)
-    counts = Counter(t for t, _ in runs)
-    unique = [(t, m) for t, m in runs if counts[t] == 1]
-    tok, mom = unique[int(rng.integers(len(unique)))]
-    return TemporalQuery(video_id, _finish(tok), mom, "none")
-
-
 def _sample_queries(
     rng: np.random.Generator,
     video_id: str,
@@ -459,14 +452,18 @@ def _sample_queries(
     weights = np.array([cfg.mix_simple, cfg.mix_before, cfg.mix_after, cfg.mix_then])
     weights = weights / weights.sum()
     kinds = ("none", "before", "after", "then")
+    runs = truth.runs(video_id)
+    counts = Counter(t for t, _ in runs)
+    unique = [(t, m) for t, m in runs if counts[t] == 1]
     out = []
     for _ in range(cfg.queries_per_video):
         kind = kinds[int(rng.choice(4, p=weights))]
         query = None
         if kind != "none":
-            query = _try_temporal_query(rng, kind, video_id, truth, cfg.ctx_alias_prob)
+            query = _try_temporal_query(rng, kind, video_id, truth, runs, counts, cfg.ctx_alias_prob)
         if query is None:
-            query = _simple_query(rng, video_id, truth)
+            tok, mom = unique[int(rng.integers(len(unique)))]
+            query = TemporalQuery(video_id, _finish(tok), mom, "none")
         out.append(query)
     return out
 
@@ -644,7 +641,7 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
     Blank and `#` lines are skipped; any other line, or a second line for
     the same modality, split or truth, is a `file:line` error."""
     entries = []
-    with open(manifest_path, encoding="utf-8") as fh:
+    with configio.open_text(manifest_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -699,6 +696,10 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
             if vid not in tables:
                 raise ValueError(f"video {vid!r} has no {mod} features in {feature_paths[mod]}")
             features[vid][mod] = tables[vid]
+        counts = {feature_paths[mod]: t.n_segments for mod, t in features[vid].items()}
+        if len(set(counts.values())) > 1:
+            raise ValueError(f"video {vid!r}: modalities disagree on segment count: "
+                             + ", ".join(f"{p} gives {n}" for p, n in counts.items()))
     corpus = Corpus(features, queries)
     corpus.validate(f"{path}: record")
     return corpus

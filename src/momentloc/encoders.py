@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape, as_array
-from .configio import atomic_open, read_json, write_json
+from .configio import atomic_open, open_text, read_json, write_json
 
 UNK_TOKEN = "<unk>"
 
@@ -197,7 +197,7 @@ def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
     parse has failed. Lines end at `\n`, `\r\n` or `\r`, as an editor
     counts them; `readlines` never holds the whole text at once.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.readlines()
     # video id -> (index of its first row line, n_segments, dim, offset of
     # its first row in the stack of its width)
@@ -290,7 +290,7 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
     """
     vectors: dict[str, list[float]] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

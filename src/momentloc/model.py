@@ -322,26 +322,6 @@ def _grid_pairs(
     return np.repeat(rows, slots.shape[1]), slots.reshape(-1, cfg.context_slots), candidates
 
 
-def _pool_stack(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
-    """The (videos, moments, dim) pooled features of tables of one shape,
-    each video's moments in moments_of order (see _pool_moments): one
-    preallocated array that the running sums are written into and that is
-    then divided in place."""
-    n, dim = tables[0].features.shape
-    if dim == 1:
-        return np.array([[t.features[m.start_seg : m.end_seg + 1].mean(axis=0)
-                          for m in moments_of(n)] for t in tables])
-    feats = np.stack([t.features for t in tables])
-    pooled = np.empty((len(tables), n * (n + 1) // 2, dim))
-    at = 0
-    for s in range(n):
-        np.cumsum(feats[:, s:], axis=1, out=pooled[:, at : at + n - s])
-        at += n - s
-    pooled /= _moment_lengths(n)
-    pooled += 0.0  # a run of -0.0 rows pools to +0.0, as mean gives
-    return pooled
-
-
 def _pool_moments(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
     """Mean-pooled features of every moment of each table, table after
     table and each table's moments in moments_of order, every row bit for
@@ -354,17 +334,28 @@ def _pool_moments(tables: Sequence[SegmentFeatureTable]) -> np.ndarray:
     that start there. Each start segment's sums are written straight into its
     block of one preallocated (videos, moments, dim) array, and one in-place
     division by the moment lengths makes them means. Tables of mixed shapes
-    are pooled one by one; each row keeps its bits, since every running sum
-    runs along its own video's axis.
+    are pooled one call per table; each row keeps its bits, since every
+    running sum runs along its own video's axis.
     The running sum starts from the first row and `mean` from +0.0, which
     differ only where every row added so far is -0.0; adding +0.0 to the
     means makes those +0.0 too. A single feature column is summed pairwise
     by numpy once a moment has 8 segments, which only `mean` itself
     reproduces."""
     if len({t.features.shape for t in tables}) > 1:
-        return np.concatenate([_pool_stack([t])[0] for t in tables])
-    block = _pool_stack(tables)
-    return block.reshape(-1, block.shape[2])
+        return np.concatenate([_pool_moments([t]) for t in tables])
+    n, dim = tables[0].features.shape
+    if dim == 1:
+        return np.array([t.features[m.start_seg : m.end_seg + 1].mean(axis=0)
+                         for t in tables for m in moments_of(n)])
+    feats = np.stack([t.features for t in tables])
+    pooled = np.empty((len(tables), n * (n + 1) // 2, dim))
+    at = 0
+    for s in range(n):
+        np.cumsum(feats[:, s:], axis=1, out=pooled[:, at : at + n - s])
+        at += n - s
+    pooled /= _moment_lengths(n)
+    pooled += 0.0  # a run of -0.0 rows pools to +0.0, as mean gives
+    return pooled.reshape(-1, dim)
 
 
 def _mlp_rows(tape, x, params, prefix):
@@ -641,7 +632,7 @@ def save_model(out_dir: str, bundle: ModelBundle) -> None:
 
 
 def load_model(model_dir: str) -> ModelBundle:
-    with open(os.path.join(model_dir, CONFIG_FILE), encoding="utf-8") as fh:
+    with configio.open_text(os.path.join(model_dir, CONFIG_FILE)) as fh:
         cfg = ModelConfig.from_text(fh.read(), source=os.path.join(model_dir, CONFIG_FILE))
     vocab = load_vocabulary(os.path.join(model_dir, VOCAB_FILE))
     arrays = load_checkpoint(os.path.join(model_dir, CHECKPOINT_FILE))

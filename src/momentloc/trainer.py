@@ -325,7 +325,7 @@ def load_history(path: str) -> list[dict]:
     """The rows `save_history` wrote. Row k must be epoch k, so a history
     records every epoch its model was trained for; errors name `file:line`."""
     history: list[dict] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with configio.open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != HISTORY_FIELDS:
             raise ValueError(f"{path}:1: expected the header {','.join(HISTORY_FIELDS)}")

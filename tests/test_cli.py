@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import count_rank_calls
 from momentloc.cli import main
 from momentloc.dataset import TemporalQuery, load_corpus, save_annotations
+from momentloc.encoders import SegmentFeatureTable, load_features, save_features
 from momentloc.model import load_model
 from momentloc.temporal import Moment
 
@@ -360,12 +361,14 @@ def test_stats_without_out_writes_nothing(ws, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("key, value", [("feature_dim", 0), ("queries_per_video", -2)])
 def test_gen_rejects_a_config_that_makes_an_unusable_corpus(ws, tmp_path, capsys, key, value):
     """A zero feature width, which the feature loader rejects, or no queries
-    per video is an `error:` line and exit 1, and writes no corpus."""
+    per video is an `error:` line naming the file and line, and exit 1, and
+    writes no corpus."""
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(GEN_CFG.replace(f"{key} = ", f"{key} = {value}\n# "), encoding="utf-8")
+    line = [row.split(" = ")[0] for row in GEN_CFG.splitlines()].index(key) + 1
     capsys.readouterr()
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
-    assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {key} must be >= 1\n"
     assert not (tmp_path / "c" / "corpus.manifest").exists()
 
 
@@ -440,8 +443,9 @@ def test_unparsable_config_value_names_its_file_and_line(ws, tmp_path, capsys, s
 @pytest.mark.parametrize("command, source", [("gen", "file"), ("gen", "flag"), ("train", "file"), ("train", "flag")])
 def test_negative_seed_names_its_key(ws, tmp_path, capsys, command, source):
     """A negative seed, in a config file or as `--seed -1`, fails when the
-    config is built, with one `error:` line naming the key, instead of in
-    the random generator with numpy's message."""
+    config is built, with one `error:` line naming the key, and the file and
+    line it was read from, instead of in the random generator with numpy's
+    message."""
     name, text, seed, negative = {"gen": ("gen.cfg", GEN_CFG, "seed = 5", "seed = -1"),
                                   "train": ("train.cfg", TRAIN_CFG, "seed = 1", "seed = -3")}[command]
     cfg = ws["root"] / name
@@ -455,8 +459,86 @@ def test_negative_seed_names_its_key(ws, tmp_path, capsys, command, source):
         args += ["--seed", "-1"]
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    where = f"{cfg}:{text.splitlines().index(seed) + 1}: " if source == "file" else ""
+    assert capsys.readouterr().err == f"error: {where}seed must be >= 0\n"
     assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("source", ["train_config", "model_config", "grid", "gen"])
+def test_config_check_names_its_file_and_line(ws, tmp_path, capsys, source):
+    """A value that parses but fails its config's check fails with one
+    `error:` line that names the file and line of the key the check names,
+    or the config file alone when the check names no key."""
+    train = ["train", "--corpus", ws["manifest"], "--quiet"]
+    sideways = "context_mode must be one of ('global', 'before_after', 'latent'), got 'sideways'"
+    cfg = tmp_path / f"{source}.cfg"
+    if source == "train_config":
+        cfg.write_text(TRAIN_CFG.replace("epochs = 3", "epochs = -2"), encoding="utf-8")
+        args = [*train, "--model-config", str(ws["root"] / "model.cfg"), "--train-config", str(cfg)]
+        expected = f"{cfg}:1: epochs must be >= 0"
+    elif source == "model_config":
+        cfg.write_text(MODEL_CFG.replace("= latent", "= sideways"), encoding="utf-8")
+        args = [*train, "--train-config", str(ws["root"] / "train.cfg"), "--model-config", str(cfg)]
+        expected = f"{cfg}:1: {sideways}"
+    elif source == "grid":
+        cfg.write_text("cells = a\n" + MODEL_CFG + "a.context_mode = sideways\n", encoding="utf-8")
+        args = ["ablate", "--corpus", ws["manifest"], "--grid", str(cfg)]
+        expected = f"ablation cell 'a' failed: {cfg}:15: {sideways}"
+    else:
+        cfg.write_text(GEN_CFG + "".join(f"mix_{k} = 0\n" for k in ("simple", "before", "after", "then")),
+                       encoding="utf-8")
+        args = ["gen", "--config", str(cfg)]
+        expected = f"{cfg}: query mix weights must be non-negative and not all zero"
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("name, line", [
+    ("train.cfg", 2), ("corpus/queries_test.json", 3), ("corpus/corpus.manifest", 2),
+    ("corpus/features_rgb.txt", 4), ("embeddings.txt", 2), ("model/history.csv", 3),
+    ("model/model.cfg", 5),
+])
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(ws, tmp_path, capsys, name, line):
+    """A byte that is not UTF-8 in any text file the program reads fails
+    with one `error:` line naming the file and the line, instead of the
+    codec's message, which names neither."""
+    shutil.copytree(ws["corpus"], tmp_path / "corpus")
+    shutil.copytree(ws["model"], tmp_path / "model")
+    shutil.copy(ws["root"] / "train.cfg", tmp_path / "train.cfg")
+    (tmp_path / "embeddings.txt").write_text("before 0.5 -0.5\nafter 1.0 0.0\n", encoding="utf-8")
+    path = tmp_path / name
+    rows = path.read_bytes().splitlines(keepends=True)
+    rows[line - 1] = b"\xff" + rows[line - 1]
+    path.write_bytes(b"".join(rows))
+    manifest = str(tmp_path / "corpus" / "corpus.manifest")
+    train = ["train", "--corpus", manifest, "--train-config", str(tmp_path / "train.cfg"), "--quiet"]
+    model_cfg = ["--model-config", str(ws["root"] / "model.cfg")]
+    args = {"train.cfg": [*train, *model_cfg],
+            "embeddings.txt": [*train, *model_cfg, "--embeddings", str(path)],
+            "model/history.csv": [*train, "--resume", str(tmp_path / "model")]}.get(
+        name, ["eval", "--corpus", manifest, "--model", str(tmp_path / "model")])
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 text\n"
+
+
+def test_segment_counts_that_disagree_name_the_feature_files(ws, tmp_path, capsys):
+    """A video whose feature files give different segment counts fails with
+    one `error:` line naming each file and the count it gives."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(ws["corpus"], corpus)
+    path = corpus / "features_flow.txt"
+    tables = load_features(str(path), "flow")
+    tables["te0000"] = SegmentFeatureTable("te0000", "flow", tables["te0000"].features[:-1])
+    save_features(str(path), tables)
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(corpus / "corpus.manifest"), "--model", str(ws["model"]),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: video 'te0000': modalities disagree on segment count: "
+        f"{path} gives 3, {corpus / 'features_rgb.txt'} gives 4\n")
 
 
 def test_gen_compose(tmp_path, capsys):

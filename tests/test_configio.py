@@ -14,6 +14,7 @@ from momentloc.configio import (
     dataclass_from_mapping,
     dataclass_to_text,
     load_config_file,
+    open_text,
     parse_flat_config,
     read_json,
     write_json,
@@ -230,3 +231,21 @@ def test_write_json_bytes_and_read_json_errors(tmp_path):
     path.write_text('{\n "a": 1,\n}\n', encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3:1: Expecting property name")):
         read_json(str(path))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_open_text_counts_the_line_of_a_byte_that_is_not_utf8_in_the_whole_file(tmp_path, newline):
+    """The line is counted as an editor counts lines, from the start of the
+    file, also when the file is read line by line, which decodes it block by
+    block."""
+    rows = [f"row {i} {'x' * 60}".encode() for i in range(500)]
+    rows[399] = b"\xff" + rows[399]
+    path = tmp_path / "big.txt"
+    path.write_bytes(newline.encode().join(rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:400: not UTF-8 text$"):
+        with open_text(str(path)) as fh:
+            list(fh)
+    rows[399] = rows[399][1:]
+    path.write_bytes(newline.encode().join(rows))
+    with open_text(str(path)) as fh:
+        assert fh.read().splitlines() == [row.decode() for row in rows]

@@ -13,6 +13,7 @@ from momentloc.dataset import (
     SyntheticCorpusConfig,
     TemporalQuery,
     _compose,
+    _sample_queries,
     adjacent_pairs,
     corpus_files,
     event_alias,
@@ -264,6 +265,23 @@ def test_synthetic_queries_oracle_consistent():
     assert {"none", "before", "after"} <= words
 
 
+@pytest.mark.parametrize("kind, events, sentence, segment", [
+    ("before", "ev000 ev001 ev000 ev001 ev002", "Ev002.", 4),
+    ("after", "ev000 ev001 ev002 ev000 ev002", "Ev001.", 1),
+])
+def test_sampler_falls_back_to_a_simple_query_when_no_pair_is_answerable(kind, events, sentence,
+                                                                         segment):
+    """In these videos every adjacent pair's `kind` query has no unique
+    answer, so the temporal sampler gives up on each draw and the query is
+    the simple one of the only event that occurs once."""
+    mix = {f"mix_{k}": float(k == kind) for k in ("simple", "before", "after", "then")}
+    cfg = SyntheticCorpusConfig(n_segments=5, queries_per_video=3, **mix)
+    truth = SymbolicGroundTruth({"v": events.split()})
+    for seed in range(5):
+        queries = _sample_queries(np.random.default_rng(seed), "v", truth, cfg)
+        assert queries == [TemporalQuery("v", sentence, Moment(segment, segment), "none")] * 3
+
+
 def test_event_alias_roundtrip():
     assert event_alias("ev007") == "alt007"
     assert resolve_event("alt007") == "ev007"
@@ -487,6 +505,23 @@ def test_missing_features_name_the_feature_file(tmp_path):
     with pytest.raises(ValueError) as err:
         load_corpus(manifest, split="train")
     assert str(err.value) == f"video {vid!r} has no flow features in {path}"
+
+
+def test_segment_counts_that_disagree_name_the_feature_files(tmp_path):
+    """A block one segment short in one modality's file is reported with the
+    count that each file gives, before `Corpus.validate` runs."""
+    syn = generate_synthetic(CFG)
+    manifest = save_corpus(str(tmp_path), syn)
+    vid = syn.train.queries[0].video_id
+    path = tmp_path / "features_flow.txt"
+    tables = load_features(str(path), "flow")
+    tables[vid] = SegmentFeatureTable(vid, "flow", tables[vid].features[:-1])
+    save_features(str(path), tables)
+    n = CFG.n_segments
+    with pytest.raises(ValueError) as err:
+        load_corpus(manifest, split="train")
+    assert str(err.value) == (f"video {vid!r}: modalities disagree on segment count: "
+                              f"{path} gives {n - 1}, {tmp_path / 'features_rgb.txt'} gives {n}")
 
 
 def test_corpus_integrity_missing_video(tmp_path):
