@@ -10,10 +10,16 @@ directory:
 - `gen` of a 30 + 12 video corpus with `queries_per_video = 4`, and with
   `ctx_alias_prob` and `mix_then` set;
 - a 2-epoch `train` of a small model with latent, global and before_after
-  contexts, each with weak and with strong context supervision;
+  contexts, each with weak and with strong context supervision, and of a
+  TALL-like (`before_after`/`none`/`tall_sim`/`tall`) and an MCN-like
+  (`global`/`tef`/`distance`) model;
 - `eval` of each model in both modes, with `--context-delta --fragment-eval
   --baseline-prior`;
-- `inspect --top 30` of three test queries with each model.
+- `inspect --top 30` of three test queries with each model;
+- `train --resume` of the first model for one more epoch;
+- a two-cell `ablate`;
+- `gen --compose` on the train annotations, and `stats --annotations ...
+  --out` on the test annotations.
 
 Every command runs as `python -m momentloc` under the warning options this
 script was given, from its side's directory and with relative paths, so what
@@ -60,8 +66,14 @@ batch_size = 16
 lr = 0.05
 seed = 1
 """
-MODELS = [(mode, supervision) for mode in ("latent", "global", "before_after")
-          for supervision in ("weak", "strong")]
+RESUME_CFG = TRAIN_CFG.replace("epochs = 2", "epochs = 3")
+GRID_CFG = "cells = latent,global\n" + MODEL_CFG + "latent.context_mode = latent\n" \
+    "global.context_mode = global\n"
+# model name -> the lines its config adds to MODEL_CFG
+MODELS = {f"{mode}_{supervision}": f"context_mode = {mode}\ncontext_supervision = {supervision}\n"
+          for mode in ("latent", "global", "before_after") for supervision in ("weak", "strong")}
+MODELS["tall"] = "context_mode = before_after\ntef_mode = none\nsimilarity = tall_sim\nloss = tall\n"
+MODELS["mcn"] = "context_mode = global\ntef_mode = tef\nsimilarity = distance\n"
 EVAL_MODES = ("latent", "gt_context")
 INSPECTED = (0, 2, 5)
 
@@ -70,17 +82,24 @@ def recipe() -> list[list[str]]:
     """The command lines, in order, relative to a side's directory."""
     manifest = "corpus/corpus.manifest"
     commands = [["gen", "--config", "gen.cfg", "--out", "corpus"]]
-    for mode, supervision in MODELS:
-        model = f"models/{mode}_{supervision}"
+    for name in MODELS:
+        model = f"models/{name}"
         commands.append(["train", "--corpus", manifest, "--model-config", f"{model}.cfg",
                          "--train-config", "train.cfg", "--out", model])
         for eval_mode in EVAL_MODES:
             commands.append(["eval", "--corpus", manifest, "--model", model, "--mode", eval_mode,
                              "--context-delta", "--fragment-eval", "--baseline-prior",
-                             "--out", f"evals/{mode}_{supervision}_{eval_mode}"])
+                             "--out", f"evals/{name}_{eval_mode}"])
         commands.extend(["inspect", "--corpus", manifest, "--model", model, "--query", str(q),
                          "--top", "30"] for q in INSPECTED)
-    return commands
+    return commands + [
+        ["train", "--corpus", manifest, "--resume", "models/latent_weak",
+         "--train-config", "resume.cfg", "--out", "resumed"],
+        ["ablate", "--corpus", manifest, "--grid", "grid.cfg", "--train-config", "train.cfg",
+         "--out", "ablation"],
+        ["gen", "--compose", "corpus/queries_train.json", "--out", "composed"],
+        ["stats", "--annotations", "corpus/queries_test.json", "--out", "stats"],
+    ]
 
 
 def run_side(src: Path, root: Path) -> list[tuple[int, str, str]]:
@@ -88,11 +107,9 @@ def run_side(src: Path, root: Path) -> list[tuple[int, str, str]]:
     package under `src`; each command's exit code, stdout and stderr."""
     (root / "models").mkdir(parents=True)
     (root / "gen.cfg").write_text(GEN_CFG, encoding="utf-8")
-    (root / "train.cfg").write_text(TRAIN_CFG, encoding="utf-8")
-    for mode, supervision in MODELS:
-        (root / "models" / f"{mode}_{supervision}.cfg").write_text(
-            MODEL_CFG + f"context_mode = {mode}\ncontext_supervision = {supervision}\n",
-            encoding="utf-8")
+    for name, text in (("train.cfg", TRAIN_CFG), ("resume.cfg", RESUME_CFG), ("grid.cfg", GRID_CFG),
+                       *((f"models/{model}.cfg", MODEL_CFG + lines) for model, lines in MODELS.items())):
+        (root / name).write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     python = [sys.executable, *(f"-W{option}" for option in sys.warnoptions), "-m", "momentloc"]
     results = []

@@ -54,6 +54,8 @@ argmax on ties; ``relu`` has zero gradient at exactly zero.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -625,23 +627,26 @@ def save_checkpoint(path: str, tensors: Mapping[str, np.ndarray]) -> None:
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     def read_exact(fh, n: int) -> bytes:
-        buf = fh.read(n)
-        if len(buf) != n:
+        # checked before reading, so a corrupt length fails without allocating
+        if n > size - fh.tell():
             raise ValueError(f"truncated checkpoint {path!r}")
-        return buf
+        return fh.read(n)
 
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path!r} is not a checkpoint (bad magic)")
         (count,) = struct.unpack("<Q", read_exact(fh, 8))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<Q", read_exact(fh, 8))
-            name = read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path!r}: a tensor name is not UTF-8") from None
             (rank,) = struct.unpack("<Q", read_exact(fh, 8))
             shape = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank)) if rank else ()
-            n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.frombuffer(read_exact(fh, 8 * n_items), dtype="<f8")
+            data = np.frombuffer(read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
             tensors[name] = data.reshape(shape).astype(np.float64)
         if fh.read(1):
             raise ValueError(f"trailing bytes after {count} tensors in {path!r}")

@@ -288,29 +288,24 @@ class SyntheticCorpusConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_train_videos < 1:
-            raise ValueError("need at least one training video")
-        for name in ("n_test_videos", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.n_segments < 2:
-            raise ValueError("need at least two segments")
-        for name in ("feature_dim", "queries_per_video"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.n_events < self.n_segments + 1:
-            raise ValueError(
-                f"need more distinct events ({self.n_events}) than segments "
-                f"({self.n_segments}) to vary videos"
-            )
+        for name, least in (("n_train_videos", 1), ("n_test_videos", 0), ("seed", 0),
+                            ("n_segments", 2), ("feature_dim", 1), ("queries_per_video", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if self.n_events <= self.n_segments:
+            raise ValueError(f"n_events ({self.n_events}) must exceed n_segments "
+                             f"({self.n_segments}) to vary videos")
         if not 0 <= self.repeat_prob <= 1:
             raise ValueError("repeat_prob must lie in [0, 1]")
         if not 0 <= self.ctx_alias_prob <= 1:
             raise ValueError("ctx_alias_prob must lie in [0, 1]")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        mix = [self.mix_simple, self.mix_before, self.mix_after, self.mix_then]
-        if any(w < 0 for w in mix) or sum(mix) <= 0:
+        mix = ("mix_simple", "mix_before", "mix_after", "mix_then")
+        for name in mix:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if sum(getattr(self, name) for name in mix) <= 0:
             raise ValueError("query mix weights must be non-negative and not all zero")
 
 

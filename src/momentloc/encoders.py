@@ -158,12 +158,12 @@ def fusion_weights(modalities: Sequence[str], fusion_lambda: float) -> dict[str,
     """Per-modality late-fusion weights: lambda for the first modality and
     1 - lambda for the second; a single modality gets weight 1."""
     if not 0.0 <= fusion_lambda <= 1.0:
-        raise ValueError(f"fusion lambda must lie in [0, 1], got {fusion_lambda}")
+        raise ValueError(f"fusion_lambda must lie in [0, 1], got {fusion_lambda}")
     if len(modalities) == 1:
         return {modalities[0]: 1.0}
     if len(modalities) == 2:
         return {modalities[0]: fusion_lambda, modalities[1]: 1.0 - fusion_lambda}
-    raise ValueError(f"late fusion supports 1 or 2 modalities, got {len(modalities)}")
+    raise ValueError(f"modalities must be 1 or 2 for late fusion, got {len(modalities)}")
 
 
 # -- file formats --------------------------------------------------------------

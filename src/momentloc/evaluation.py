@@ -194,13 +194,14 @@ def evaluate_with_analyses(
     the full sentence's rank-1 moment. R@1 is exact segment-set equality and
     mIoU is segment-set IoU, so two-region contexts are handled.
     """
-    results = []
-    items = []
+    results, rows, excluded = [], [], 0
     for query, ranking, analysis in _by_video(corpus, bundle, mode, words):
         results.append(_result(query, ranking))
-        if query.temporal_word in words:
-            items.append((query, analysis))
-    return compute_metrics(results), _analyses(items, words)
+        if analysis is not None:
+            rows.append((query, *analysis))
+        elif query.temporal_word in words:
+            excluded += 1
+    return compute_metrics(results), _analyses(rows, words, excluded)
 
 
 def iter_rankings(corpus: Corpus, bundle: ModelBundle, mode: str = "latent"):
@@ -263,76 +264,57 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str, words: Sequence[st
 # -- context analyses --------------------------------------------------------------
 
 
-def _analyses(items, words: Sequence[str]) -> dict:
-    """The tables of evaluate_with_analyses from its `(query, analysis)`
-    items in walk order, `analysis` as `_by_video` yields it (None for an
-    excluded query)."""
-    rows: dict[str, dict[str, list]] = {w: {"all": [], "subset": []} for w in words}
-    frag_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
-    chosen_rows: dict[str, list[tuple[float, float]]] = {w: [] for w in words}
-    excluded = two_region = 0
-    for q, analysis in items:
-        if analysis is None:
-            excluded += 1
-            continue
-        ranking, fragment = analysis
-        frag_top = fragment[0].moment
-        gt_set = q.context.segment_set()
-        top = frozenset(frag_top.segments())
-        frag_rows[q.temporal_word].append((float(top == gt_set), segment_iou(top, gt_set)))
-        pred_ctx = ranking[0].chosen_context.segment_set()
-        chosen_rows[q.temporal_word].append((float(pred_ctx == gt_set), segment_iou(pred_ctx, gt_set)))
-        if len(q.context.regions) != 1:
-            two_region += 1
-            continue
-        result = _result(q, ranking)
-        rows[q.temporal_word]["all"].append(result)
-        if frag_top == q.context.regions[0]:
-            rows[q.temporal_word]["subset"].append(result)
-    delta: dict = {}
-    for word in words:
-        all_results = rows[word]["all"]
-        subset = rows[word]["subset"]
-        if not all_results or not subset:
-            delta[word] = None
-            continue
-        full = _bucket(all_results)
-        cond = _bucket(subset)
-        delta[word] = {
-            "full": full.to_dict(),
-            "context_found": cond.to_dict(),
-            "delta_r_at_1": cond.r_at_1 - full.r_at_1,
-            "delta_miou": cond.miou - full.miou,
-        }
-    delta["excluded"] = excluded + two_region
+def _overlap(found: frozenset[int], gt: frozenset[int]) -> tuple[float, float]:
+    """(hit, IoU) of a found segment set against the ground-truth one."""
+    return float(found == gt), segment_iou(found, gt)
 
-    def summarize(table: dict[str, list[tuple[float, float]]]) -> dict:
-        return {
-            word: {"r_at_1": float(np.mean([v[0] for v in vals])),
-                   "miou": float(np.mean([v[1] for v in vals])), "count": len(vals)}
-            for word, vals in table.items() if vals
-        }
 
+def _summary(overlaps: Sequence[tuple[float, float]]) -> dict:
+    hits, ious = zip(*overlaps)
+    return {"r_at_1": float(np.mean(hits)), "miou": float(np.mean(ious)), "count": len(overlaps)}
+
+
+def _analyses(rows, words: Sequence[str], excluded: int) -> dict:
+    """The tables of evaluate_with_analyses from one `(query, full-sentence
+    ranking, fragment ranking)` row per analysed query, in walk order;
+    `excluded` counts the queries of `words` that have no row."""
+    # per word: (fragment, chosen context) overlaps of every row, and
+    # (QueryResult, context found) of every row with a single-region context
+    overlaps: dict[str, list] = {w: [] for w in words}
+    single: dict[str, list] = {w: [] for w in words}
+    for q, ranking, fragment in rows:
+        gt = q.context.segment_set()
+        overlaps[q.temporal_word].append((_overlap(frozenset(fragment[0].moment.segments()), gt),
+                                          _overlap(ranking[0].chosen_context.segment_set(), gt)))
+        if len(q.context.regions) == 1:
+            single[q.temporal_word].append(
+                (_result(q, ranking), fragment[0].moment == q.context.regions[0]))
+    # the delta table also excludes the rows with a two-region context
+    delta: dict = {"excluded": excluded + len(rows) - sum(map(len, single.values()))}
+    for word, pairs in single.items():
+        subset = [result for result, found in pairs if found]
+        delta[word] = None
+        if subset:
+            full, cond = _bucket([result for result, _ in pairs]), _bucket(subset)
+            delta[word] = {"full": full.to_dict(), "context_found": cond.to_dict(),
+                           "delta_r_at_1": cond.r_at_1 - full.r_at_1,
+                           "delta_miou": cond.miou - full.miou}
     fragment = {
-        "fragment_as_query": summarize(frag_rows),
-        "chosen_context": summarize(chosen_rows),
+        "fragment_as_query": {w: _summary([f for f, _ in o]) for w, o in overlaps.items() if o},
+        "chosen_context": {w: _summary([c for _, c in o]) for w, o in overlaps.items() if o},
         "excluded": excluded,
     }
     return {"context_conditioned_delta": delta, "context_fragment_eval": fragment}
 
 
-def context_conditioned_delta(
-    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
-) -> dict:
+def context_conditioned_delta(corpus: Corpus, bundle: ModelBundle) -> dict:
     """The context_conditioned_delta table of evaluate_with_analyses."""
-    return evaluate_with_analyses(corpus, bundle, "latent", words)[1]["context_conditioned_delta"]
+    return evaluate_with_analyses(corpus, bundle)[1]["context_conditioned_delta"]
 
 
-def context_fragment_eval(
-    corpus: Corpus, bundle: ModelBundle, words: Sequence[str] = ANALYSED_WORDS
-) -> dict:
+def context_fragment_eval(corpus: Corpus, bundle: ModelBundle) -> dict:
     """The context_fragment_eval table of evaluate_with_analyses."""
-    return evaluate_with_analyses(corpus, bundle, "latent", words)[1]["context_fragment_eval"]
+    return evaluate_with_analyses(corpus, bundle)[1]["context_fragment_eval"]
 
 
 # -- frequency prior -----------------------------------------------------------------

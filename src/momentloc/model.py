@@ -95,8 +95,9 @@ class ModelConfig:
         fusion_weights(self.modalities, self.fusion_lambda)
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.tall_alpha_c < 0 or self.tall_alpha_w < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("tall_alpha_c", "tall_alpha_w"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("visual_dim", "mlp_hidden", "visual_out_dim", "embed_dim",
                      "lstm_hidden", "joint_dim", "sim_hidden"):
             if getattr(self, name) < 1:
@@ -632,9 +633,13 @@ def save_model(out_dir: str, bundle: ModelBundle) -> None:
 
 
 def load_model(model_dir: str) -> ModelBundle:
-    with configio.open_text(os.path.join(model_dir, CONFIG_FILE)) as fh:
-        cfg = ModelConfig.from_text(fh.read(), source=os.path.join(model_dir, CONFIG_FILE))
-    vocab = load_vocabulary(os.path.join(model_dir, VOCAB_FILE))
+    cfg_path, vocab_path = os.path.join(model_dir, CONFIG_FILE), os.path.join(model_dir, VOCAB_FILE)
+    with configio.open_text(cfg_path) as fh:
+        cfg = ModelConfig.from_text(fh.read(), source=cfg_path)
+    vocab = load_vocabulary(vocab_path)
+    if vocab.size != cfg.vocab_size:
+        raise ValueError(f"{vocab_path} holds {vocab.size} token ids, counting the unknown "
+                         f"token, but {cfg_path} sets vocab_size = {cfg.vocab_size}")
     arrays = load_checkpoint(os.path.join(model_dir, CHECKPOINT_FILE))
     params = params_from_arrays(cfg, arrays)
     return ModelBundle(cfg, params, vocab)

@@ -49,14 +49,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0 or self.lr_decay_factor <= 0:
-            raise ValueError("learning rate and decay factor must be positive")
+        for name in ("lr", "lr_decay_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
-        if self.negatives_intra < 0 or self.negatives_inter < 0:
-            raise ValueError("negative counts must be >= 0")
+        for name in ("negatives_intra", "negatives_inter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.negatives_intra + self.negatives_inter == 0:
-            raise ValueError("need at least one negative per example")
+            raise ValueError("negatives_intra + negatives_inter must be >= 1")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

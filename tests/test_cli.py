@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import tempfile
 
 import pytest
@@ -495,6 +496,37 @@ def test_config_check_names_its_file_and_line(ws, tmp_path, capsys, source):
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("kind, lines, expected", [
+    ("gen", "n_events = 4", "n_events (4) must exceed n_segments (4) to vary videos"),
+    ("gen", "n_segments = 1", "n_segments must be >= 2"),
+    ("gen", "n_train_videos = 0", "n_train_videos must be >= 1"),
+    ("gen", "mix_before = -1", "mix_before must be >= 0"),
+    ("train", "lr = 0", "lr must be positive"),
+    ("train", "lr_decay_factor = -0.5", "lr_decay_factor must be positive"),
+    ("train", "negatives_intra = 0\nnegatives_inter = 0",
+     "negatives_intra + negatives_inter must be >= 1"),
+    ("model", "tall_alpha_c = -1", "tall_alpha_c must be >= 0"),
+    ("model", "fusion_lambda = 2.0", "fusion_lambda must lie in [0, 1], got 2.0"),
+    ("model", "modalities = rgb,flow,depth", "modalities must be 1 or 2 for late fusion, got 3"),
+])
+def test_config_check_names_the_line_of_its_key(ws, tmp_path, capsys, kind, lines, expected):
+    """Every check of a gen, train or model config starts its message with
+    the key it rejects, so the error names the line that key was read from
+    (the first appended line here), not only the file."""
+    base = {"gen": GEN_CFG, "train": TRAIN_CFG, "model": MODEL_CFG}[kind]
+    cfg = tmp_path / f"{kind}.cfg"
+    cfg.write_text(base + lines + "\n", encoding="utf-8")
+    train = ["train", "--corpus", ws["manifest"], "--quiet"]
+    args = {"gen": ["gen", "--config", str(cfg)],
+            "train": [*train, "--model-config", str(ws["root"] / "model.cfg"), "--train-config", str(cfg)],
+            "model": [*train, "--train-config", str(ws["root"] / "train.cfg"), "--model-config", str(cfg)],
+            }[kind]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{len(base.splitlines()) + 1}: {expected}\n"
+    assert os.listdir(tmp_path / "out") == []
+
+
 @pytest.mark.parametrize("name, line", [
     ("train.cfg", 2), ("corpus/queries_test.json", 3), ("corpus/corpus.manifest", 2),
     ("corpus/features_rgb.txt", 4), ("embeddings.txt", 2), ("model/history.csv", 3),
@@ -955,6 +987,42 @@ def test_vocabulary_without_tokens_names_file(ws, tmp_path, capsys):
     shutil.copytree(ws["model"], model)
     (model / "vocab.json").write_text('{"schema": 1}\n', encoding="utf-8")
     _eval_fails_naming(tmp_path, capsys, ws["corpus"], model, "vocab.json")
+
+
+@pytest.mark.parametrize("header, fault", [
+    ((1, b"a", 2**61), "truncated checkpoint {path!r}"),  # rank
+    ((2**62,), "truncated checkpoint {path!r}"),  # name length
+    ((1, b"a", 2, 2**40, 2**40), "truncated checkpoint {path!r}"),  # dims
+    ((1, b"\xff", 0, b"\0" * 8), "{path!r}: a tensor name is not UTF-8"),
+], ids=["rank", "name_length", "dims", "name_not_utf8"])
+def test_malformed_checkpoint_header_names_the_checkpoint(ws, tmp_path, capsys, header, fault):
+    """A checkpoint header whose lengths run past the end of the file, whose
+    element count overflows 64 bits, or whose tensor name is not UTF-8 fails
+    `eval` with one `error:` line naming the checkpoint, before any length is
+    read or allocated."""
+    model = tmp_path / "model"
+    shutil.copytree(ws["model"], model)
+    path = model / "checkpoint.bin"
+    path.write_bytes(b"MLLC1" + struct.pack("<Q", 1) + b"".join(
+        field if isinstance(field, bytes) else struct.pack("<Q", field) for field in header))
+    capsys.readouterr()
+    err = _eval_fails_naming(tmp_path, capsys, ws["corpus"], model, "checkpoint.bin")
+    assert err == f"error: {fault.format(path=str(path))}\n"
+
+
+def test_vocabulary_that_disagrees_with_vocab_size_names_both_files(ws, tmp_path, capsys):
+    """A `vocab.json` that lost a token would shift every later token's id
+    by one; `eval` rejects it against `model.cfg`'s `vocab_size`."""
+    model = tmp_path / "model"
+    shutil.copytree(ws["model"], model)
+    doc = json.loads((model / "vocab.json").read_text(encoding="utf-8"))
+    size = len(doc["tokens"]) + 1
+    doc["tokens"] = doc["tokens"][1:]
+    (model / "vocab.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    err = _eval_fails_naming(tmp_path, capsys, ws["corpus"], model, "vocab.json")
+    assert err == (f"error: {model / 'vocab.json'} holds {size - 1} token ids, counting the "
+                   f"unknown token, but {model / 'model.cfg'} sets vocab_size = {size}\n")
 
 
 def test_version_and_usage():

@@ -332,7 +332,7 @@ def test_synthetic_config_validation():
         SyntheticCorpusConfig(n_events=5, n_segments=6)
     with pytest.raises(ValueError):
         SyntheticCorpusConfig(repeat_prob=1.5)
-    with pytest.raises(ValueError, match="need at least one training video"):
+    with pytest.raises(ValueError, match="n_train_videos must be >= 1"):
         SyntheticCorpusConfig(n_train_videos=0)
     with pytest.raises(ValueError, match="n_test_videos must be >= 0"):
         SyntheticCorpusConfig(n_test_videos=-1)

@@ -363,6 +363,41 @@ def test_context_conditioned_delta(rng):
     )
 
 
+def test_a_word_whose_fragments_all_miss_their_context_has_no_delta_row(rng):
+    """A word whose analysed single-region queries all have a fragment that
+    misses the context has rows but no `context_found` subset, so its delta
+    row is None while the fragment table still counts it; the other word,
+    whose fragment finds its context, gets a full row."""
+    features = {"v0": tiny_video(rng, 4, video_id="v0")}
+    queries = [
+        TemporalQuery("v0", "One before two.", Moment(0, 0), "before",
+                      ContextMoment.single(Moment(1, 1)), "ctx one"),
+        TemporalQuery("v0", "Three after four.", Moment(2, 2), "after",
+                      ContextMoment.single(Moment(1, 1)), "ctx two"),
+        TemporalQuery("v0", "Five after six.", Moment(3, 3), "after",
+                      ContextMoment.single(Moment(2, 2)), "ctx three"),
+    ]
+    bundle = make_bundle(queries, extra_sentences=[q.context_sentence for q in queries])
+    # pin each "before" context to its fragment's top-ranked moment and each
+    # "after" context to the bottom-ranked one
+    pinned = []
+    for q in queries:
+        frag = rank_moments(features["v0"], q, bundle, tokens=tokenize(q.context_sentence))
+        top = frag[0 if q.temporal_word == "before" else -1].moment
+        pinned.append(replace(q, context=ContextMoment.single(top)))
+    corpus = Corpus(features, pinned)
+    delta = context_conditioned_delta(corpus, bundle)
+    assert delta["excluded"] == 0
+    assert delta["after"] is None
+    row = delta["before"]
+    assert row["full"] == row["context_found"]
+    assert row["full"]["count"] == 1
+    assert row["delta_r_at_1"] == row["delta_miou"] == 0.0
+    frag = context_fragment_eval(corpus, bundle)["fragment_as_query"]
+    assert frag["after"]["count"] == 2 and frag["after"]["r_at_1"] == 0.0
+    assert frag["before"]["count"] == 1 and frag["before"]["r_at_1"] == 1.0
+
+
 def test_context_fragment_eval(rng):
     corpus, bundle = analysis_fixture(rng)
     out = context_fragment_eval(corpus, bundle)

@@ -40,7 +40,7 @@ def test_config_validation():
         ModelConfig(similarity="cosine")
     with pytest.raises(ValueError, match="loss"):
         ModelConfig(loss="mse")
-    with pytest.raises(ValueError, match="fusion lambda"):
+    with pytest.raises(ValueError, match="fusion_lambda"):
         ModelConfig(fusion_lambda=1.2)
     with pytest.raises(ValueError, match="margin"):
         ModelConfig(margin=0.0)
@@ -51,7 +51,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="context_supervision"):
         ModelConfig(context_supervision="none")
     for weight in ("tall_alpha_c", "tall_alpha_w"):
-        with pytest.raises(ValueError, match="loss weights must be non-negative"):
+        with pytest.raises(ValueError, match=f"{weight} must be >= 0"):
             ModelConfig(**{weight: -0.5})
     with pytest.raises(ValueError, match="joint_dim must be >= 1"):
         ModelConfig(joint_dim=0)
