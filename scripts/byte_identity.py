@@ -12,10 +12,12 @@ directory:
 - a 2-epoch `train` of a small model with latent, global and before_after
   contexts, each with weak and with strong context supervision, and of a
   TALL-like (`before_after`/`none`/`tall_sim`/`tall`) and an MCN-like
-  (`global`/`tef`/`distance`) model;
+  (`global`/`tef`/`distance`) model, and of the latent weak model with
+  `--embeddings` of a file of fixed vectors, which freezes `lang.embed`;
 - `eval` of each model in both modes, with `--context-delta --fragment-eval
   --baseline-prior`;
-- `inspect --top 30` of three test queries with each model;
+- `inspect --top 30` with each model: of three test queries without a stored
+  context, and in `--mode gt_context` of three with one;
 - `train --resume` of the first model for one more epoch;
 - a two-cell `ablate`;
 - `gen --compose` on the train annotations, and `stats --annotations ...
@@ -74,8 +76,15 @@ MODELS = {f"{mode}_{supervision}": f"context_mode = {mode}\ncontext_supervision 
           for mode in ("latent", "global", "before_after") for supervision in ("weak", "strong")}
 MODELS["tall"] = "context_mode = before_after\ntef_mode = none\nsimilarity = tall_sim\nloss = tall\n"
 MODELS["mcn"] = "context_mode = global\ntef_mode = tef\nsimilarity = distance\n"
+MODELS["embedded"] = MODELS["latent_weak"]  # trained with --embeddings embeddings.txt
+# fixed 4-d vectors for the event tokens and the temporal words; the alt
+# tokens are left out, so they read the unknown token's zero row
+EMBEDDINGS = "".join(
+    f"{token} " + " ".join(f"{((3 * i + 5 * j) % 11 - 5) / 8:g}" for j in range(4)) + "\n"
+    for i, token in enumerate([f"ev{k:03d}" for k in range(30)] + ["before", "after", "then", "while"]))
 EVAL_MODES = ("latent", "gt_context")
 INSPECTED = (0, 2, 5)
+PINNED_INSPECTED = (3, 7, 8)  # test queries that store a context
 
 
 def recipe() -> list[list[str]]:
@@ -84,14 +93,17 @@ def recipe() -> list[list[str]]:
     commands = [["gen", "--config", "gen.cfg", "--out", "corpus"]]
     for name in MODELS:
         model = f"models/{name}"
+        embeddings = ["--embeddings", "embeddings.txt"] if name == "embedded" else []
         commands.append(["train", "--corpus", manifest, "--model-config", f"{model}.cfg",
-                         "--train-config", "train.cfg", "--out", model])
+                         "--train-config", "train.cfg", *embeddings, "--out", model])
         for eval_mode in EVAL_MODES:
             commands.append(["eval", "--corpus", manifest, "--model", model, "--mode", eval_mode,
                              "--context-delta", "--fragment-eval", "--baseline-prior",
                              "--out", f"evals/{name}_{eval_mode}"])
         commands.extend(["inspect", "--corpus", manifest, "--model", model, "--query", str(q),
                          "--top", "30"] for q in INSPECTED)
+        commands.extend(["inspect", "--corpus", manifest, "--model", model, "--query", str(q),
+                         "--mode", "gt_context", "--top", "30"] for q in PINNED_INSPECTED)
     return commands + [
         ["train", "--corpus", manifest, "--resume", "models/latent_weak",
          "--train-config", "resume.cfg", "--out", "resumed"],
@@ -108,6 +120,7 @@ def run_side(src: Path, root: Path) -> list[tuple[int, str, str]]:
     (root / "models").mkdir(parents=True)
     (root / "gen.cfg").write_text(GEN_CFG, encoding="utf-8")
     for name, text in (("train.cfg", TRAIN_CFG), ("resume.cfg", RESUME_CFG), ("grid.cfg", GRID_CFG),
+                       ("embeddings.txt", EMBEDDINGS),
                        *((f"models/{model}.cfg", MODEL_CFG + lines) for model, lines in MODELS.items())):
         (root / name).write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}

@@ -42,6 +42,8 @@ cycle collector.
 Gradients are lazy. A node's gradient buffer is allocated by the first
 backward write that reaches it, and ``backward`` skips every node that no
 gradient reached, so a branch that does not lead to the root costs nothing.
+An op adds an operand's whole gradient through ``_add_grad``, whose first
+write keeps the op's array as the buffer only if no other node holds it.
 A recorded node that no gradient reached reads zeros; a node of an inference
 tape has ``grad`` None. ``gather_rows`` writes no gradient to a constant part
 at all: nothing upstream of a constant reads it. The gradient of a row read
@@ -90,20 +92,16 @@ def group_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return starts + padded.argmax(axis=1)
 
 
-def _accumulate(node: "Node", g: np.ndarray) -> None:
-    """Add `g` to the gradient of `node`. The first write copies `g`, so a
-    buffer never aliases an array that something else holds."""
+def _add_grad(node: "Node", g: np.ndarray, owned: bool = True) -> None:
+    """Add the gradient `g` of an op's output to its operand `node`, summed
+    over the rows when `node` is the one row that every row of a stack used.
+    The first write keeps `g` as the buffer when the caller computed it for
+    this write alone (`owned`) and copies it otherwise, so a buffer never
+    aliases an array that something else holds."""
+    if node.value.ndim < g.ndim:
+        g, owned = g.sum(axis=0), True
     if node._grad is None:
-        node._grad = np.array(g, dtype=np.float64)
-    else:
-        node._grad += g
-
-
-def _accumulate_owned(node: "Node", g: np.ndarray) -> None:
-    """`_accumulate` for a `g` of the node's shape that was computed for this
-    write alone: the first write keeps it as the buffer."""
-    if node._grad is None:
-        node._grad = g
+        node._grad = g if owned else np.array(g, dtype=np.float64)
     else:
         node._grad += g
 
@@ -114,17 +112,6 @@ def _buffer(node: "Node") -> np.ndarray:
     if node._grad is None:
         node._grad = np.zeros_like(node.value)
     return node._grad
-
-
-def _add_row_grad(v: "Node", g: np.ndarray, owned: bool) -> None:
-    """Add the gradient `g` of an op's output to its operand `v`: summed over
-    the rows when `v` is the one row that every row of a stack used."""
-    if v.value.ndim < g.ndim:
-        _accumulate_owned(v, g.sum(axis=0))
-    elif owned:
-        _accumulate_owned(v, g)
-    else:
-        _accumulate(v, g)
 
 
 def _scatter_rows(node: "Node", rows: np.ndarray, g: np.ndarray) -> None:
@@ -256,8 +243,8 @@ class Tape:
         self._binary_elementwise(a, b, "add")
 
         def back(node: Node) -> None:
-            _accumulate(a, node._grad)
-            _add_row_grad(b, node._grad, owned=False)
+            _add_grad(a, node._grad, owned=False)
+            _add_grad(b, node._grad, owned=False)
 
         return self._make(a.value + b.value, back)
 
@@ -265,8 +252,8 @@ class Tape:
         self._binary_elementwise(a, b, "sub")
 
         def back(node: Node) -> None:
-            _accumulate(a, node._grad)
-            _add_row_grad(b, -node._grad, owned=True)
+            _add_grad(a, node._grad, owned=False)
+            _add_grad(b, -node._grad)
 
         return self._make(a.value - b.value, back)
 
@@ -274,8 +261,8 @@ class Tape:
         self._binary_elementwise(a, b, "hadamard")
 
         def back(node: Node) -> None:
-            _accumulate_owned(a, node._grad * b.value)
-            _add_row_grad(b, node._grad * a.value, owned=True)
+            _add_grad(a, node._grad * b.value)
+            _add_grad(b, node._grad * a.value)
 
         return self._make(a.value * b.value, back)
 
@@ -283,7 +270,7 @@ class Tape:
         c = float(c)
 
         def back(node: Node) -> None:
-            _accumulate_owned(a, node._grad * c)
+            _add_grad(a, node._grad * c)
 
         return self._make(a.value * c, back)
 
@@ -291,7 +278,7 @@ class Tape:
         out = np.tanh(a.value)
 
         def back(node: Node) -> None:
-            _accumulate_owned(a, node._grad * (1.0 - out * out))
+            _add_grad(a, node._grad * (1.0 - out * out))
 
         return self._make(out, back)
 
@@ -299,19 +286,19 @@ class Tape:
         out = _sigmoid(a.value)
 
         def back(node: Node) -> None:
-            _accumulate_owned(a, node._grad * out * (1.0 - out))
+            _add_grad(a, node._grad * out * (1.0 - out))
 
         return self._make(out, back)
 
     def relu(self, a: Node) -> Node:
         def back(node: Node) -> None:
-            _accumulate_owned(a, node._grad * (a.value > 0))
+            _add_grad(a, node._grad * (a.value > 0))
 
         return self._make(np.maximum(a.value, 0.0), back)
 
     def softplus(self, a: Node) -> Node:
         def back(node: Node) -> None:
-            _accumulate_owned(a, node._grad * _sigmoid(a.value))
+            _add_grad(a, node._grad * _sigmoid(a.value))
 
         return self._make(np.logaddexp(0.0, a.value), back)
 
@@ -322,20 +309,20 @@ class Tape:
         if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
 
             def back(node: Node) -> None:
-                _accumulate_owned(a, node._grad @ bv.T)
-                _accumulate_owned(b, av.T @ node._grad)
+                _add_grad(a, node._grad @ bv.T)
+                _add_grad(b, av.T @ node._grad)
 
         elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
 
             def back(node: Node) -> None:
-                _accumulate_owned(a, np.outer(node._grad, bv))
-                _accumulate_owned(b, av.T @ node._grad)
+                _add_grad(a, np.outer(node._grad, bv))
+                _add_grad(b, av.T @ node._grad)
 
         elif av.ndim == 1 and bv.ndim == 1 and av.shape == bv.shape:
 
             def back(node: Node) -> None:
-                _accumulate_owned(a, node._grad * bv)
-                _accumulate_owned(b, node._grad * av)
+                _add_grad(a, node._grad * bv)
+                _add_grad(b, node._grad * av)
 
         else:
             raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
@@ -352,7 +339,7 @@ class Tape:
 
         def back(node: Node) -> None:
             for p, lo, hi in zip(parts, offsets, offsets[1:]):
-                _accumulate(p, node._grad[lo:hi])
+                _add_grad(p, node._grad[lo:hi], owned=False)
 
         return self._make(np.concatenate([p.value for p in parts]), back)
 
@@ -393,7 +380,7 @@ class Tape:
 
     def sum_all(self, a: Node) -> Node:
         def back(node: Node) -> None:
-            _accumulate_owned(a, np.full(a.value.shape, node._grad))
+            _add_grad(a, np.full(a.value.shape, node._grad))
 
         return self._make(np.asarray(a.value.sum()), back)
 
@@ -413,7 +400,7 @@ class Tape:
         def back(node: Node) -> None:
             g = node._grad
             radial = np.where(big, (g * out).sum(axis=-1, keepdims=True) * out, 0.0)
-            _accumulate_owned(a, (g - radial) / denom)
+            _add_grad(a, (g - radial) / denom)
 
         return self._make(out, back)
 
@@ -426,8 +413,8 @@ class Tape:
 
         def back(node: Node) -> None:
             g = 2.0 * node._grad[..., None] * diff
-            _add_row_grad(b, -g, owned=True)
-            _accumulate_owned(a, g)
+            _add_grad(b, -g)
+            _add_grad(a, g)
 
         return self._make(np.asarray((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]), back)
 
@@ -443,7 +430,7 @@ class Tape:
         chosen = scores[idx]
 
         def back(node: Node) -> None:
-            _accumulate(chosen, node._grad)
+            _add_grad(chosen, node._grad, owned=False)
 
         return self._make(chosen.value.copy(), back), idx
 
@@ -467,18 +454,18 @@ class Tape:
 
             def back(node: Node) -> None:
                 g = node._grad
-                _accumulate_owned(x, g @ wv)
-                _accumulate_owned(w, g.T @ xv)
-                _accumulate_owned(b, g.sum(axis=0))
+                _add_grad(x, g @ wv)
+                _add_grad(w, g.T @ xv)
+                _add_grad(b, g.sum(axis=0))
 
         else:
             prod = (wc[None, None, :] @ xc[:, :, None])[:, 0, 0]
 
             def back(node: Node) -> None:
                 g = node._grad
-                _accumulate_owned(x, np.outer(g, wv))
-                _accumulate_owned(w, g @ xv)
-                _accumulate_owned(b, np.asarray(g.sum()))
+                _add_grad(x, np.outer(g, wv))
+                _add_grad(w, g @ xv)
+                _add_grad(b, np.asarray(g.sum()))
 
         # the product is a fresh array, so the bias goes in place
         prod += bv
@@ -505,8 +492,8 @@ class Tape:
         keep = mask[:, None]
 
         def back(node: Node) -> None:
-            _accumulate_owned(a, np.where(keep, node._grad, 0.0))
-            _accumulate_owned(b, np.where(keep, 0.0, node._grad))
+            _add_grad(a, np.where(keep, node._grad, 0.0))
+            _add_grad(b, np.where(keep, 0.0, node._grad))
 
         return self._make(np.where(keep, a.value, b.value), back)
 
@@ -547,7 +534,7 @@ class Tape:
                 if rows is not None:
                     _scatter_rows(p, rows, g)
                 else:
-                    _add_row_grad(p, g, owned=False)
+                    _add_grad(p, g, owned=False)
 
         return self._make(out, back)
 
@@ -571,7 +558,7 @@ class Tape:
         sizes = _partition(x, sizes, "segment_sums")
 
         def back(node: Node) -> None:
-            _accumulate_owned(x, np.repeat(node._grad, sizes))
+            _add_grad(x, np.repeat(node._grad, sizes))
 
         return self._make(_run_sums(x.value, sizes), back)
 
@@ -644,6 +631,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 name = read_exact(fh, name_len).decode("utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"{path!r}: a tensor name is not UTF-8") from None
+            if name in tensors:
+                raise ValueError(f"{path!r}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<Q", read_exact(fh, 8))
             shape = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank)) if rank else ()
             data = np.frombuffer(read_exact(fh, 8 * math.prod(shape)), dtype="<f8")

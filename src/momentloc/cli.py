@@ -217,9 +217,10 @@ def cmd_inspect(args: argparse.Namespace) -> Record:
         f"video {query.video_id} ({n} segments), temporal word: {query.temporal_word}",
         f"ground truth: segments [{query.moment.start_seg}, {query.moment.end_seg}]"
         f"  {_timeline(n, query.moment, query.context.segment_set() if query.context else frozenset())}",
-        "",
-        "rank  score        moment    context            base=■ ctx=▲ both=◆",
     ]
+    if args.mode == "gt_context" and query.context is None:
+        lines.append("no stored context: ranked with latent contexts")
+    lines += ["", "rank  score        moment    context            base=■ ctx=▲ both=◆"]
     for rank, sm in enumerate(ranking[: args.top], start=1):
         regions = ",".join(
             f"[{r.start_seg},{r.end_seg}]" for r in sm.chosen_context.regions

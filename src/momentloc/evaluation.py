@@ -130,8 +130,8 @@ def rank_moments(
     descending score (ties keep enumeration order).
 
     latent: contexts come from the model's context mode. gt_context: the
-    stored ground-truth context is the only candidate; a query without one is
-    an error here, callers decide the fallback.
+    stored ground-truth context is the only candidate; a query without one
+    is ranked with latent contexts.
 
     The query is `tokens` when given (a context fragment), else the query's
     sentence. `encoded` is that text already encoded, a (joint_dim,) node on
@@ -143,8 +143,6 @@ def rank_moments(
     if mode not in EVAL_MODES:
         raise ValueError(f"eval mode must be one of {EVAL_MODES}, got {mode!r}")
     cfg, params = bundle.config, bundle.params
-    if mode == "gt_context" and query.context is None:
-        raise ValueError(f"query {query.sentence!r} has no ground-truth context")
     if tape is None:
         tape = Tape(recording=False)
     n = next(iter(video.values())).n_segments
@@ -219,13 +217,13 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str, words: Sequence[st
     """Walk the queries video by video, in sorted video id order, and yield
     `(query, ranking, analysis)` for each.
 
-    `ranking` is the query's metrics ranking in `mode` (a gt_context query
-    without a stored context falls back to latent). `analysis` is the query's
-    `(full-sentence ranking, fragment ranking)`, both latent, when its word
-    is one of `words` and it has a stored context and a context fragment;
-    otherwise None. `words` is empty for a walk without analyses (`evaluate`,
-    `iter_rankings`). In latent mode the full-sentence ranking is the metrics
-    ranking itself.
+    `ranking` is the query's metrics ranking in `mode` (`rank_moments` ranks
+    a gt_context query without a stored context as latent). `analysis` is
+    the query's `(full-sentence ranking, fragment ranking)`, both latent,
+    when its word is one of `words` and it has a stored context and a context
+    fragment; otherwise None. `words` is empty for a walk without analyses
+    (`evaluate`, `iter_rankings`). In latent mode the full-sentence ranking
+    is the metrics ranking itself.
 
     Each video gets one inference tape, whose `memo` its rankings share, and
     one `encode_queries` call over its sentences and the fragments it
@@ -252,8 +250,7 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str, words: Sequence[st
         stack = encode_queries(tape, [bundle.vocab.encode(t) for t in texts], bundle.params)
         rank = functools.partial(rank_moments, corpus.features[vid], bundle=bundle, tape=tape)
         for q, sentence, fragment in plan:
-            q_mode = mode if q.context is not None else "latent"
-            ranking = rank(q, mode=q_mode, encoded=tape.take_row(stack, sentence))
+            ranking = rank(q, mode=mode, encoded=tape.take_row(stack, sentence))
             analysis = None
             if fragment is not None:
                 full = ranking if mode == "latent" else rank(q, encoded=tape.take_row(stack, sentence))

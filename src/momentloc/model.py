@@ -640,8 +640,15 @@ def load_model(model_dir: str) -> ModelBundle:
     if vocab.size != cfg.vocab_size:
         raise ValueError(f"{vocab_path} holds {vocab.size} token ids, counting the unknown "
                          f"token, but {cfg_path} sets vocab_size = {cfg.vocab_size}")
-    arrays = load_checkpoint(os.path.join(model_dir, CHECKPOINT_FILE))
-    params = params_from_arrays(cfg, arrays)
+    checkpoint = os.path.join(model_dir, CHECKPOINT_FILE)
+    arrays = load_checkpoint(checkpoint)
+    for name in sorted(arrays):
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{checkpoint}: tensor {name!r} holds a non-finite value")
+    try:
+        params = params_from_arrays(cfg, arrays)
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint} vs {cfg_path}: {exc}") from None
     return ModelBundle(cfg, params, vocab)
 
 

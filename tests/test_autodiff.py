@@ -149,6 +149,38 @@ def test_non_recording_values_match_recording():
     assert np.array_equal(outs[0], outs[1])
 
 
+def test_no_gradient_buffer_shares_memory_with_another():
+    """An op that hands its own output gradient, or a slice of it, to an
+    operand (both operands of add, the first of sub, the parts of concat,
+    the choice of max_select, gather_rows' parts without an index) gives
+    that operand a copy: a later write into either buffer leaves the other
+    alone. Each of those operands gets its first write from that op."""
+    rng = np.random.default_rng(6)
+    tape = Tape()
+
+    def leaf(name, *shape):
+        return tape.tanh(tape.param(Parameter(name, rng.normal(size=shape))))
+
+    u, v = leaf("u", 3), leaf("v", 3)
+    s = tape.add(u, v)
+    d = tape.sub(s, leaf("r", 3))
+    m = leaf("m", 2)
+    e = tape.concat([d, m])
+    stack = leaf("stack", 2, 4)
+    rows = tape.linear_rows(tape.gather_rows([(stack, None), (e, None)]),
+                            tape.param(Parameter("w", rng.normal(size=9))),
+                            tape.param(Parameter("b", 0.5)))
+    scores = [tape.take_row(rows, 0), tape.take_row(rows, 1)]
+    top, chosen = tape.max_select(scores)
+    backward(tape, top)
+    for node in (u, v, s, d, m, e, stack, scores[chosen]):
+        assert node._grad is not None
+    buffers = [node._grad for node in tape.nodes if node._grad is not None]
+    for i, first in enumerate(buffers):
+        for second in buffers[i + 1:]:
+            assert not np.shares_memory(first, second)
+
+
 def test_shared_subexpression_accumulates():
     p = Parameter("p", [2.0])
     tape = Tape()

@@ -7,11 +7,13 @@ import shutil
 import struct
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import count_rank_calls
+from momentloc.autodiff import load_checkpoint, save_checkpoint
 from momentloc.cli import main
 from momentloc.dataset import TemporalQuery, load_corpus, save_annotations
 from momentloc.encoders import SegmentFeatureTable, load_features, save_features
@@ -281,6 +283,25 @@ def test_inspect_before_after_model_shows_padded_context(ws, tmp_path, capsys):
               if line and line.split()[0].isdigit()]
     assert len(ranked) == 10  # every moment of a 4-segment video
     assert [row[3:] for row in ranked if row[2] == "[0,3]"] == [["(padded)", "■■■■"]]
+
+
+def test_inspect_gt_context_ranks_a_query_without_a_stored_context_as_latent(ws, capsys):
+    """`inspect --mode gt_context` ranks a query that stores no context with
+    latent contexts, as `eval --mode gt_context` does, and says so in one
+    extra line; a query with a stored context prints no such line."""
+    queries = load_corpus(ws["manifest"], split="test").queries
+    bare = next(i for i, q in enumerate(queries) if q.context is None)
+    pinned = next(i for i, q in enumerate(queries) if q.context is not None)
+
+    def inspect(query, mode):
+        assert main(["inspect", "--corpus", ws["manifest"], "--model", str(ws["model"]),
+                     "--query", str(query), "--mode", mode, "--top", "30"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    capsys.readouterr()
+    latent, fallback = inspect(bare, "latent"), inspect(bare, "gt_context")
+    assert fallback == latent[:3] + ["no stored context: ranked with latent contexts"] + latent[3:]
+    assert "no stored context" not in "\n".join(inspect(pinned, "gt_context"))
 
 
 def test_inspect_bad_index(ws, capsys):
@@ -990,24 +1011,56 @@ def test_vocabulary_without_tokens_names_file(ws, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("header, fault", [
-    ((1, b"a", 2**61), "truncated checkpoint {path!r}"),  # rank
-    ((2**62,), "truncated checkpoint {path!r}"),  # name length
-    ((1, b"a", 2, 2**40, 2**40), "truncated checkpoint {path!r}"),  # dims
-    ((1, b"\xff", 0, b"\0" * 8), "{path!r}: a tensor name is not UTF-8"),
-], ids=["rank", "name_length", "dims", "name_not_utf8"])
+    ((1, 1, b"a", 2**61), "truncated checkpoint {path!r}"),  # rank
+    ((1, 2**62), "truncated checkpoint {path!r}"),  # name length
+    ((1, 1, b"a", 2, 2**40, 2**40), "truncated checkpoint {path!r}"),  # dims
+    ((1, 1, b"\xff", 0, b"\0" * 8), "{path!r}: a tensor name is not UTF-8"),
+    ((2, 1, b"a", 0, b"\0" * 8, 1, b"a", 0, b"\0" * 8), "{path!r}: tensor 'a' appears twice"),
+], ids=["rank", "name_length", "dims", "name_not_utf8", "repeated_name"])
 def test_malformed_checkpoint_header_names_the_checkpoint(ws, tmp_path, capsys, header, fault):
     """A checkpoint header whose lengths run past the end of the file, whose
-    element count overflows 64 bits, or whose tensor name is not UTF-8 fails
-    `eval` with one `error:` line naming the checkpoint, before any length is
-    read or allocated."""
+    element count overflows 64 bits, whose tensor name is not UTF-8, or that
+    names one tensor twice fails `eval` with one `error:` line naming the
+    checkpoint, before any length is read or allocated. The header starts
+    with the tensor count."""
     model = tmp_path / "model"
     shutil.copytree(ws["model"], model)
     path = model / "checkpoint.bin"
-    path.write_bytes(b"MLLC1" + struct.pack("<Q", 1) + b"".join(
+    path.write_bytes(b"MLLC1" + b"".join(
         field if isinstance(field, bytes) else struct.pack("<Q", field) for field in header))
     capsys.readouterr()
     err = _eval_fails_naming(tmp_path, capsys, ws["corpus"], model, "checkpoint.bin")
     assert err == f"error: {fault.format(path=str(path))}\n"
+
+
+def _replace_tensors(model, **tensors):
+    path = str(model / "checkpoint.bin")
+    save_checkpoint(path, {**load_checkpoint(path), **tensors})
+
+
+def _narrow_visual_out_dim(model):
+    cfg = model / "model.cfg"
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("visual_out_dim = 3", "visual_out_dim = 2"),
+                   encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda model: _replace_tensors(model, **{"lang.b": np.full(16, np.nan)}),
+     "{checkpoint}: tensor 'lang.b' holds a non-finite value\n"),
+    (_narrow_visual_out_dim, "{checkpoint} vs {cfg}: checkpoint/config shape mismatch: "),
+    (lambda model: _replace_tensors(model, extra=np.zeros(2)),
+     "{checkpoint} vs {cfg}: checkpoint does not match config: missing [], unexpected ['extra']\n"),
+], ids=["non_finite", "shape", "extra_tensor"])
+def test_checkpoint_that_the_model_cannot_use_names_the_checkpoint(ws, tmp_path, capsys, edit, fault):
+    """A tensor with a NaN names the checkpoint and the tensor; a checkpoint
+    whose tensors do not fit `model.cfg` names both files."""
+    model = tmp_path / "model"
+    shutil.copytree(ws["model"], model)
+    edit(model)
+    capsys.readouterr()
+    err = _eval_fails_naming(tmp_path, capsys, ws["corpus"], model, "checkpoint.bin")
+    assert err.startswith("error: " + fault.format(checkpoint=model / "checkpoint.bin",
+                                                   cfg=model / "model.cfg"))
 
 
 def test_vocabulary_that_disagrees_with_vocab_size_names_both_files(ws, tmp_path, capsys):

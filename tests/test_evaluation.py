@@ -198,9 +198,10 @@ def test_rank_moments_gt_context_mode(rng):
         assert entry.chosen_context == conform_context(
             ctx, entry.moment, bundle.config.context_slots,
         )
+    # a query without a stored context ranks as latent: the same moments,
+    # scores and chosen contexts
     bare = TemporalQuery("v0", "A before b.", Moment(0, 0), "before")
-    with pytest.raises(ValueError, match="ground-truth context"):
-        rank_moments(video, bare, bundle, mode="gt_context")
+    assert rank_moments(video, bare, bundle, mode="gt_context") == rank_moments(video, bare, bundle)
     with pytest.raises(ValueError, match="eval mode"):
         rank_moments(video, query, bundle, mode="oracle")
 
