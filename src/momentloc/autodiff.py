@@ -46,8 +46,9 @@ An op adds an operand's whole gradient through ``_add_grad``, whose first
 write keeps the op's array as the buffer only if no other node holds it.
 A recorded node that no gradient reached reads zeros; a node of an inference
 tape has ``grad`` None. ``gather_rows`` writes no gradient to a constant part
-at all: nothing upstream of a constant reads it. The gradient of a row read
-several times is summed left to right, as ``np.add.at`` would sum it.
+at all, nor to a frozen parameter's leaf, which has no backward: nothing
+upstream of either reads it. The gradient of a row read several times is
+summed left to right, as ``np.add.at`` would sum it.
 
 Gradient conventions: ``backward`` accumulates, so shared subtrees sum
 naturally; ``max_select`` and ``group_max`` route the gradient to the first
@@ -72,7 +73,8 @@ CHECKPOINT_MAGIC = b"MLLC1"
 
 def as_array(value: object) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # min and max carry any NaN or infinity on, without a boolean temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError("tensor contains non-finite values")
     return arr
 
@@ -161,15 +163,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Parameter:
-    """Named leaf tensor. ``trainable=False`` freezes it under sgd_step."""
+    """Named leaf tensor. ``trainable=False`` freezes it: it holds no
+    gradient (``grad`` is None), and sgd_step leaves it alone."""
 
     __slots__ = ("name", "value", "grad", "trainable")
 
     def __init__(self, name: str, value: object, trainable: bool = True):
         self.name = name
         self.value = as_array(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if trainable else None
         self.trainable = trainable
+
+    def freeze(self) -> None:
+        self.trainable, self.grad = False, None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape}, trainable={self.trainable})"
@@ -221,14 +227,16 @@ class Tape:
 
     def param(self, p: Parameter) -> Node:
         """The leaf node of a parameter: one per parameter and tape, so each
-        parameter's gradient reaches ``p.grad`` in one addition."""
+        parameter's gradient reaches ``p.grad`` in one addition. A frozen
+        parameter's leaf has no backward, so ``gather_rows`` treats it as a
+        constant and writes no gradient to it."""
         node = self._params.get(p)
         if node is None:
 
             def back(node: Node) -> None:
                 p.grad += node._grad
 
-            node = self._params[p] = self._make(p.value, back)
+            node = self._params[p] = self._make(p.value, back if p.trainable else None)
         return node
 
     # -- elementwise -------------------------------------------------------
@@ -266,67 +274,56 @@ class Tape:
 
         return self._make(a.value * b.value, back)
 
-    def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
+    def _unary(self, a: Node, out: np.ndarray, grad_of) -> Node:
+        """A node of value `out` whose backward adds `grad_of(g)` to the
+        gradient of its one operand `a`, `g` being the node's gradient."""
 
         def back(node: Node) -> None:
-            _add_grad(a, node._grad * c)
+            _add_grad(a, grad_of(node._grad))
 
-        return self._make(a.value * c, back)
+        return self._make(out, back)
+
+    def scale(self, a: Node, c: float) -> Node:
+        c = float(c)
+        return self._unary(a, a.value * c, lambda g: g * c)
 
     def tanh(self, a: Node) -> Node:
         out = np.tanh(a.value)
-
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad * (1.0 - out * out))
-
-        return self._make(out, back)
+        return self._unary(a, out, lambda g: g * (1.0 - out * out))
 
     def sigmoid(self, a: Node) -> Node:
         out = _sigmoid(a.value)
-
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad * out * (1.0 - out))
-
-        return self._make(out, back)
+        return self._unary(a, out, lambda g: g * out * (1.0 - out))
 
     def relu(self, a: Node) -> Node:
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad * (a.value > 0))
-
-        return self._make(np.maximum(a.value, 0.0), back)
+        return self._unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0))
 
     def softplus(self, a: Node) -> Node:
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad * _sigmoid(a.value))
-
-        return self._make(np.logaddexp(0.0, a.value), back)
+        return self._unary(a, np.logaddexp(0.0, a.value), lambda g: g * _sigmoid(a.value))
 
     # -- linear algebra ------------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
-        if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
-
-            def back(node: Node) -> None:
-                _add_grad(a, node._grad @ bv.T)
-                _add_grad(b, av.T @ node._grad)
-
-        elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-
-            def back(node: Node) -> None:
-                _add_grad(a, np.outer(node._grad, bv))
-                _add_grad(b, av.T @ node._grad)
-
-        elif av.ndim == 1 and bv.ndim == 1 and av.shape == bv.shape:
-
-            def back(node: Node) -> None:
-                _add_grad(a, node._grad * bv)
-                _add_grad(b, node._grad * av)
-
-        else:
+        if not ((av.ndim == 2 and bv.ndim in (1, 2) and av.shape[1] == bv.shape[0])
+                or (av.ndim == 1 and bv.ndim == 1 and av.shape == bv.shape)):
             raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
+
+        def back(node: Node) -> None:
+            g = node._grad
+            _add_grad(a, g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv))
+            _add_grad(b, av.T @ g if av.ndim == 2 else g * av)
+
         return self._make(np.asarray(av @ bv), back)
+
+    def _read(self, a: Node, key) -> Node:
+        """A copy of `a.value[key]`, whose gradient adds into the same
+        entries of `a`'s gradient."""
+
+        def back(node: Node) -> None:
+            _buffer(a)[key] += node._grad
+
+        return self._make(a.value[key].copy(), back)
 
     def concat(self, parts: Sequence[Node]) -> Node:
         if not parts:
@@ -347,21 +344,13 @@ class Tape:
         """Entries [lo, hi) of a vector, or rows [lo, hi) of a stack."""
         if a.value.ndim not in (1, 2) or not 0 <= lo <= hi <= a.value.shape[0]:
             raise ValueError(f"slice1d: bad range [{lo}, {hi}) for shape {a.value.shape}")
-
-        def back(node: Node) -> None:
-            _buffer(a)[lo:hi] += node._grad
-
-        return self._make(a.value[lo:hi].copy(), back)
+        return self._read(a, slice(lo, hi))
 
     def take_row(self, a: Node, row: int) -> Node:
         """Row `row` of a matrix, or entry `row` of a vector as a scalar."""
         if a.value.ndim not in (1, 2) or not 0 <= row < a.value.shape[0]:
             raise ValueError(f"take_row: row {row} out of range for shape {a.value.shape}")
-
-        def back(node: Node) -> None:
-            _buffer(a)[row] += node._grad
-
-        return self._make(a.value[row].copy(), back)
+        return self._read(a, row)
 
     def take(self, x: Node, index: Sequence[int]) -> Node:
         """Entries `index` of a vector, repeats allowed, as a vector. The
@@ -379,10 +368,7 @@ class Tape:
         return self._make(x.value[index], back)
 
     def sum_all(self, a: Node) -> Node:
-        def back(node: Node) -> None:
-            _add_grad(a, np.full(a.value.shape, node._grad))
-
-        return self._make(np.asarray(a.value.sum()), back)
+        return self._unary(a, np.asarray(a.value.sum()), lambda g: np.full(a.value.shape, g))
 
     # -- similarity building blocks -----------------------------------------
 
@@ -475,11 +461,7 @@ class Tape:
         """Columns [lo, hi) of every row of a stack."""
         if x.value.ndim != 2 or not 0 <= lo <= hi <= x.value.shape[1]:
             raise ValueError(f"slice_cols: bad range [{lo}, {hi}) for shape {x.value.shape}")
-
-        def back(node: Node) -> None:
-            _buffer(x)[:, lo:hi] += node._grad
-
-        return self._make(x.value[:, lo:hi].copy(), back)
+        return self._read(x, (slice(None), slice(lo, hi)))
 
     def select_rows(self, mask: np.ndarray, a: Node, b: Node) -> Node:
         """Row i of `a` where `mask[i]`, else row i of `b`."""
@@ -545,22 +527,14 @@ class Tape:
         node and the index of each group's chosen entry."""
         sizes = _partition(x, sizes, "group_max")
         rows = group_argmax(x.value, sizes)
-
-        def back(node: Node) -> None:
-            _buffer(x)[rows] += node._grad
-
-        return self._make(x.value[rows], back), rows
+        return self._read(x, rows), rows
 
     def segment_sums(self, x: Node, sizes: Sequence[int]) -> Node:
         """Sum of each group of a vector's entries, the groups being
         consecutive runs of `sizes[g]` entries, added left to right as a
         chain of ``add`` calls adds them (module notes). Shape (groups,)."""
         sizes = _partition(x, sizes, "segment_sums")
-
-        def back(node: Node) -> None:
-            _add_grad(x, np.repeat(node._grad, sizes))
-
-        return self._make(_run_sums(x.value, sizes), back)
+        return self._unary(x, _run_sums(x.value, sizes), lambda g: np.repeat(g, sizes))
 
 
 def backward(tape: Tape, root: Node) -> None:
@@ -583,11 +557,12 @@ def backward(tape: Tape, root: Node) -> None:
 
 
 def sgd_step(params: Iterable[Parameter], lr: float) -> None:
-    """In-place SGD update on trainable parameters; zeroes every gradient."""
+    """In-place SGD update on the trainable parameters, which zeroes their
+    gradients; a frozen parameter has none."""
     for p in params:
         if p.trainable:
             p.value -= lr * p.grad
-        p.grad[...] = 0.0
+            p.grad[...] = 0.0
 
 
 # -- checkpoint wire format ---------------------------------------------------

@@ -629,10 +629,11 @@ def save_corpus(out_dir: str, synthetic: SyntheticCorpus) -> str:
     return manifest
 
 
-def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
-    """The entries of a corpus manifest as (kind, key, file) triples: `key` is
-    the modality of a features line, the split of an annotations line and
-    None for the truth line; `file` is relative to the manifest's directory.
+def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str, int]]:
+    """The entries of a corpus manifest as (kind, key, file, line) tuples:
+    `key` is the modality of a features line, the split of an annotations
+    line and None for the truth line; `file` is relative to the manifest's
+    directory; `line` is the entry's line number.
     Blank and `#` lines are skipped; any other line, or a second line for
     the same modality, split or truth, is a `file:line` error."""
     entries = []
@@ -643,9 +644,9 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
                 continue
             parts = line.split()
             if parts[0] in ("features", "annotations") and len(parts) == 3:
-                entry = (parts[0], parts[1], parts[2])
+                entry = (parts[0], parts[1], parts[2], lineno)
             elif parts[0] == "truth" and len(parts) == 2:
-                entry = ("truth", None, parts[1])
+                entry = ("truth", None, parts[1], lineno)
             else:
                 raise ValueError(f"{manifest_path}:{lineno}: cannot parse {line!r}")
             if any(e[:2] == entry[:2] for e in entries):
@@ -658,18 +659,19 @@ def _read_manifest(manifest_path: str) -> list[tuple[str, str | None, str]]:
 def corpus_files(manifest_path: str) -> list[str]:
     """The manifest's file name and every file it lists, as `save_corpus`
     wrote them (relative to the manifest's directory)."""
-    return [os.path.basename(manifest_path)] + [f for _, _, f in _read_manifest(manifest_path)]
+    return [os.path.basename(manifest_path)] + [f for _, _, f, _ in _read_manifest(manifest_path)]
 
 
 def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
     """Load one split through the manifest, keeping only the videos that the
     split's queries reference. Videos of the split that no query names are
     dropped, so inter-video training negatives come from the referenced
-    videos alone."""
+    videos alone. A feature file, or the split's annotation file, that does
+    not exist is a `manifest:line` error."""
     base = os.path.dirname(manifest_path)
     entries = _read_manifest(manifest_path)
-    feature_paths = {k: os.path.join(base, f) for kind, k, f in entries if kind == "features"}
-    annotation_paths = {k: os.path.join(base, f) for kind, k, f in entries if kind == "annotations"}
+    feature_paths = {k: os.path.join(base, f) for kind, k, f, _ in entries if kind == "features"}
+    annotation_paths = {k: os.path.join(base, f) for kind, k, f, _ in entries if kind == "annotations"}
     if not feature_paths:
         raise ValueError(f"{manifest_path}: no feature files listed")
     if split not in annotation_paths:
@@ -677,6 +679,10 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
             f"{manifest_path}: no annotations for split {split!r}, "
             f"have {sorted(annotation_paths)}"
         )
+    for kind, key, f, lineno in entries:
+        listed = os.path.join(base, f)
+        if (kind == "features" or (kind, key) == ("annotations", split)) and not os.path.exists(listed):
+            raise ValueError(f"{manifest_path}:{lineno}: {kind} file {listed} does not exist")
     path = annotation_paths[split]
     queries = load_annotations(path)
     per_mod = {mod: load_features(p, mod) for mod, p in feature_paths.items()}

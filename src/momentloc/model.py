@@ -190,7 +190,8 @@ def init_params(
 ) -> ModelParams:
     """Fresh parameters: biases zero, token embeddings uniform in [-0.5, 0.5]
     so distinct tokens start well separated, weight matrices fan-in-scaled
-    uniform. A supplied embedding matrix is used verbatim and frozen."""
+    uniform. A supplied embedding matrix is used verbatim and frozen: the
+    parameter holds a read-only view of it, not a copy."""
     shapes = expected_param_shapes(cfg)
     params: dict[str, Parameter] = {}
     for name in sorted(shapes):
@@ -201,7 +202,9 @@ def init_params(
                     f"pretrained embedding shape {embedding.shape} does not match "
                     f"config ({shape[0]} tokens x {shape[1]} dims)"
                 )
-            params[name] = Parameter(name, embedding.copy(), trainable=False)
+            frozen = embedding.view()
+            frozen.flags.writeable = False
+            params[name] = Parameter(name, frozen, trainable=False)
             continue
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("b", "b1", "b2", "proj_b"):

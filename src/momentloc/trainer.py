@@ -234,8 +234,9 @@ def train(
 
     Resume a run stopped after `start_epoch` epochs by passing its params as
     `init`, with the same corpus, configs and `embedding`: the initial draws
-    still run (only their frozen flags are kept) and the earlier epochs draw
-    their shuffles and negatives without training, so the result equals one
+    still run, the parameters of `init` that they freeze are frozen (and
+    drop their gradient buffers), and the earlier epochs draw their
+    shuffles and negatives without training, so the result equals one
     uninterrupted run. A batch whose loss, or a step that leaves a trainable
     parameter, not finite stops the run with a ValueError naming the epoch
     and the batch index. A `start_epoch` past train_cfg.epochs is a
@@ -254,7 +255,8 @@ def train(
     params = init_params(cfg, rng, embedding)
     if init is not None:
         for p in init.parameters():
-            p.trainable = params[p.name].trainable
+            if not params[p.name].trainable:
+                p.freeze()
         params = init
     n_inter = 0 if cfg.loss == "tall" else train_cfg.negatives_inter
     examples = list(corpus.queries)

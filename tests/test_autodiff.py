@@ -31,6 +31,10 @@ def test_non_finite_rejected():
         Parameter("p", [1.0, np.inf])
     with pytest.raises(ValueError):
         Tape().constant([np.nan])
+    for bad in ([[0.0, 1.0], [-np.inf, 2.0]], [3.0, np.nan, 1e308], np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            Parameter("p", bad)
+    assert Parameter("p", np.zeros((0, 3))).value.shape == (0, 3)
 
 
 def test_shape_mismatch_errors():
@@ -192,15 +196,16 @@ def test_shared_subexpression_accumulates():
 
 
 def test_sgd_step_updates_and_zeroes():
+    """A trainable parameter steps and its gradient is zeroed; a frozen one
+    holds no gradient and keeps its value."""
     p = Parameter("p", [1.0, 2.0])
     frozen = Parameter("q", [5.0], trainable=False)
     p.grad[:] = [0.5, -1.0]
-    frozen.grad[:] = [3.0]
     sgd_step([p, frozen], lr=0.1)
     assert np.allclose(p.value, [0.95, 2.1])
     assert np.array_equal(frozen.value, [5.0])
     assert np.array_equal(p.grad, [0.0, 0.0])
-    assert np.array_equal(frozen.grad, [0.0])
+    assert frozen.grad is None
     assert repr(frozen) == "Parameter('q', shape=(1,), trainable=False)"
 
 
@@ -246,6 +251,26 @@ def test_relu_gradient_away_from_kink():
         analytic = [p.grad.copy()]
         numeric = numeric_gradients(value, [p.value])
         assert_gradients_close(analytic, numeric, "relu")
+
+
+def test_matmul_and_sum_all_gradients_are_exact():
+    """The gradients of matmul's three shapes and of sum_all, bit for bit:
+    g @ b.T, outer(g, b) or g * b for `a`, a.T @ g or g * a for `b`, and g
+    in every entry for sum_all."""
+    rng = np.random.default_rng(4)
+    for sa, sb in [((3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4,))]:
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        w = rng.normal(size=(a @ b).shape)
+        pa, pb = Parameter("a", a), Parameter("b", b)
+        tape = Tape()
+        product = tape.hadamard(tape.matmul(tape.param(pa), tape.param(pb)), tape.constant(w))
+        backward(tape, tape.scale(tape.sum_all(product), 0.7))
+        assert np.array_equal(product.grad, np.full(w.shape, 0.7))
+        g = np.full(w.shape, 0.7) * w
+        want_a = g @ b.T if b.ndim == 2 else np.outer(g, b) if a.ndim == 2 else g * b
+        want_b = a.T @ g if a.ndim == 2 else g * a
+        assert np.array_equal(pa.grad, want_a), sa
+        assert np.array_equal(pb.grad, want_b), sb
 
 
 def test_binary_and_matmul_gradients():

@@ -248,6 +248,25 @@ def test_eval_missing_corpus_fails(ws, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("lineno, line", [
+    (2, "features rgb features_nope.txt"),
+    (4, "annotations test queries_nope.json"),
+])
+def test_eval_names_the_manifest_line_of_a_missing_file(ws, tmp_path, capsys, lineno, line):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(ws["corpus"], corpus)
+    manifest = corpus / "corpus.manifest"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = line
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(manifest), "--model", str(ws["model"]),
+                 "--out", str(tmp_path / "x")]) == 1
+    kind, _, name = line.split()
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:{lineno}: {kind} file {corpus / name} does not exist\n")
+
+
 def test_inspect_command(ws, tmp_path, monkeypatch, capsys):
     before = {d: sorted(os.listdir(ws[d])) for d in ("corpus", "model")}
     monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentloc.autodiff import Parameter, Tape, backward
+from momentloc.autodiff import Parameter, Tape, backward, sgd_step
 from momentloc.configio import dataclass_from_mapping
 from momentloc.dataset import Corpus, TemporalQuery
 from momentloc.encoders import Vocabulary, encode_query
@@ -520,6 +520,29 @@ def test_train_frozen_embedding(rng):
     )
     assert np.array_equal(bundle.params["lang.embed"].value, table)
     assert not bundle.params["lang.embed"].trainable
+
+
+def test_a_frozen_embedding_records_no_gradient(rng):
+    """A frozen lang.embed gets no gradient: after backward its tape leaf has
+    none and the parameter holds none, and sgd_step leaves the matrix given
+    to init_params as it is, without a copy."""
+    corpus = small_corpus(rng)
+    vocab = Vocabulary.from_token_lists(q.tokens for q in corpus.queries)
+    cfg = tiny_model_config(embed_dim=2, vocab_size=vocab.size)
+    table = rng.normal(size=(vocab.size, 2))
+    before = table.copy()
+    params = init_params(cfg, rng, table)
+    embed, lstm = params["lang.embed"], params["lang.w"]
+    lstm_before = lstm.value.copy()
+    longer = videos_longer_than(corpus)
+    negatives = [sample_negatives(rng, corpus, ex, 2, 1, longer) for ex in corpus.queries]
+    tape = Tape()
+    loss = batch_loss(tape, batch_scores(tape, corpus, corpus.queries, negatives, cfg, params, vocab), cfg)
+    backward(tape, loss)
+    sgd_step(params.parameters(), 0.1)
+    assert tape.param(embed)._grad is None and embed.grad is None
+    assert np.array_equal(embed.value, before) and np.shares_memory(embed.value, table)
+    assert not np.array_equal(lstm.value, lstm_before)
 
 
 def test_train_resume_uses_absolute_epoch(rng):
