@@ -37,13 +37,19 @@ Design, in brief:
 
 Backward closures hold their input nodes but never the tape, so a dropped
 tape and its graph are freed by reference counting, without waiting for the
-cycle collector.
+cycle collector. Every op but four is built by ``Tape._op`` from its value
+and one gradient expression per operand, and its one backward adds each
+operand's expression of the output gradient in turn. The four write their
+own: ``param`` adds into ``Parameter.grad``, ``_read`` into part of a buffer,
+and ``take`` and ``gather_rows`` scatter repeated rows in a fixed order.
 
 Gradients are lazy. A node's gradient buffer is allocated by the first
 backward write that reaches it, and ``backward`` skips every node that no
 gradient reached, so a branch that does not lead to the root costs nothing.
 An op adds an operand's whole gradient through ``_add_grad``, whose first
-write keeps the op's array as the buffer only if no other node holds it.
+write keeps the op's array as the buffer unless it shares memory with the
+op's output gradient (an identity gradient or a slice of it), which it
+then copies; later writes add in place.
 A recorded node that no gradient reached reads zeros; a node of an inference
 tape has ``grad`` None. ``gather_rows`` writes no gradient to a constant part
 at all, nor to a frozen parameter's leaf, which has no backward: nothing
@@ -94,16 +100,17 @@ def group_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return starts + padded.argmax(axis=1)
 
 
-def _add_grad(node: "Node", g: np.ndarray, owned: bool = True) -> None:
-    """Add the gradient `g` of an op's output to its operand `node`, summed
-    over the rows when `node` is the one row that every row of a stack used.
-    The first write keeps `g` as the buffer when the caller computed it for
-    this write alone (`owned`) and copies it otherwise, so a buffer never
-    aliases an array that something else holds."""
+def _add_grad(node: "Node", g: np.ndarray, out: np.ndarray) -> None:
+    """Add `g`, one operand's share of an op's output gradient `out`, to the
+    gradient of that operand `node`, summed over the rows when `node` is the
+    one row that every row of a stack used. The first write keeps `g` as the
+    buffer unless it shares memory with `out` (an identity gradient or a
+    slice of `out`), which it then copies, so a buffer never aliases an
+    array that another node holds."""
     if node.value.ndim < g.ndim:
-        g, owned = g.sum(axis=0), True
+        g = g.sum(axis=0)
     if node._grad is None:
-        node._grad = g if owned else np.array(g, dtype=np.float64)
+        node._grad = np.array(g) if np.may_share_memory(g, out) else g
     else:
         node._grad += g
 
@@ -247,59 +254,47 @@ class Tape:
         if sa != sb and not (len(sa) == 2 and sb == sa[1:]):
             raise ValueError(f"{op}: shape mismatch {sa} vs {sb}")
 
-    def add(self, a: Node, b: Node) -> Node:
-        self._binary_elementwise(a, b, "add")
-
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad, owned=False)
-            _add_grad(b, node._grad, owned=False)
-
-        return self._make(a.value + b.value, back)
-
-    def sub(self, a: Node, b: Node) -> Node:
-        self._binary_elementwise(a, b, "sub")
-
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad, owned=False)
-            _add_grad(b, -node._grad)
-
-        return self._make(a.value - b.value, back)
-
-    def hadamard(self, a: Node, b: Node) -> Node:
-        self._binary_elementwise(a, b, "hadamard")
-
-        def back(node: Node) -> None:
-            _add_grad(a, node._grad * b.value)
-            _add_grad(b, node._grad * a.value)
-
-        return self._make(a.value * b.value, back)
-
-    def _unary(self, a: Node, out: np.ndarray, grad_of) -> Node:
+    def _op(self, out: np.ndarray, *operands: tuple[Node, object]) -> Node:
         """A node of value `out` whose backward adds `grad_of(g)` to the
-        gradient of its one operand `a`, `g` being the node's gradient."""
+        gradient of each `(operand, grad_of)` in turn, `g` being the node's
+        gradient."""
 
         def back(node: Node) -> None:
-            _add_grad(a, grad_of(node._grad))
+            g = node._grad
+            for a, grad_of in operands:
+                _add_grad(a, grad_of(g), g)
 
         return self._make(out, back)
 
+    def add(self, a: Node, b: Node) -> Node:
+        self._binary_elementwise(a, b, "add")
+        return self._op(a.value + b.value, (a, lambda g: g), (b, lambda g: g))
+
+    def sub(self, a: Node, b: Node) -> Node:
+        self._binary_elementwise(a, b, "sub")
+        return self._op(a.value - b.value, (a, lambda g: g), (b, lambda g: -g))
+
+    def hadamard(self, a: Node, b: Node) -> Node:
+        self._binary_elementwise(a, b, "hadamard")
+        return self._op(a.value * b.value, (a, lambda g: g * b.value), (b, lambda g: g * a.value))
+
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
-        return self._unary(a, a.value * c, lambda g: g * c)
+        return self._op(a.value * c, (a, lambda g: g * c))
 
     def tanh(self, a: Node) -> Node:
         out = np.tanh(a.value)
-        return self._unary(a, out, lambda g: g * (1.0 - out * out))
+        return self._op(out, (a, lambda g: g * (1.0 - out * out)))
 
     def sigmoid(self, a: Node) -> Node:
         out = _sigmoid(a.value)
-        return self._unary(a, out, lambda g: g * out * (1.0 - out))
+        return self._op(out, (a, lambda g: g * out * (1.0 - out)))
 
     def relu(self, a: Node) -> Node:
-        return self._unary(a, np.maximum(a.value, 0.0), lambda g: g * (a.value > 0))
+        return self._op(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0)))
 
     def softplus(self, a: Node) -> Node:
-        return self._unary(a, np.logaddexp(0.0, a.value), lambda g: g * _sigmoid(a.value))
+        return self._op(np.logaddexp(0.0, a.value), (a, lambda g: g * _sigmoid(a.value)))
 
     # -- linear algebra ------------------------------------------------------
 
@@ -308,13 +303,9 @@ class Tape:
         if not ((av.ndim == 2 and bv.ndim in (1, 2) and av.shape[1] == bv.shape[0])
                 or (av.ndim == 1 and bv.ndim == 1 and av.shape == bv.shape)):
             raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-
-        def back(node: Node) -> None:
-            g = node._grad
-            _add_grad(a, g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv))
-            _add_grad(b, av.T @ g if av.ndim == 2 else g * av)
-
-        return self._make(np.asarray(av @ bv), back)
+        return self._op(np.asarray(av @ bv),
+                        (a, lambda g: g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv)),
+                        (b, lambda g: av.T @ g if av.ndim == 2 else g * av))
 
     def _read(self, a: Node, key) -> Node:
         """A copy of `a.value[key]`, whose gradient adds into the same
@@ -331,14 +322,10 @@ class Tape:
         for p in parts:
             if p.value.ndim != 1:
                 raise ValueError(f"concat needs 1-d inputs, got shape {p.value.shape}")
-        sizes = [p.value.shape[0] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def back(node: Node) -> None:
-            for p, lo, hi in zip(parts, offsets, offsets[1:]):
-                _add_grad(p, node._grad[lo:hi], owned=False)
-
-        return self._make(np.concatenate([p.value for p in parts]), back)
+        offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
+        return self._op(np.concatenate([p.value for p in parts]),
+                        *[(p, lambda g, lo=lo, hi=hi: g[lo:hi])
+                          for p, lo, hi in zip(parts, offsets, offsets[1:])])
 
     def slice1d(self, a: Node, lo: int, hi: int) -> Node:
         """Entries [lo, hi) of a vector, or rows [lo, hi) of a stack."""
@@ -368,7 +355,7 @@ class Tape:
         return self._make(x.value[index], back)
 
     def sum_all(self, a: Node) -> Node:
-        return self._unary(a, np.asarray(a.value.sum()), lambda g: np.full(a.value.shape, g))
+        return self._op(np.asarray(a.value.sum()), (a, lambda g: np.full(a.value.shape, g)))
 
     # -- similarity building blocks -----------------------------------------
 
@@ -383,12 +370,11 @@ class Tape:
         out = x / denom
         big = norm >= NORMALIZE_EPS
 
-        def back(node: Node) -> None:
-            g = node._grad
+        def grad_of(g: np.ndarray) -> np.ndarray:
             radial = np.where(big, (g * out).sum(axis=-1, keepdims=True) * out, 0.0)
-            _add_grad(a, (g - radial) / denom)
+            return (g - radial) / denom
 
-        return self._make(out, back)
+        return self._op(out, (a, grad_of))
 
     def squared_distance(self, a: Node, b: Node) -> Node:
         """``|a - b|^2``: a scalar for two vectors, (n,) for a stack."""
@@ -396,13 +382,9 @@ class Tape:
         if a.value.ndim not in (1, 2):
             raise ValueError(f"squared_distance needs vectors or (n, d) stacks, got shape {a.value.shape}")
         diff = a.value - b.value
-
-        def back(node: Node) -> None:
-            g = 2.0 * node._grad[..., None] * diff
-            _add_grad(b, -g)
-            _add_grad(a, g)
-
-        return self._make(np.asarray((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]), back)
+        return self._op(np.asarray((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]),
+                        (b, lambda g: -2.0 * g[..., None] * diff),
+                        (a, lambda g: 2.0 * g[..., None] * diff))
 
     def max_select(self, scores: Sequence[Node]) -> tuple[Node, int]:
         """Max over scalar nodes; ties go to the earliest. Subgradient routes
@@ -414,11 +396,7 @@ class Tape:
                 raise ValueError(f"max_select needs scalars, got shape {s.value.shape}")
         idx = int(np.argmax([s.value for s in scores]))
         chosen = scores[idx]
-
-        def back(node: Node) -> None:
-            _add_grad(chosen, node._grad, owned=False)
-
-        return self._make(chosen.value.copy(), back), idx
+        return self._op(chosen.value.copy(), (chosen, lambda g: g)), idx
 
     # -- row stacks ------------------------------------------------------------
     #
@@ -437,25 +415,14 @@ class Tape:
         xc, wc = np.ascontiguousarray(xv), np.ascontiguousarray(wv)
         if wv.ndim == 2:
             prod = (wc[None] @ xc[:, :, None])[:, :, 0]
-
-            def back(node: Node) -> None:
-                g = node._grad
-                _add_grad(x, g @ wv)
-                _add_grad(w, g.T @ xv)
-                _add_grad(b, g.sum(axis=0))
-
+            grads = ((x, lambda g: g @ wv), (w, lambda g: g.T @ xv), (b, lambda g: g.sum(axis=0)))
         else:
             prod = (wc[None, None, :] @ xc[:, :, None])[:, 0, 0]
-
-            def back(node: Node) -> None:
-                g = node._grad
-                _add_grad(x, np.outer(g, wv))
-                _add_grad(w, g @ xv)
-                _add_grad(b, np.asarray(g.sum()))
-
+            grads = ((x, lambda g: np.outer(g, wv)), (w, lambda g: g @ xv),
+                     (b, lambda g: np.asarray(g.sum())))
         # the product is a fresh array, so the bias goes in place
         prod += bv
-        return self._make(prod, back)
+        return self._op(prod, *grads)
 
     def slice_cols(self, x: Node, lo: int, hi: int) -> Node:
         """Columns [lo, hi) of every row of a stack."""
@@ -472,12 +439,8 @@ class Tape:
                 f"{a.value.shape}, {b.value.shape} and {mask.shape}"
             )
         keep = mask[:, None]
-
-        def back(node: Node) -> None:
-            _add_grad(a, np.where(keep, node._grad, 0.0))
-            _add_grad(b, np.where(keep, 0.0, node._grad))
-
-        return self._make(np.where(keep, a.value, b.value), back)
+        return self._op(np.where(keep, a.value, b.value),
+                        (a, lambda g: np.where(keep, g, 0.0)), (b, lambda g: np.where(keep, 0.0, g)))
 
     def gather_rows(self, parts: Sequence[tuple[Node, np.ndarray | None]]) -> Node:
         """Stack of n rows, each the concatenation of one row from every
@@ -516,7 +479,7 @@ class Tape:
                 if rows is not None:
                     _scatter_rows(p, rows, g)
                 else:
-                    _add_grad(p, g, owned=False)
+                    _add_grad(p, g, node._grad)
 
         return self._make(out, back)
 
@@ -534,7 +497,7 @@ class Tape:
         consecutive runs of `sizes[g]` entries, added left to right as a
         chain of ``add`` calls adds them (module notes). Shape (groups,)."""
         sizes = _partition(x, sizes, "segment_sums")
-        return self._unary(x, _run_sums(x.value, sizes), lambda g: np.repeat(g, sizes))
+        return self._op(_run_sums(x.value, sizes), (x, lambda g: np.repeat(g, sizes)))
 
 
 def backward(tape: Tape, root: Node) -> None:
