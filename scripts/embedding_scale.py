@@ -7,11 +7,12 @@ subprocess builds a synthetic (rows, 300) embedding matrix in memory, laid
 out as `train --embeddings` loads one: row 0 the zero unknown vector, then
 the corpus's words, then filler tokens. It trains the default model on a
 synthetic corpus of 30 videos with batch 16 for five epochs, the first a
-warm-up, and prints the mean ms per step of the last four epochs and the
-subprocess's peak RSS. BLAS runs on one thread, as in the benchmark. The
-figures describe the machine and are not a check; the script exits 1
-unless `lang.embed` after training equals the matrix it was given, bit for
-bit.
+warm-up, and saves the model. A second fresh subprocess runs `load_model`
+on it. The script prints the mean ms per step of the last four epochs and
+the peak RSS of each subprocess. BLAS runs on one thread, as in the
+benchmark. The figures describe the machine and are not a check; the
+script exits 1 unless `lang.embed`, after training and after the load,
+equals the matrix it was given, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math  # noqa: E402
 import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -37,7 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from momentloc.dataset import SyntheticCorpusConfig, generate_synthetic  # noqa: E402
 from momentloc.encoders import Vocabulary  # noqa: E402
-from momentloc.model import ModelConfig  # noqa: E402
+from momentloc.model import ModelConfig, load_model, save_model  # noqa: E402
 from momentloc.trainer import TrainConfig, train  # noqa: E402
 
 SIZES = (1000, 50000, 200000)
@@ -46,42 +48,68 @@ BATCH = 16
 EPOCHS = 5
 
 
-def one(rows: int) -> dict:
-    """Train with a frozen (rows, EMBED_DIM) embedding; the figures of the run."""
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def one(rows: int, model_dir: str) -> dict:
+    """Train with a frozen (rows, EMBED_DIM) embedding and save the model to
+    `model_dir`; the figures of the run."""
     corpus = generate_synthetic(SyntheticCorpusConfig(n_train_videos=30, n_test_videos=0)).train
     words = Vocabulary.from_token_lists(q.tokens for q in corpus.queries).tokens
     vocab = Vocabulary(list(words) + [f"filler{k}" for k in range(rows - 1 - len(words))])
     matrix = np.random.default_rng(0).uniform(-0.5, 0.5, size=(rows, EMBED_DIM))
     matrix[0] = 0.0
-    digest = hashlib.sha256(matrix.data).digest()
+    digest = hashlib.sha256(matrix.data).hexdigest()
     marks: list[float] = []
     bundle, _ = train(corpus, ModelConfig(embed_dim=EMBED_DIM),
                       TrainConfig(epochs=EPOCHS, batch_size=BATCH),
                       vocab=vocab, embedding=matrix, log=lambda _: marks.append(time.perf_counter()))
     steps = (EPOCHS - 1) * math.ceil(len(corpus.queries) / BATCH)
-    return {
+    res = {
         "ms_per_step": (marks[-1] - marks[0]) * 1e3 / steps,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "unchanged": hashlib.sha256(bundle.params["lang.embed"].value.data).digest() == digest,
+        "peak_rss_mb": peak_rss_mb(),
+        "digest": digest,
+        "unchanged": hashlib.sha256(bundle.params["lang.embed"].value.data).hexdigest() == digest,
     }
+    save_model(model_dir, bundle)
+    return res
+
+
+def load(model_dir: str) -> dict:
+    """Load the saved model; the peak RSS and the digest of `lang.embed`."""
+    embed = load_model(model_dir).params["lang.embed"].value
+    return {"peak_rss_mb": peak_rss_mb(), "digest": hashlib.sha256(embed.data).hexdigest()}
+
+
+def run_json(*args: str) -> dict | None:
+    """The last stdout line of a fresh subprocess of this script, parsed."""
+    run = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True)
+    if run.returncode:
+        sys.stderr.write(run.stderr)
+        return None
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--one"]:
-        print(json.dumps(one(int(argv[1]))))
+        print(json.dumps(one(int(argv[1]), argv[2])))
+        return 0
+    if argv[:1] == ["--load"]:
+        print(json.dumps(load(argv[1])))
         return 0
     failed = False
-    print(f"{'tokens':>8} {'ms/step':>8} {'peak RSS MB':>12}  lang.embed")
+    print(f"{'tokens':>8} {'ms/step':>8} {'train RSS MB':>13} {'load RSS MB':>12}  lang.embed")
     for rows in [int(a) for a in argv] or SIZES:
-        run = subprocess.run([sys.executable, __file__, "--one", str(rows)],
-                             capture_output=True, text=True)
-        if run.returncode:
-            sys.stderr.write(run.stderr)
+        with tempfile.TemporaryDirectory() as model_dir:
+            res = run_json("--one", str(rows), model_dir)
+            loaded = res and run_json("--load", model_dir)
+        if not loaded:
             return 1
-        res = json.loads(run.stdout.splitlines()[-1])
-        failed |= not res["unchanged"]
-        print(f"{rows:>8} {res['ms_per_step']:>8.1f} {res['peak_rss_mb']:>12.0f}  "
-              f"{'unchanged' if res['unchanged'] else 'CHANGED'}")
+        ok = res["unchanged"] and loaded["digest"] == res["digest"]
+        failed |= not ok
+        print(f"{rows:>8} {res['ms_per_step']:>8.1f} {res['peak_rss_mb']:>13.0f} "
+              f"{loaded['peak_rss_mb']:>12.0f}  {'unchanged' if ok else 'CHANGED'}")
     return 1 if failed else 0
 
 

@@ -77,10 +77,14 @@ NORMALIZE_EPS = 1e-8
 CHECKPOINT_MAGIC = b"MLLC1"
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    # min and max carry any NaN or infinity on, without a boolean temporary
+    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def as_array(value: object) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
-    # min and max carry any NaN or infinity on, without a boolean temporary
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    if not all_finite(arr):
         raise ValueError("tensor contains non-finite values")
     return arr
 
@@ -178,7 +182,8 @@ class Parameter:
     def __init__(self, name: str, value: object, trainable: bool = True):
         self.name = name
         self.value = as_array(value)
-        self.grad = np.zeros_like(self.value) if trainable else None
+        # np.zeros leaves its pages unwritten until a gradient reaches them
+        self.grad = np.zeros(self.value.shape) if trainable else None
         self.trainable = trainable
 
     def freeze(self) -> None:
@@ -551,10 +556,16 @@ def save_checkpoint(path: str, tensors: Mapping[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    def read_exact(fh, n: int) -> bytes:
+    """The tensors of a checkpoint, each read straight into its own writable
+    float64 array."""
+
+    def check_left(fh, n: int) -> None:
         # checked before reading, so a corrupt length fails without allocating
         if n > size - fh.tell():
             raise ValueError(f"truncated checkpoint {path!r}")
+
+    def read_exact(fh, n: int) -> bytes:
+        check_left(fh, n)
         return fh.read(n)
 
     with open(path, "rb") as fh:
@@ -573,8 +584,10 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path!r}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<Q", read_exact(fh, 8))
             shape = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank)) if rank else ()
-            data = np.frombuffer(read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
-            tensors[name] = data.reshape(shape).astype(np.float64)
+            count_f8 = math.prod(shape)
+            check_left(fh, 8 * count_f8)
+            data = np.fromfile(fh, dtype="<f8", count=count_f8)
+            tensors[name] = data.reshape(shape).astype(np.float64, copy=False)
         if fh.read(1):
             raise ValueError(f"trailing bytes after {count} tensors in {path!r}")
     return tensors

@@ -40,6 +40,10 @@ def _config(cls, path: str | None, **overrides):
 
 def cmd_gen(args: argparse.Namespace) -> Record:
     if args.compose:
+        ignored = [flag for flag, given in (("--config", args.config), ("--seed", args.seed))
+                   if given is not None]
+        if ignored:
+            raise ValueError(f"--compose cannot be combined with {' or '.join(ignored)}")
         bases = [dataset.BaseAnnotation(q.video_id, q.sentence, q.moment)
                  for q in dataset.load_annotations(args.compose)]
         queries = dataset.generate_template_queries(bases)

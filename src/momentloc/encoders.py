@@ -267,17 +267,18 @@ def _parse_rows(rows: list[str], d: int) -> np.ndarray | None:
     return values
 
 
-def _row_fault(line: str, d: int) -> str | None:
-    """What is wrong with one row line of a width-`d` block, if anything."""
+def _row_fault(line: str, d: int, value: str = "feature value") -> str | None:
+    """What is wrong with one row line of a width-`d` block, if anything;
+    `value` names one entry of the row in the message."""
     fields = line.split()
     if len(fields) != d:
         return f"expected {d} values, got {len(fields)}"
     try:
         values = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
-        return "non-numeric feature value"
+        return f"non-numeric {value}"
     if not np.isfinite(values).all():
-        return "non-finite feature value"
+        return f"non-finite {value}"
     return None
 
 
@@ -287,9 +288,17 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
     Row 0 of the matrix is the all-zero unknown vector, so the file may not
     hold a `<unk>` line; row k embeds the k-th token of the file. The caller
     freezes the resulting parameter.
+
+    Components follow the number rule of `load_features`: the walk checks
+    each line's token and component count and stops at the first faulty
+    line, and the components of the lines above it are parsed by one
+    `_parse_rows` call. A faulty component above the stop is reported
+    first, so the first faulty line is named, with a line's token faults
+    before its component faults.
     """
-    vectors: dict[str, list[float]] = {}
-    dim = None
+    line_of: dict[str, int] = {}
+    rows: list[str] = []
+    dim = walk_error = None
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -297,27 +306,30 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
                 continue
             tok, comps = parts[0], parts[1:]
             if tok == UNK_TOKEN:
-                raise ValueError(f"{path}:{lineno}: token {UNK_TOKEN!r} is reserved")
-            if not comps:
-                raise ValueError(f"{path}:{lineno}: token {tok!r} has no vector")
-            if dim is None:
-                dim = len(comps)
-            elif len(comps) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
-                )
-            if tok in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate token {tok!r}")
-            try:
-                vectors[tok] = [float(c) for c in comps]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric component") from None
-            if not np.isfinite(vectors[tok]).all():
-                raise ValueError(f"{path}:{lineno}: non-finite component")
+                fault = f"token {UNK_TOKEN!r} is reserved"
+            elif not comps:
+                fault = f"token {tok!r} has no vector"
+            elif dim is not None and len(comps) != dim:
+                fault = f"expected {dim} components, got {len(comps)}"
+            elif tok in line_of:
+                fault = f"duplicate token {tok!r}"
+            else:
+                dim, line_of[tok] = len(comps), lineno
+                rows.append(" ".join(comps))
+                continue
+            walk_error = f"{path}:{lineno}: {fault}"
+            break
+    matrix = _parse_rows(rows, dim) if rows else None
+    if rows and matrix is None:
+        for row, lineno in zip(rows, line_of.values()):
+            fault = _row_fault(row, dim, "component")
+            if fault:
+                raise ValueError(f"{path}:{lineno}: {fault}")
+    if walk_error:
+        raise ValueError(walk_error)
     if dim is None:
         raise ValueError(f"{path}: empty embedding file")
-    matrix = np.vstack([np.zeros((1, dim)), np.array(list(vectors.values()))])
-    return Vocabulary(list(vectors)), matrix
+    return Vocabulary(list(line_of)), np.vstack([np.zeros((1, dim)), matrix])
 
 
 def save_vocabulary(path: str, vocab: Vocabulary) -> None:

@@ -21,6 +21,7 @@ from .autodiff import (
     Node,
     Parameter,
     Tape,
+    all_finite,
     group_argmax,
     load_checkpoint,
     save_checkpoint,
@@ -646,7 +647,7 @@ def load_model(model_dir: str) -> ModelBundle:
     checkpoint = os.path.join(model_dir, CHECKPOINT_FILE)
     arrays = load_checkpoint(checkpoint)
     for name in sorted(arrays):
-        if not np.isfinite(arrays[name]).all():
+        if not all_finite(arrays[name]):
             raise ValueError(f"{checkpoint}: tensor {name!r} holds a non-finite value")
     try:
         params = params_from_arrays(cfg, arrays)
@@ -657,7 +658,8 @@ def load_model(model_dir: str) -> ModelBundle:
 
 def params_from_arrays(cfg: ModelConfig, arrays: Mapping[str, np.ndarray]) -> ModelParams:
     """Wrap raw checkpoint tensors, validating names and shapes against the
-    configuration."""
+    configuration. Each parameter takes its float64 array as it is, not a
+    copy."""
     shapes = expected_param_shapes(cfg)
     missing = sorted(set(shapes) - set(arrays))
     surplus = sorted(set(arrays) - set(shapes))
@@ -672,4 +674,4 @@ def params_from_arrays(cfg: ModelConfig, arrays: Mapping[str, np.ndarray]) -> Mo
     ]
     if bad:
         raise ValueError("checkpoint/config shape mismatch: " + "; ".join(bad))
-    return ModelParams({n: Parameter(n, np.array(arrays[n])) for n in shapes})
+    return ModelParams({n: Parameter(n, arrays[n]) for n in shapes})

@@ -158,7 +158,9 @@ def test_no_gradient_buffer_shares_memory_with_another():
     operand (both operands of add, the first of sub, the parts of concat,
     the choice of max_select, gather_rows' parts without an index) gives
     that operand a copy: a later write into either buffer leaves the other
-    alone. Each of those operands gets its first write from that op."""
+    alone. Each of those operands gets its first write from that op. The
+    same holds for every other kind of write: select_rows' masked copies, a
+    bias gradient summed over rows, and one node given as both operands."""
     rng = np.random.default_rng(6)
     tape = Tape()
 
@@ -171,13 +173,18 @@ def test_no_gradient_buffer_shares_memory_with_another():
     m = leaf("m", 2)
     e = tape.concat([d, m])
     stack = leaf("stack", 2, 4)
-    rows = tape.linear_rows(tape.gather_rows([(stack, None), (e, None)]),
+    picked = tape.select_rows(np.array([True, False]), stack, leaf("other", 2, 4))
+    hidden = tape.linear_rows(picked, tape.param(Parameter("w2", rng.normal(size=(4, 4)))),
+                              leaf("bias", 4))
+    x = leaf("x", 2, 4)
+    twice = tape.hadamard(tape.add(x, x), x)
+    rows = tape.linear_rows(tape.gather_rows([(tape.add(hidden, twice), None), (e, None)]),
                             tape.param(Parameter("w", rng.normal(size=9))),
                             tape.param(Parameter("b", 0.5)))
     scores = [tape.take_row(rows, 0), tape.take_row(rows, 1)]
     top, chosen = tape.max_select(scores)
     backward(tape, top)
-    for node in (u, v, s, d, m, e, stack, scores[chosen]):
+    for node in (u, v, s, d, m, e, stack, picked, hidden, x, twice, scores[chosen]):
         assert node._grad is not None
     buffers = [node._grad for node in tape.nodes if node._grad is not None]
     for i, first in enumerate(buffers):

@@ -634,6 +634,22 @@ def test_gen_compose(tmp_path, capsys):
     assert_run_record(out, "gen")
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--config", "absent.cfg"], "--config"),
+    (["--seed", "5"], "--seed"),
+    (["--config", "absent.cfg", "--seed", "5"], "--config or --seed"),
+])
+def test_gen_compose_rejects_the_corpus_flags(tmp_path, capsys, extra, named):
+    """Composing reads neither a corpus config nor a seed, so a run given
+    either fails naming it rather than ignore it and record neither."""
+    anns = tmp_path / "base.json"
+    save_annotations(str(anns), [TemporalQuery("v0", "the dog runs", Moment(0, 1))])
+    out = tmp_path / "composed"
+    assert main(["gen", "--compose", str(anns), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --compose cannot be combined with {named}\n"
+    assert not (out / "queries_composed.json").exists()
+
+
 def _train(ws, tmp_path, out, epochs, *extra):
     cfg = tmp_path / f"epochs{epochs}.cfg"
     cfg.write_text(f"epochs = {epochs}\nbatch_size = 4\nlr = 0.05\nseed = 1\n", encoding="utf-8")

@@ -372,6 +372,18 @@ def test_params_from_arrays_validates(rng):
         params_from_arrays(cfg, wrong)
 
 
+def test_params_from_arrays_takes_the_arrays_without_a_copy(rng):
+    """load_model hands over the arrays it has just read, so wrapping them
+    holds no second copy of a tensor; a gradient buffer's pages stay
+    unwritten until a gradient reaches them."""
+    cfg = tiny_model_config()
+    arrays = {n: a.copy() for n, a in init_params(cfg, rng).arrays().items()}
+    params = params_from_arrays(cfg, arrays)
+    for n in arrays:
+        assert params[n].value is arrays[n]
+        assert params[n].grad.shape == arrays[n].shape and not params[n].grad.any()
+
+
 def test_classic_configs_expressible():
     """The two well-known fixed-context baselines must be reachable through
     configuration alone: squared-distance + global context + tef + ranking,
