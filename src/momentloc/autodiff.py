@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -259,7 +259,7 @@ class Tape:
         if sa != sb and not (len(sa) == 2 and sb == sa[1:]):
             raise ValueError(f"{op}: shape mismatch {sa} vs {sb}")
 
-    def _op(self, out: np.ndarray, *operands: tuple[Node, object]) -> Node:
+    def _op(self, out: np.ndarray, *operands: tuple[Node, Callable[[np.ndarray], np.ndarray]]) -> Node:
         """A node of value `out` whose backward adds `grad_of(g)` to the
         gradient of each `(operand, grad_of)` in turn, `g` being the node's
         gradient."""

@@ -319,16 +319,16 @@ def load_embeddings(path: str) -> tuple[Vocabulary, np.ndarray]:
                 continue
             walk_error = f"{path}:{lineno}: {fault}"
             break
-    matrix = _parse_rows(rows, dim) if rows else None
-    if rows and matrix is None:
+    if not rows:
+        raise ValueError(walk_error or f"{path}: empty embedding file")
+    matrix = _parse_rows(rows, dim)
+    if matrix is None:
         for row, lineno in zip(rows, line_of.values()):
             fault = _row_fault(row, dim, "component")
             if fault:
                 raise ValueError(f"{path}:{lineno}: {fault}")
     if walk_error:
         raise ValueError(walk_error)
-    if dim is None:
-        raise ValueError(f"{path}: empty embedding file")
     return Vocabulary(list(line_of)), np.vstack([np.zeros((1, dim)), matrix])
 
 

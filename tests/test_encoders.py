@@ -293,22 +293,13 @@ def test_embedding_file(tmp_path):
         ("dog 1 2\ndog x 4\n", "emb.txt:2: duplicate token 'dog'"),
         ("cat 1 inf\n<unk> 1 2\n", "emb.txt:1: non-finite component"),
         ("dog 1 2\ncat 3 x\nbird 5\n", "emb.txt:2: non-numeric component"),
+        # a component is a number only if load_features would read it as one:
+        # float() also takes digit-group underscores and non-ASCII digits
+        ("dog 1_0 2\n", "emb.txt:1: non-numeric component"),
+        ("dog 1 2\ncat \u0661\u0662 4\n", "emb.txt:2: non-numeric component"),
+        ("dog \uff11\uff12 2\n", "emb.txt:1: non-numeric component"),
     ]:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_embeddings(str(path))
 
-
-@pytest.mark.parametrize("component", ["1_0", "\u0661\u0662", "\uff11\uff12", "\u0663.5"])
-def test_embedding_components_follow_the_feature_number_rule(tmp_path, component):
-    """A component is a number only if `load_features` would read it as
-    one: Python's `float` also takes digit-group underscores and non-ASCII
-    digits, which numpy's reader rejects."""
-    path = tmp_path / "emb.txt"
-    path.write_text(f"cat 3 4\ndog {component} 2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="emb.txt:2: non-numeric component"):
-        load_embeddings(str(path))
-    features = tmp_path / "features.txt"
-    features.write_text(f"v0 1 2\n{component} 2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="features.txt:2: non-numeric feature value"):
-        load_features(str(features), "rgb")
