@@ -177,7 +177,7 @@ def test_no_gradient_buffer_shares_memory_with_another():
     hidden = tape.linear_rows(picked, tape.param(Parameter("w2", rng.normal(size=(4, 4)))),
                               leaf("bias", 4))
     x = leaf("x", 2, 4)
-    twice = tape.hadamard(tape.add(x, x), x)
+    twice = tape.add(tape.add(x, x), tape.hadamard(x, x))
     rows = tape.linear_rows(tape.gather_rows([(tape.add(hidden, twice), None), (e, None)]),
                             tape.param(Parameter("w", rng.normal(size=9))),
                             tape.param(Parameter("b", 0.5)))
