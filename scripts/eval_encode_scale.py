@@ -8,8 +8,11 @@ ranking of each query alone does, against one `encode_queries` call plus a
 `take_row` per text, as the evaluation walk does. The model has the
 benchmark's language dimensions (12-wide embeddings, 24 LSTM units, a 24-wide
 joint space). The times, medians of 7 rounds in ms per video, describe the
-machine it runs on and are not a check; the script exits 1 unless every row
-of the stack equals its text's own encoding bit for bit.
+machine it runs on and are not a check. It also builds each stack on a
+recording tape, runs a backward from the stack's sum and prints the nodes
+that tape holds. The script exits 1 unless every row of the stack equals its
+text's own encoding, and the recording tape's stack the inference tape's,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from momentloc.autodiff import Tape  # noqa: E402
+from momentloc.autodiff import Tape, backward  # noqa: E402
 from momentloc.encoders import encode_queries, encode_query  # noqa: E402
 from momentloc.model import ModelConfig, init_params  # noqa: E402
 
@@ -47,7 +50,8 @@ def main() -> int:
                       vocab_size=VOCAB)
     params = init_params(cfg, rng)
     failed = False
-    print(f"{'texts':>6} {'per query ms':>13} {'stacked ms':>11} {'speed-up':>9}  rows")
+    print(f"{'texts':>6} {'per query ms':>13} {'stacked ms':>11} {'speed-up':>9}  {'rows':<9} "
+          f"{'nodes':>5}  recording")
     for n_texts in (4, 8, 12):
         texts = [rng.integers(1, VOCAB, size=rng.integers(1, 7)).tolist() for _ in range(n_texts)]
 
@@ -61,10 +65,15 @@ def main() -> int:
         tape = Tape(recording=False)
         same = all(np.array_equal(a.value, s.value)
                    for a, s in zip(alone(tape), stacked(tape), strict=True))
-        failed |= not same
+        recording = Tape()
+        stack = encode_queries(recording, texts, params)
+        backward(recording, recording.sum_all(stack))
+        replayed = stack.value.tobytes() == encode_queries(tape, texts, params).value.tobytes()
+        failed |= not (same and replayed)
         one, many = per_call_ms(alone), per_call_ms(stacked)
         print(f"{n_texts:>6} {one:>13.2f} {many:>11.2f} {one / many:>8.1f}x  "
-              f"{'identical' if same else 'DIFFER'}")
+              f"{'identical' if same else 'DIFFER':<9} {len(recording.nodes):>5}  "
+              f"{'identical' if replayed else 'DIFFER'}")
     return 1 if failed else 0
 
 

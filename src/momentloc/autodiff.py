@@ -37,11 +37,13 @@ Design, in brief:
 
 Backward closures hold their input nodes but never the tape, so a dropped
 tape and its graph are freed by reference counting, without waiting for the
-cycle collector. Every op but four is built by ``Tape._op`` from its value
+cycle collector. Every op but five is built by ``Tape._op`` from its value
 and one gradient expression per operand, and its one backward adds each
-operand's expression of the output gradient in turn. The four write their
+operand's expression of the output gradient in turn. The five write their
 own: ``param`` adds into ``Parameter.grad``, ``_read`` into part of a buffer,
-and ``take`` and ``gather_rows`` scatter repeated rows in a fixed order.
+``take`` and ``gather_rows`` scatter repeated rows in a fixed order, and
+``lstm``, one node for a whole recurrence, replays its steps' gradient
+expressions from the last step to the first.
 
 Gradients are lazy. A node's gradient buffer is allocated by the first
 backward write that reaches it, and ``backward`` skips every node that no
@@ -170,7 +172,8 @@ def _partition(x: "Node", sizes: Sequence[int], op: str) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument only, so no overflow on either branch
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Parameter:
@@ -429,23 +432,85 @@ class Tape:
         prod += bv
         return self._op(prod, *grads)
 
-    def slice_cols(self, x: Node, lo: int, hi: int) -> Node:
-        """Columns [lo, hi) of every row of a stack."""
-        if x.value.ndim != 2 or not 0 <= lo <= hi <= x.value.shape[1]:
-            raise ValueError(f"slice_cols: bad range [{lo}, {hi}) for shape {x.value.shape}")
-        return self._read(x, (slice(None), slice(lo, hi)))
+    def lstm(self, wx: Node, lengths: Sequence[int], u: Node, b: Node) -> Node:
+        """Final hidden state (n, H) of an LSTM run over n sequences side by
+        side, as one node. `wx` holds the input products `W x` of every step,
+        step-major: row t * n + i is sequence i's at step t, for
+        max(lengths) steps. Gates are stacked [input, forget, output, cell]
+        along the 4H columns of `wx`, of `u` (4H, H) and of `b` (4H,).
 
-    def select_rows(self, mask: np.ndarray, a: Node, b: Node) -> Node:
-        """Row i of `a` where `mask[i]`, else row i of `b`."""
-        mask = np.asarray(mask, dtype=bool)
-        if a.value.ndim != 2 or a.value.shape != b.value.shape or mask.shape != a.value.shape[:1]:
-            raise ValueError(
-                f"select_rows: need two equal (n, d) stacks and an (n,) mask, got "
-                f"{a.value.shape}, {b.value.shape} and {mask.shape}"
-            )
-        keep = mask[:, None]
-        return self._op(np.where(keep, a.value, b.value),
-                        (a, lambda g: np.where(keep, g, 0.0)), (b, lambda g: np.where(keep, 0.0, g)))
+        Step t computes the pre-activations `(wx_t + (U h + 0.0)) + b`, with
+        `U h` a stack of gemv calls as in `linear_rows`; `_sigmoid` and
+        `np.tanh` of all of them; then `c' = f*c + i*g` and `h' = o*tanh(c')`.
+        A row whose sequence has ended keeps its h and c. The backward
+        replays, from the last step to the first, the gradient expressions
+        of the same recurrence built from one tape op per slice, gate
+        product, sum and kept row, adding each term in the order their
+        reverse sweep would (`U` and `b` one step at a time; the state
+        before the first ended row as (kept-row term + product term) + tanh
+        term), so the value and every gradient are bit for bit theirs. Only
+        a recording tape keeps the per-step arrays."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        wv, uv, bv = wx.value, u.value, b.value
+        hidden = uv.shape[-1] if uv.ndim else 0
+        n = len(lengths)
+        if lengths.ndim != 1 or not n or lengths.min() < 1 or uv.shape != (4 * hidden, hidden) \
+                or wv.shape != (n * int(lengths.max()), 4 * hidden) or bv.shape != (4 * hidden,):
+            raise ValueError(f"lstm: incompatible shapes wx {wv.shape}, u {uv.shape}, b {bv.shape} "
+                             f"for lengths {lengths.tolist()}")
+        n_steps, shortest = int(lengths.max()), int(lengths.min())
+        uc = np.ascontiguousarray(uv)
+        i, f, o, g = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        h = c = np.zeros((n, hidden))
+        steps = []
+        for t in range(n_steps):
+            z = (uc[None] @ h[:, :, None])[:, :, 0]
+            z += 0.0
+            z = wv[t * n:(t + 1) * n] + z
+            z += bv
+            gates, cand = _sigmoid(z), np.tanh(z)
+            c_next = gates[:, f] * c + gates[:, i] * cand[:, g]
+            tanh_c = np.tanh(c_next)
+            h_next = gates[:, o] * tanh_c
+            running = None if t < shortest else (lengths > t)[:, None]
+            if self.recording:
+                steps.append((h, c, gates, cand, tanh_c, running))
+            if running is None:
+                h, c = h_next, c_next
+            else:
+                h, c = np.where(running, h_next, h), np.where(running, c_next, c)
+
+        def back(node: Node) -> None:
+            # gh, gc: the gradients of the state after step t; the final c
+            # fed nothing, so it has none
+            gh, gc = node._grad, None
+            for t in range(n_steps - 1, -1, -1):
+                h, c, gates, cand, tanh_c, running = steps[t]
+                gh_prev = gc_prev = None
+                if running is not None:
+                    gh, gh_prev = np.where(running, gh, 0.0), np.where(running, 0.0, gh)
+                    if gc is not None:
+                        gc, gc_prev = np.where(running, gc, 0.0), np.where(running, 0.0, gc)
+                d_tanh = gh * gates[:, o] * (1.0 - tanh_c * tanh_c)
+                gc = d_tanh if gc is None else gc + d_tanh
+                d_gates = np.zeros_like(gates)
+                d_gates[:, o] += gh * tanh_c
+                d_gates[:, i] += gc * cand[:, g]
+                d_gates[:, f] += gc * c
+                d_cand = np.zeros_like(cand)
+                d_cand[:, g] += gc * gates[:, i]
+                dz = d_cand * (1.0 - cand * cand)
+                dz += d_gates * gates * (1.0 - gates)
+                _add_grad(b, dz, dz)
+                _add_grad(u, dz.T @ h, dz)
+                _buffer(wx)[t * n:(t + 1) * n] += dz
+                if t:
+                    d_h = dz @ uv
+                    gh = d_h if gh_prev is None else gh_prev + d_h
+                    d_c = gc * gates[:, f]
+                    gc = d_c if gc_prev is None else gc_prev + d_c
+
+        return self._make(h, back)
 
     def gather_rows(self, parts: Sequence[tuple[Node, np.ndarray | None]]) -> Node:
         """Stack of n rows, each the concatenation of one row from every

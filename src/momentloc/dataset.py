@@ -664,10 +664,11 @@ def corpus_files(manifest_path: str) -> list[str]:
 
 def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
     """Load one split through the manifest, keeping only the videos that the
-    split's queries reference. Videos of the split that no query names are
-    dropped, so inter-video training negatives come from the referenced
-    videos alone. A feature file, or the split's annotation file, that does
-    not exist is a `manifest:line` error."""
+    split's queries reference: the feature files are parsed and checked in
+    full, but only those videos get tables. Videos of the split that no
+    query names are dropped, so inter-video training negatives come from
+    the referenced videos alone. A feature file, or the split's annotation
+    file, that does not exist is a `manifest:line` error."""
     base = os.path.dirname(manifest_path)
     entries = _read_manifest(manifest_path)
     feature_paths = {k: os.path.join(base, f) for kind, k, f, _ in entries if kind == "features"}
@@ -685,11 +686,11 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
             raise ValueError(f"{manifest_path}:{lineno}: {kind} file {listed} does not exist")
     path = annotation_paths[split]
     queries = load_annotations(path)
-    per_mod = {mod: load_features(p, mod) for mod, p in feature_paths.items()}
+    videos = {q.video_id for q in queries}
+    per_mod = {mod: load_features(p, mod, videos) for mod, p in feature_paths.items()}
     for i, q in enumerate(queries):
         if not any(q.video_id in tables for tables in per_mod.values()):
             raise ValueError(f"{path}: record {i}: no feature file has video {q.video_id!r}")
-    videos = {q.video_id for q in queries}
     features: dict[str, dict[str, SegmentFeatureTable]] = {}
     for vid in sorted(videos):
         features[vid] = {}

@@ -11,7 +11,7 @@ batch of queries as one stack.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +98,13 @@ def encode_queries(
     (sequences, joint_dim) stack.
 
     The sequences run side by side over a padded token matrix, one step per
-    token position. A row whose sequence has ended keeps its state
-    (`select_rows`), so each row is bit for bit the encoding of its sequence
-    alone: the gate pre-activations are `(W x + U h) + b`, each product a
-    `linear_rows` and `b` the one row added to every row of the stack, every
-    other step is elementwise, and the gates take sigmoid and tanh of all of
-    the pre-activations and keep their own columns.
+    token position: one `linear_rows` forms `W x` of every step, and the
+    recurrence is one `Tape.lstm` node. A row whose sequence has ended
+    keeps its state, so each row is bit for bit the encoding of its
+    sequence alone: the gate pre-activations are `(W x + U h) + b`, each
+    product a stack of gemv calls and `b` the one row added to every row of
+    the stack, every other step is elementwise, and the gates take sigmoid
+    and tanh of all of the pre-activations and keep their own columns.
     """
     vocab_size = params["lang.embed"].value.shape[0]
     for ids in token_lists:
@@ -119,30 +120,12 @@ def encode_queries(
     for row, ids in enumerate(token_lists):
         tokens[: len(ids), row] = ids
     hidden = params["lang.u"].value.shape[1]
-    no_bias = tape.constant(np.zeros(4 * hidden))
     # W x of every step at once, row t * n_rows + i for row i's token t
     wx = tape.linear_rows(
         tape.gather_rows([(tape.param(params["lang.embed"]), tokens.ravel())]),
-        tape.param(params["lang.w"]), no_bias,
+        tape.param(params["lang.w"]), tape.constant(np.zeros(4 * hidden)),
     )
-    u = tape.param(params["lang.u"])
-    b = tape.param(params["lang.b"])
-    h = c = tape.constant(np.zeros((n_rows, hidden)))
-    shortest = int(lengths.min())
-    for step in range(n_steps):
-        wx_step = tape.slice1d(wx, step * n_rows, (step + 1) * n_rows)
-        z = tape.add(tape.add(wx_step, tape.linear_rows(h, u, no_bias)), b)
-        gates, cand = tape.sigmoid(z), tape.tanh(z)
-        c_next = tape.add(
-            tape.hadamard(tape.slice_cols(gates, hidden, 2 * hidden), c),
-            tape.hadamard(tape.slice_cols(gates, 0, hidden), tape.slice_cols(cand, 3 * hidden, 4 * hidden)),
-        )
-        h_next = tape.hadamard(tape.slice_cols(gates, 2 * hidden, 3 * hidden), tape.tanh(c_next))
-        if step < shortest:
-            h, c = h_next, c_next
-        else:
-            running = lengths > step
-            h, c = tape.select_rows(running, h_next, h), tape.select_rows(running, c_next, c)
+    h = tape.lstm(wx, lengths, tape.param(params["lang.u"]), tape.param(params["lang.b"]))
     return tape.linear_rows(h, tape.param(params["lang.proj_w"]), tape.param(params["lang.proj_b"]))
 
 
@@ -185,8 +168,12 @@ def save_features(path: str, tables: Mapping[str, SegmentFeatureTable]) -> None:
             fh.write(f"{t.video_id} {t.n_segments} {t.dim}\n{rows}\n")
 
 
-def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
-    """The tables of a `save_features` file, in file order.
+def load_features(
+    path: str, modality: str, videos: Collection[str] | None = None
+) -> dict[str, SegmentFeatureTable]:
+    """The tables of a `save_features` file, in file order: of every video,
+    or of those in `videos` that the file holds. Every row of every block
+    is parsed and checked either way.
 
     The walk steps from header to header, one step per video; the rows of
     every block of one width are then parsed by one `np.loadtxt` call,
@@ -233,7 +220,7 @@ def load_features(path: str, modality: str) -> dict[str, SegmentFeatureTable]:
     # videos does not hold the whole stack of their width
     return {
         vid: SegmentFeatureTable(vid, modality, stacks[d][offset:offset + n].copy())
-        for vid, (_, n, d, offset) in blocks.items()
+        for vid, (_, n, d, offset) in blocks.items() if videos is None or vid in videos
     }
 
 

@@ -75,6 +75,82 @@ def np_encode_query(token_ids, arrays):
     return arrays["lang.proj_w"] @ h + arrays["lang.proj_b"]
 
 
+def _then(total, term):
+    """`total + term`, or `term` when nothing was added before: the order in
+    which a node's gradient writes accumulate."""
+    return term if total is None else total + term
+
+
+def np_encode_queries(token_lists, arrays, g_out, frozen_embed=False):
+    """`encoders.encode_queries` over a padded, step-major batch and its
+    backward from the output gradient `g_out`, in plain numpy: the stack and
+    every parameter's gradient as `Parameter.grad` holds it after one sweep
+    from zeros (None for a frozen `lang.embed`).
+
+    It adds each gradient in the order the LSTM's composed tape ops (one
+    node per slice, gate product, sum and select) added it: `U` and `b` from
+    the last step to the first; the cell state before the first ended row
+    as (select term + product term) + tanh term; every other state gets at
+    most two terms. An entry that a partial read never wrote is +0.0, and
+    one it wrote is 0.0 + its term."""
+    embed, w, u, b = (arrays[k] for k in ("lang.embed", "lang.w", "lang.u", "lang.b"))
+    proj_w, proj_b = arrays["lang.proj_w"], arrays["lang.proj_b"]
+    hidden = u.shape[1]
+    n = len(token_lists)
+    lengths = np.array([len(ids) for ids in token_lists])
+    tokens = np.zeros((lengths.max(), n), dtype=np.intp)
+    for row, ids in enumerate(token_lists):
+        tokens[: len(ids), row] = ids
+    x = embed[tokens.ravel()]
+    wx = (w[None] @ x[:, :, None])[:, :, 0] + 0.0
+    zeros = np.zeros((n, hidden))
+    h = c = zeros
+    steps = []
+    for t in range(lengths.max()):
+        z = (wx[t * n : (t + 1) * n] + ((u[None] @ h[:, :, None])[:, :, 0] + 0.0)) + b
+        sig, tnh = np_sigmoid(z), np.tanh(z)
+        gate_i, gate_f, gate_o = (sig[:, k * hidden : (k + 1) * hidden] for k in range(3))
+        cand = tnh[:, 3 * hidden :]
+        c_new = gate_f * c + gate_i * cand
+        tanh_c = np.tanh(c_new)
+        h_new = gate_o * tanh_c
+        keep = None if t < lengths.min() else (lengths > t)[:, None]
+        steps.append((h, c, sig, tnh, tanh_c, keep))
+        if keep is None:
+            h, c = h_new, c_new
+        else:
+            h, c = np.where(keep, h_new, h), np.where(keep, c_new, c)
+    stack = (proj_w[None] @ h[:, :, None])[:, :, 0] + proj_b
+    grads = {"lang.proj_w": g_out.T @ h, "lang.proj_b": g_out.sum(axis=0)}
+    dh, dc, du, db = g_out @ proj_w, None, None, None
+    dwx = np.zeros_like(wx)
+    for t in range(len(steps) - 1, -1, -1):
+        h, c, sig, tnh, tanh_c, keep = steps[t]
+        gate_i, gate_f, gate_o = (sig[:, k * hidden : (k + 1) * hidden] for k in range(3))
+        cand = tnh[:, 3 * hidden :]
+        dh_skip = dc_skip = None
+        if keep is not None:  # an ended row's gradient goes past the step
+            dh, dh_skip = np.where(keep, dh, 0.0), np.where(keep, 0.0, dh)
+            if dc is not None:  # the final c fed nothing
+                dc, dc_skip = np.where(keep, dc, 0.0), np.where(keep, 0.0, dc)
+        dc = _then(dc, (dh * gate_o) * (1.0 - tanh_c * tanh_c))
+        d_sig = np.hstack([dc * cand, dc * c, dh * tanh_c, zeros]) + 0.0
+        d_tnh = np.hstack([np.zeros((n, 3 * hidden)), dc * gate_i]) + 0.0
+        dz = d_tnh * (1.0 - tnh * tnh) + d_sig * sig * (1.0 - sig)
+        db = _then(db, dz.sum(axis=0))
+        du = _then(du, dz.T @ h)
+        dwx[t * n : (t + 1) * n] += dz
+        dh, dc = _then(dh_skip, dz @ u), _then(dc_skip, dc * gate_f)
+    grads.update({"lang.u": du, "lang.b": db, "lang.w": dwx.T @ x})
+    if not frozen_embed:
+        grads["lang.embed"] = np.zeros_like(embed)
+        np.add.at(grads["lang.embed"], tokens.ravel(), dwx @ w)
+    grads = {k: g + 0.0 for k, g in grads.items()}
+    if frozen_embed:
+        grads["lang.embed"] = None
+    return stack, grads
+
+
 def np_l2_normalize(v, eps=1e-8):
     norm = float(np.sqrt(np.dot(v, v)))
     return v / max(norm, eps)

@@ -159,8 +159,9 @@ def test_no_gradient_buffer_shares_memory_with_another():
     the choice of max_select, gather_rows' parts without an index) gives
     that operand a copy: a later write into either buffer leaves the other
     alone. Each of those operands gets its first write from that op. The
-    same holds for every other kind of write: select_rows' masked copies, a
-    bias gradient summed over rows, and one node given as both operands."""
+    same holds for every other kind of write: the LSTM's writes into its
+    input products, recurrent weights and bias, a bias gradient summed over
+    rows, and one node given as both operands."""
     rng = np.random.default_rng(6)
     tape = Tape()
 
@@ -172,9 +173,9 @@ def test_no_gradient_buffer_shares_memory_with_another():
     d = tape.sub(s, leaf("r", 3))
     m = leaf("m", 2)
     e = tape.concat([d, m])
-    stack = leaf("stack", 2, 4)
-    picked = tape.select_rows(np.array([True, False]), stack, leaf("other", 2, 4))
-    hidden = tape.linear_rows(picked, tape.param(Parameter("w2", rng.normal(size=(4, 4)))),
+    wx, wu, wb = leaf("wx", 4, 16), leaf("wu", 16, 4), leaf("wb", 16)
+    state = tape.lstm(wx, [2, 1], wu, wb)
+    hidden = tape.linear_rows(state, tape.param(Parameter("w2", rng.normal(size=(4, 4)))),
                               leaf("bias", 4))
     x = leaf("x", 2, 4)
     twice = tape.add(tape.add(x, x), tape.hadamard(x, x))
@@ -184,7 +185,7 @@ def test_no_gradient_buffer_shares_memory_with_another():
     scores = [tape.take_row(rows, 0), tape.take_row(rows, 1)]
     top, chosen = tape.max_select(scores)
     backward(tape, top)
-    for node in (u, v, s, d, m, e, stack, picked, hidden, x, twice, scores[chosen]):
+    for node in (u, v, s, d, m, e, wx, wu, wb, state, hidden, x, twice, scores[chosen]):
         assert node._grad is not None
     buffers = [node._grad for node in tape.nodes if node._grad is not None]
     for i, first in enumerate(buffers):
@@ -467,7 +468,7 @@ def _check_rows_op(build, shapes, seed, what, n_points=20):
         ("l2_normalize stack", [(5, 3)], lambda t, ns: t.l2_normalize(ns[0])),
         # row 2 is zero whatever the finite difference moves: the guard per row
         ("l2_normalize stack with a zero row", [(5, 3)],
-         lambda t, ns: t.l2_normalize(t.select_rows(np.arange(5) != 2, ns[0], t.constant(np.zeros((5, 3)))))),
+         lambda t, ns: t.l2_normalize(t.hadamard(ns[0], t.constant((np.arange(5) != 2)[:, None] * np.ones(3))))),
         ("gather_rows", [(4, 3), (2,), (6, 2)],
          lambda t, ns: t.gather_rows([(ns[0], np.array([3, 0, 3, 1, 1, 2])), (ns[1], None), (ns[2], None)])),
         ("take_row vector", [(4,)], lambda t, ns: t.take_row(ns[0], 2)),
@@ -478,10 +479,9 @@ def _check_rows_op(build, shapes, seed, what, n_points=20):
         ("hadamard stack", [(5, 3), (5, 3)], lambda t, ns: t.hadamard(ns[0], ns[1])),
         ("squared_distance stack", [(5, 3), (5, 3)],
          lambda t, ns: t.squared_distance(ns[0], ns[1])),
-        ("slice_cols", [(4, 6)], lambda t, ns: t.slice_cols(ns[0], 1, 4)),
+        # four sequences of 3, 1, 2 and 3 steps, 2 hidden units
+        ("lstm", [(12, 8), (8, 2), (8,)], lambda t, ns: t.lstm(ns[0], [3, 1, 2, 3], ns[1], ns[2])),
         ("slice1d stack", [(6, 4)], lambda t, ns: t.slice1d(ns[0], 1, 4)),
-        ("select_rows", [(5, 3), (5, 3)],
-         lambda t, ns: t.select_rows(np.array([True, False, False, True, False]), ns[0], ns[1])),
     ],
 )
 def test_row_op_gradients(what, shapes, build):
@@ -624,18 +624,13 @@ def test_row_ops_over_two_stacks_match_single_vector_ops_exactly():
             assert dist[i] == t.squared_distance(a, b).value
 
 
-def test_slice_and_select_rows_values():
+def test_slice1d_of_a_stack_values():
     tape = Tape()
     x = tape.constant(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(tape.slice_cols(x, 1, 3).value, [[1, 2], [5, 6], [9, 10]])
-    assert tape.slice_cols(x, 2, 2).value.shape == (3, 0)
-    assert np.array_equal(tape.slice1d(x, 1, 3).value, [[4, 5, 6, 7], [8, 9, 10, 11]])
-    y = tape.constant(-np.ones((3, 4)))
-    picked = tape.select_rows(np.array([False, True, False]), x, y)
-    assert np.array_equal(picked.value, [[-1] * 4, [4, 5, 6, 7], [-1] * 4])
-    backward(tape, tape.sum_all(picked))
-    assert np.array_equal(x.grad, [[0] * 4, [1] * 4, [0] * 4])
-    assert np.array_equal(y.grad, [[1] * 4, [0] * 4, [1] * 4])
+    rows = tape.slice1d(x, 1, 3)
+    assert np.array_equal(rows.value, [[4, 5, 6, 7], [8, 9, 10, 11]])
+    backward(tape, tape.sum_all(rows))
+    assert np.array_equal(x.grad, [[0] * 4, [1] * 4, [1] * 4])
 
 
 def test_row_op_shape_mismatch_errors():
@@ -679,23 +674,17 @@ def test_row_op_shape_mismatch_errors():
     for op in (tape.add, tape.hadamard, tape.squared_distance):
         with pytest.raises(ValueError, match=op.__name__):
             op(stack, other_rows)
-    with pytest.raises(ValueError, match="slice_cols"):
-        tape.slice_cols(vec3, 0, 1)
-    with pytest.raises(ValueError, match="slice_cols"):
-        tape.slice_cols(stack, 2, 4)
-    with pytest.raises(ValueError, match="slice_cols"):
-        tape.slice_cols(stack, 2, 1)
     with pytest.raises(ValueError, match="slice1d"):
         tape.slice1d(tape.constant(1.0), 0, 0)
     with pytest.raises(ValueError, match="slice1d"):
         tape.slice1d(stack, 3, 5)
-    mask = np.array([True, False, True, False])
-    with pytest.raises(ValueError, match="select_rows"):
-        tape.select_rows(mask, stack, other_rows)
-    with pytest.raises(ValueError, match="select_rows"):
-        tape.select_rows(mask[:3], stack, stack)
-    with pytest.raises(ValueError, match="select_rows"):
-        tape.select_rows(np.array([True, False, True]), vec3, vec3)
+    # two sequences of 2 steps need 4 rows of 4H = 12 input products
+    wx, u, b = tape.constant(np.ones((4, 12))), tape.constant(np.ones((12, 3))), tape.constant(np.ones(12))
+    assert tape.lstm(wx, [2, 1], u, b).value.shape == (2, 3)
+    for bad in ((stack, [2, 1], u, b), (wx, [2, 2, 1], u, b), (wx, [2, 0], u, b), (wx, [], u, b),
+                (wx, [2, 1], stack, b), (wx, [2, 1], tape.constant(1.0), b), (wx, [2, 1], u, vec3)):
+        with pytest.raises(ValueError, match="lstm"):
+            tape.lstm(*bad)
 
 
 # -- gradient scatter and left-to-right sums ---------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -505,6 +506,26 @@ def test_missing_features_name_the_feature_file(tmp_path):
     with pytest.raises(ValueError) as err:
         load_corpus(manifest, split="train")
     assert str(err.value) == f"video {vid!r} has no flow features in {path}"
+
+
+def test_a_split_checks_the_rows_of_the_videos_it_drops(tmp_path):
+    """A split gets tables for its own videos only, but every row of the
+    feature files is still checked: loading the test split fails at a
+    faulty row of a train-only video with that row's file:line."""
+    syn = generate_synthetic(CFG)
+    manifest = save_corpus(str(tmp_path), syn)
+    test = load_corpus(manifest, split="test")
+    path = tmp_path / "features_rgb.txt"
+    kept = set(test.video_ids())
+    assert set(load_features(str(path), "rgb", kept)) == kept
+    vid = syn.train.queries[0].video_id
+    assert vid not in kept
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if line.split()[0] == vid)
+    lines[header + 2] = "x" + lines[header + 2][1:]  # the block's second row
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{header + 3}: non-numeric feature value$"):
+        load_corpus(manifest, split="test")
 
 
 def test_segment_counts_that_disagree_name_the_feature_files(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import np_encode_query
+from helpers import np_encode_queries, np_encode_query
 from momentloc.autodiff import Parameter, Tape, backward
 from momentloc.encoders import (
     SegmentFeatureTable,
@@ -136,6 +136,37 @@ def test_encode_queries_gradient_reaches_only_the_tokens_read(rng):
         backward(tape, tape.sum_all(encode_query(tape, ids, params)))
     for name, p in params.items():
         np.testing.assert_allclose(together[name], p.grad, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("lengths, frozen_embed", [
+    ((4, 1, 2, 4, 3), False),  # ragged, the longest first and last
+    ((3, 3, 3), False),        # all equal: no row ends early
+    ((5,), False),             # one row
+    ((2, 5, 1, 5), True),      # a frozen pretrained embedding
+])
+def test_lstm_equals_the_numpy_reference_bit_for_bit(lengths, frozen_embed):
+    """The LSTM node's value and every parameter's gradient, on a recording
+    tape, equal the plain-numpy reference bit for bit, and an inference
+    tape gives the same value."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        params = _lang_params(rng, vocab_size=7, hidden=int(rng.integers(1, 6)), joint=3)
+        if frozen_embed:
+            params["lang.embed"].freeze()
+        lists = [rng.integers(0, 7, size=k).tolist() for k in lengths]
+        g_out = rng.normal(size=(len(lists), 3))
+        tape = Tape()
+        stack = encode_queries(tape, lists, params)
+        backward(tape, tape.sum_all(tape.hadamard(stack, tape.constant(g_out))))
+        want, grads = np_encode_queries(lists, {k: p.value for k, p in params.items()}, g_out,
+                                        frozen_embed)
+        assert stack.value.tobytes() == want.tobytes()
+        assert encode_queries(Tape(recording=False), lists, params).value.tobytes() == want.tobytes()
+        for name, p in params.items():
+            if grads[name] is None:
+                assert p.grad is None, name
+            else:
+                assert p.grad.tobytes() == grads[name].tobytes(), name
 
 
 def test_encode_queries_rejects_bad_ids_like_encode_query(rng):

@@ -445,7 +445,7 @@ def test_context_analyses_rank_each_query_once_and_each_fragment_once(rng, monke
 def stack_fixture(rng):
     """Two videos whose sentences and fragments differ in length (1 to 7
     tokens), so the stacked LSTM keeps the state of ended rows
-    (`select_rows`); v0 mixes analysed, fragment-less, context-less and
+    (`Tape.lstm`); v0 mixes analysed, fragment-less, context-less and
     untemporal queries, and v1's only before/after query has no fragment."""
     features = {"v0": tiny_video(rng, 5, modalities=("rgb", "flow"), video_id="v0"),
                 "v1": tiny_video(rng, 4, modalities=("rgb", "flow"), video_id="v1")}
