@@ -37,13 +37,13 @@ Design, in brief:
 
 Backward closures hold their input nodes but never the tape, so a dropped
 tape and its graph are freed by reference counting, without waiting for the
-cycle collector. Every op but five is built by ``Tape._op`` from its value
+cycle collector. Every op but four is built by ``Tape._op`` from its value
 and one gradient expression per operand, and its one backward adds each
-operand's expression of the output gradient in turn. The five write their
-own: ``param`` adds into ``Parameter.grad``, ``_read`` into part of a buffer,
-``take`` and ``gather_rows`` scatter repeated rows in a fixed order, and
-``lstm``, one node for a whole recurrence, replays its steps' gradient
-expressions from the last step to the first.
+operand's expression of the output gradient in turn. The four write their
+own: ``_read`` adds into part of a buffer, ``take`` and ``gather_rows``
+scatter repeated rows in a fixed order, and ``lstm``, one node for a whole
+recurrence, replays its steps' gradient expressions from the last step to
+the first.
 
 Gradients are lazy. A node's gradient buffer is allocated by the first
 backward write that reaches it, and ``backward`` skips every node that no
@@ -52,9 +52,12 @@ An op adds an operand's whole gradient through ``_add_grad``, whose first
 write keeps the op's array as the buffer unless it shares memory with the
 op's output gradient (an identity gradient or a slice of it), which it
 then copies; later writes add in place.
+A trainable parameter's recorded leaves all hold its ``Parameter.grad``, so
+each write reaching it adds there in reverse-sweep order, and successive
+tapes' writes add up one write at a time until ``sgd_step`` zeroes it.
 A recorded node that no gradient reached reads zeros; a node of an inference
 tape has ``grad`` None. ``gather_rows`` writes no gradient to a constant part
-at all, nor to a frozen parameter's leaf, which has no backward: nothing
+at all, nor to a frozen parameter's leaf, which has no buffer: nothing
 upstream of either reads it. The gradient of a row read several times is
 summed left to right, as ``np.add.at`` would sum it.
 
@@ -111,8 +114,8 @@ def _add_grad(node: "Node", g: np.ndarray, out: np.ndarray) -> None:
     gradient of that operand `node`, summed over the rows when `node` is the
     one row that every row of a stack used. The first write keeps `g` as the
     buffer unless it shares memory with `out` (an identity gradient or a
-    slice of `out`), which it then copies, so a buffer never aliases an
-    array that another node holds."""
+    slice of `out`), which it then copies, so only the leaves of one
+    parameter share a buffer: its ``Parameter.grad``."""
     if node.value.ndim < g.ndim:
         g = g.sum(axis=0)
     if node._grad is None:
@@ -177,7 +180,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Parameter:
-    """Named leaf tensor. ``trainable=False`` freezes it: it holds no
+    """Named leaf tensor; ``grad`` is the one buffer its recorded leaves
+    write into (``Tape.param``). ``trainable=False`` freezes it: it holds no
     gradient (``grad`` is None), and sgd_step leaves it alone."""
 
     __slots__ = ("name", "value", "grad", "trainable")
@@ -224,7 +228,6 @@ class Tape:
         self.recording = recording
         self.nodes: list[Node] = []
         self._swept = False
-        self._params: dict[Parameter, Node] = {}
         self.memo: dict = {}
 
     def _make(self, value: np.ndarray, backward=None) -> Node:
@@ -241,17 +244,11 @@ class Tape:
         return self._make(as_array(value))
 
     def param(self, p: Parameter) -> Node:
-        """The leaf node of a parameter: one per parameter and tape, so each
-        parameter's gradient reaches ``p.grad`` in one addition. A frozen
-        parameter's leaf has no backward, so ``gather_rows`` treats it as a
-        constant and writes no gradient to it."""
-        node = self._params.get(p)
-        if node is None:
-
-            def back(node: Node) -> None:
-                p.grad += node._grad
-
-            node = self._params[p] = self._make(p.value, back if p.trainable else None)
+        """A fresh leaf of `p`, which on a recording tape holds ``p.grad``
+        itself as its gradient buffer if `p` is trainable (module notes)."""
+        node = self._make(p.value)
+        if self.recording and p.trainable:
+            node._grad = p.grad
         return node
 
     # -- elementwise -------------------------------------------------------
@@ -543,7 +540,7 @@ class Tape:
 
         def back(node: Node) -> None:
             for (p, rows), lo, hi in zip(parts, offsets, offsets[1:]):
-                if p._backward is None:  # a constant
+                if p._backward is None and p._grad is None:  # a constant or frozen leaf
                     continue
                 g = node._grad[:, lo:hi]
                 if rows is not None:
@@ -583,7 +580,8 @@ def backward(tape: Tape, root: Node) -> None:
     if tape._swept:
         raise RuntimeError("backward already ran on this tape")
     tape._swept = True
-    root._grad = np.ones_like(root.value)
+    # a parameter's leaf as the root already holds its buffer
+    _add_grad(root, np.ones_like(root.value), root.value)
     for node in reversed(tape.nodes):
         if node._grad is not None and node._backward is not None:
             node._backward(node)
@@ -594,7 +592,8 @@ def sgd_step(params: Iterable[Parameter], lr: float) -> None:
     gradients; a frozen parameter has none."""
     for p in params:
         if p.trainable:
-            p.value -= lr * p.grad
+            p.grad *= lr
+            p.value -= p.grad
             p.grad[...] = 0.0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import configio
-from .autodiff import Node, Tape, backward, sgd_step
+from .autodiff import Node, Tape, all_finite, backward, sgd_step
 from .dataset import Corpus, TemporalQuery
 from .encoders import Vocabulary, encode_queries
 from .model import (
@@ -282,7 +282,7 @@ def train(
             backward(tape, loss)
             sgd_step(params.parameters(), lr)
             bad = [p.name for p in params.parameters()
-                   if p.trainable and not np.all(np.isfinite(p.value))]
+                   if p.trainable and not all_finite(p.value)]
             if bad:
                 raise ValueError(
                     f"epoch {epoch} batch {b}: parameters not finite after the "

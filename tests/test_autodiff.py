@@ -107,6 +107,13 @@ def test_backward_requires_scalar_and_single_sweep():
         backward(tape, root)
 
 
+def test_a_parameter_leaf_as_the_root_gets_gradient_one():
+    p = Parameter("p", 2.0)
+    tape = Tape()
+    backward(tape, tape.param(p))
+    assert float(p.grad) == 1.0
+
+
 def test_backward_rejected_on_non_recording_tape():
     tape = Tape(recording=False)
     node = tape.constant(1.0)
@@ -119,15 +126,16 @@ def test_backward_rejected_on_non_recording_tape():
 def test_unreached_nodes_read_zeros_and_pass_nothing_on():
     """Gradients are lazy: a recorded node that no gradient reached reads
     zeros without holding a buffer, and backward skips it, so its inputs
-    get nothing from it either."""
+    get nothing from it either. A trainable parameter's leaf holds the
+    parameter's gradient from the start, zeros here."""
     p, q = Parameter("p", [1.0, -2.0]), Parameter("q", [3.0])
     tape = Tape()
     pn, qn = tape.param(p), tape.param(q)
     unused = tape.tanh(pn)
     backward(tape, tape.sum_all(tape.hadamard(qn, qn)))
-    for node in (unused, pn):
-        assert node._grad is None
-        assert np.array_equal(node.grad, [0.0, 0.0])
+    assert unused._grad is None
+    assert np.array_equal(unused.grad, [0.0, 0.0])
+    assert pn._grad is p.grad
     assert np.array_equal(p.grad, [0.0, 0.0])
     assert np.array_equal(q.grad, [6.0])
 
@@ -161,7 +169,9 @@ def test_no_gradient_buffer_shares_memory_with_another():
     alone. Each of those operands gets its first write from that op. The
     same holds for every other kind of write: the LSTM's writes into its
     input products, recurrent weights and bias, a bias gradient summed over
-    rows, and one node given as both operands."""
+    rows, and one node given as both operands. The one exception is a
+    parameter requested twice: both its leaves hold its ``grad``, which no
+    other buffer shares."""
     rng = np.random.default_rng(6)
     tape = Tape()
 
@@ -170,7 +180,9 @@ def test_no_gradient_buffer_shares_memory_with_another():
 
     u, v = leaf("u", 3), leaf("v", 3)
     s = tape.add(u, v)
-    d = tape.sub(s, leaf("r", 3))
+    shared = Parameter("shared", rng.normal(size=3))
+    pair = [tape.param(shared), tape.param(shared)]
+    d = tape.sub(s, tape.add(tape.hadamard(pair[0], leaf("r", 3)), pair[1]))
     m = leaf("m", 2)
     e = tape.concat([d, m])
     wx, wu, wb = leaf("wx", 4, 16), leaf("wu", 16, 4), leaf("wb", 16)
@@ -187,10 +199,38 @@ def test_no_gradient_buffer_shares_memory_with_another():
     backward(tape, top)
     for node in (u, v, s, d, m, e, wx, wu, wb, state, hidden, x, twice, scores[chosen]):
         assert node._grad is not None
-    buffers = [node._grad for node in tape.nodes if node._grad is not None]
+    assert pair[0] is not pair[1] and all(node._grad is shared.grad for node in pair)
+    assert np.any(shared.grad)
+    buffers = [node._grad for node in tape.nodes
+               if node._grad is not None and node._grad is not shared.grad] + [shared.grad]
     for i, first in enumerate(buffers):
         for second in buffers[i + 1:]:
             assert not np.shares_memory(first, second)
+
+
+def test_two_leaves_of_a_parameter_give_the_bytes_of_one_leaf_used_twice():
+    """A parameter read through two leaves gets the same ``grad`` bytes as
+    through one leaf used twice, in add, hadamard, linear_rows and a
+    gather_rows scatter: both add every write into ``Parameter.grad`` in
+    reverse-sweep order."""
+    rng = np.random.default_rng(12)
+    values = {"table": rng.normal(size=(5, 3)), "w": rng.normal(size=(2, 6)), "b": rng.normal(size=2)}
+
+    def grads(two_leaves):
+        params = [Parameter(name, value) for name, value in values.items()]
+        tape = Tape()
+        (t1, t2), (w1, w2), (b1, b2) = [
+            (tape.param(p), tape.param(p)) if two_leaves else (tape.param(p),) * 2 for p in params
+        ]
+        assert (t1 is not t2) == two_leaves
+        e = tape.gather_rows([(t1, np.array([3, 0, 3, 1])), (t2, np.array([1, 3, 4, 3]))])
+        l1 = tape.linear_rows(e, w1, b1)
+        l2 = tape.linear_rows(e, tape.hadamard(w1, w2), b2)
+        l3 = tape.linear_rows(e, tape.add(w2, w1), b1)
+        backward(tape, tape.sum_all(tape.hadamard(tape.add(l1, l3), tape.tanh(l2))))
+        return [p.grad.tobytes() for p in params]
+
+    assert grads(two_leaves=True) == grads(two_leaves=False)
 
 
 def test_shared_subexpression_accumulates():
@@ -210,7 +250,7 @@ def test_sgd_step_updates_and_zeroes():
     frozen = Parameter("q", [5.0], trainable=False)
     p.grad[:] = [0.5, -1.0]
     sgd_step([p, frozen], lr=0.1)
-    assert np.allclose(p.value, [0.95, 2.1])
+    assert np.array_equal(p.value, np.array([1.0, 2.0]) - 0.1 * np.array([0.5, -1.0]))
     assert np.array_equal(frozen.value, [5.0])
     assert np.array_equal(p.grad, [0.0, 0.0])
     assert frozen.grad is None

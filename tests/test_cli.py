@@ -1113,10 +1113,12 @@ def test_vocabulary_that_disagrees_with_vocab_size_names_both_files(ws, tmp_path
                    f"unknown token, but {model / 'model.cfg'} sets vocab_size = {size}\n")
 
 
-def test_version_and_usage():
+def test_version_and_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr().out == "momentloc 0.1.0\n"
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err

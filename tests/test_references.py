@@ -3,7 +3,8 @@
 A public top-level function or class of `src/momentloc`, or a public `Tape`
 method, must be referenced as code (a name, an attribute or an imported
 name) somewhere in `src/`, `perfbench/` or `scripts/`. Tests do not count:
-a helper that only tests call belongs in `tests/`. The few names that only
+a helper that only tests call belongs in `tests/`. Nor does an attribute of
+numpy: `np.tanh` is not a use of `Tape.tanh`. The few names that only
 the acceptance gate or a reader of an artifact needs are listed with why.
 """
 
@@ -17,6 +18,7 @@ ALLOWED = {
     "Tape.max_select": "criterion 02 checks its gradient by finite differences",
     "Tape.sigmoid": "criterion 02 checks its gradient by finite differences",
     "Tape.slice1d": "criterion 02 checks its gradient by finite differences",
+    "Tape.tanh": "criterion 02 checks its gradient by finite differences",
     "trainer.example_scores": "criterion 02 calls it; the benchmark tracer names it only as a string",
     "dataset.load_truth": "the reader of the truth.json that `gen` writes",
 }
@@ -35,6 +37,12 @@ def _public_definitions() -> set[str]:
     return found
 
 
+def _of_numpy(node: ast.Attribute) -> bool:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
 def _referenced_names() -> set[str]:
     names = set()
     for folder in ("src", "perfbench", "scripts"):
@@ -42,7 +50,7 @@ def _referenced_names() -> set[str]:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and not _of_numpy(node):
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(alias.name for alias in node.names)
