@@ -42,8 +42,13 @@ and one gradient expression per operand, and its one backward adds each
 operand's expression of the output gradient in turn. The four write their
 own: ``_read`` adds into part of a buffer, ``take`` and ``gather_rows``
 scatter repeated rows in a fixed order, and ``lstm``, one node for a whole
-recurrence, replays its steps' gradient expressions from the last step to
-the first.
+recurrence, applies each gate activation to its own block of columns (an
+elementwise function gives a block the whole array's bits) and builds each
+step's pre-activation gradient as one expression per block, last step
+first. A nonzero sum or product does not depend on the sign of a zero, so
+that gradient plus 0.0 (which turns -0.0 into +0.0 and changes nothing
+else) equals bit for bit what one tape op per gate slice, product and sum
+would add up.
 
 Gradients are lazy. A node's gradient buffer is allocated by the first
 backward write that reaches it, and ``backward`` skips every node that no
@@ -436,16 +441,15 @@ class Tape:
         max(lengths) steps. Gates are stacked [input, forget, output, cell]
         along the 4H columns of `wx`, of `u` (4H, H) and of `b` (4H,).
 
-        Step t computes the pre-activations `(wx_t + (U h + 0.0)) + b`, with
-        `U h` a stack of gemv calls as in `linear_rows`; `_sigmoid` and
-        `np.tanh` of all of them; then `c' = f*c + i*g` and `h' = o*tanh(c')`.
-        A row whose sequence has ended keeps its h and c. The backward
-        replays, from the last step to the first, the gradient expressions
-        of the same recurrence built from one tape op per slice, gate
-        product, sum and kept row, adding each term in the order their
-        reverse sweep would (`U` and `b` one step at a time; the state
-        before the first ended row as (kept-row term + product term) + tanh
-        term), so the value and every gradient are bit for bit theirs. Only
+        Step t computes the pre-activations `z = (wx_t + (U h + 0.0)) + b`,
+        with `U h` a stack of gemv calls as in `linear_rows`; `_sigmoid` of
+        the input, forget and output blocks and `np.tanh` of the cell block
+        only; then `c' = f*c + i*g` and `h' = o*tanh(c')`. A row whose
+        sequence has ended keeps its h and c. The backward builds each
+        step's gradient of `z` directly, from the last step to the first,
+        plus 0.0 (module notes); `b` and `U` get one write per step and `wx`
+        the step's rows. The value and every gradient are bit for bit the
+        plain-numpy reference recurrence's that the tests compare with. Only
         a recording tape keeps the per-step arrays."""
         lengths = np.asarray(lengths, dtype=np.intp)
         wv, uv, bv = wx.value, u.value, b.value
@@ -457,7 +461,7 @@ class Tape:
                              f"for lengths {lengths.tolist()}")
         n_steps, shortest = int(lengths.max()), int(lengths.min())
         uc = np.ascontiguousarray(uv)
-        i, f, o, g = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        i, f, o = (slice(k * hidden, (k + 1) * hidden) for k in range(3))
         h = c = np.zeros((n, hidden))
         steps = []
         for t in range(n_steps):
@@ -465,47 +469,39 @@ class Tape:
             z += 0.0
             z = wv[t * n:(t + 1) * n] + z
             z += bv
-            gates, cand = _sigmoid(z), np.tanh(z)
-            c_next = gates[:, f] * c + gates[:, i] * cand[:, g]
+            sig, cand = _sigmoid(z[:, :3 * hidden]), np.tanh(z[:, 3 * hidden:])
+            c_next = sig[:, f] * c + sig[:, i] * cand
             tanh_c = np.tanh(c_next)
-            h_next = gates[:, o] * tanh_c
+            h_next = sig[:, o] * tanh_c
             running = None if t < shortest else (lengths > t)[:, None]
             if self.recording:
-                steps.append((h, c, gates, cand, tanh_c, running))
+                steps.append((h, c, sig, cand, tanh_c, running))
             if running is None:
                 h, c = h_next, c_next
             else:
                 h, c = np.where(running, h_next, h), np.where(running, c_next, c)
 
         def back(node: Node) -> None:
-            # gh, gc: the gradients of the state after step t; the final c
-            # fed nothing, so it has none
-            gh, gc = node._grad, None
+            # gh, gc: the gradients of the state after step t
+            gh, gc = node._grad, np.zeros((n, hidden))
             for t in range(n_steps - 1, -1, -1):
-                h, c, gates, cand, tanh_c, running = steps[t]
-                gh_prev = gc_prev = None
-                if running is not None:
-                    gh, gh_prev = np.where(running, gh, 0.0), np.where(running, 0.0, gh)
-                    if gc is not None:
-                        gc, gc_prev = np.where(running, gc, 0.0), np.where(running, 0.0, gc)
-                d_tanh = gh * gates[:, o] * (1.0 - tanh_c * tanh_c)
-                gc = d_tanh if gc is None else gc + d_tanh
-                d_gates = np.zeros_like(gates)
-                d_gates[:, o] += gh * tanh_c
-                d_gates[:, i] += gc * cand[:, g]
-                d_gates[:, f] += gc * c
-                d_cand = np.zeros_like(cand)
-                d_cand[:, g] += gc * gates[:, i]
-                dz = d_cand * (1.0 - cand * cand)
-                dz += d_gates * gates * (1.0 - gates)
+                h, c, sig, cand, tanh_c, running = steps[t]
+                dh, dc = gh, gc
+                if running is not None:  # an ended row's gradients skip the step
+                    dh, dc = np.where(running, gh, 0.0), np.where(running, gc, 0.0)
+                dc = dc + dh * sig[:, o] * (1.0 - tanh_c * tanh_c)
+                d_sig = np.concatenate([dc * cand, dc * c, dh * tanh_c], axis=1)
+                dz = np.concatenate([d_sig * sig * (1.0 - sig),
+                                     dc * sig[:, i] * (1.0 - cand * cand)], axis=1)
+                dz += 0.0
                 _add_grad(b, dz, dz)
                 _add_grad(u, dz.T @ h, dz)
                 _buffer(wx)[t * n:(t + 1) * n] += dz
                 if t:
-                    d_h = dz @ uv
-                    gh = d_h if gh_prev is None else gh_prev + d_h
-                    d_c = gc * gates[:, f]
-                    gc = d_c if gc_prev is None else gc_prev + d_c
+                    dh, dc = dz @ uv, dc * sig[:, f]
+                    if running is not None:
+                        dh, dc = np.where(running, dh, gh), np.where(running, dc, gc)
+                    gh, gc = dh, dc
 
         return self._make(h, back)
 

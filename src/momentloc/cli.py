@@ -109,6 +109,22 @@ def cmd_train(args: argparse.Namespace) -> Record:
     return inputs, ["checkpoint.bin", "model.cfg", "vocab.json", "history.csv"]
 
 
+def _write_report(out: str, stem: str, rows: list[tuple[str, evaluation.MetricsReport]],
+                  **fields) -> list[str]:
+    """Write `stem`.json, the labelled reports of `rows` beside `fields`, and
+    `stem`.txt, their comparison table, into `out`; print the table and
+    return the two file names."""
+    table = evaluation.format_comparison_table(rows)
+    configio.write_json(os.path.join(out, f"{stem}.json"), {
+        "schema": 1, **fields,
+        "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
+    })
+    with configio.atomic_open(os.path.join(out, f"{stem}.txt")) as fh:
+        fh.write(table)
+    print(table, end="")
+    return [f"{stem}.json", f"{stem}.txt"]
+
+
 def cmd_eval(args: argparse.Namespace) -> Record:
     corpus = dataset.load_corpus(args.corpus, split=args.split)
     bundle = load_model(args.model)
@@ -122,20 +138,10 @@ def cmd_eval(args: argparse.Namespace) -> Record:
         train_split = dataset.load_corpus(args.corpus, split="train")
         prior = evaluation.FrequencyPrior.fit(train_split.queries)
         rows.append(("frequency_prior", prior.evaluate(corpus)))
-    doc = {
-        "schema": 1,
-        "split": args.split,
-        "mode": args.mode,
-        "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
-    }
-    doc.update((key, analyses[key]) for key in wanted)
-    configio.write_json(os.path.join(args.out, "metrics.json"), doc)
-    table = evaluation.format_comparison_table(rows)
-    with configio.atomic_open(os.path.join(args.out, "metrics.txt")) as fh:
-        fh.write(table)
-    print(table, end="")
+    outputs = _write_report(args.out, "metrics", rows, split=args.split, mode=args.mode,
+                            **{key: analyses[key] for key in wanted})
     inputs = {"corpus": args.corpus, "model": args.model, "split": args.split, "mode": args.mode}
-    return inputs, ["metrics.json", "metrics.txt"]
+    return inputs, outputs
 
 
 def cmd_ablate(args: argparse.Namespace) -> Record:
@@ -174,22 +180,10 @@ def cmd_ablate(args: argparse.Namespace) -> Record:
             rows.append((cell, evaluation.evaluate(eval_split, bundle)))
         except Exception as exc:
             raise RuntimeError(f"ablation cell {cell!r} failed: {exc}") from exc
-    table = evaluation.format_comparison_table(rows)
-    configio.write_json(
-        os.path.join(args.out, "ablation.json"),
-        {
-            "schema": 1,
-            "split": args.split,
-            "seed": train_cfg.seed,
-            "rows": [{"label": label, "report": rep.to_dict()} for label, rep in rows],
-        },
-    )
-    with configio.atomic_open(os.path.join(args.out, "ablation.txt")) as fh:
-        fh.write(table)
-    print(table, end="")
+    outputs = _write_report(args.out, "ablation", rows, split=args.split, seed=train_cfg.seed)
     inputs = {"corpus": args.corpus, "grid": args.grid, "train_config": args.train_config,
               "seed": train_cfg.seed, "split": args.split}
-    return inputs, ["ablation.json", "ablation.txt"] + [f"cells/{c}" for c in cells]
+    return inputs, outputs + [f"cells/{c}" for c in cells]
 
 
 def _timeline(n: int, base: Moment, ctx_segments: frozenset[int]) -> str:

@@ -668,7 +668,8 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
     full, but only those videos get tables. Videos of the split that no
     query names are dropped, so inter-video training negatives come from
     the referenced videos alone. A feature file, or the split's annotation
-    file, that does not exist is a `manifest:line` error."""
+    file, that does not exist is a `manifest:line` error; an annotation file
+    without queries is an error naming it."""
     base = os.path.dirname(manifest_path)
     entries = _read_manifest(manifest_path)
     feature_paths = {k: os.path.join(base, f) for kind, k, f, _ in entries if kind == "features"}
@@ -686,6 +687,8 @@ def load_corpus(manifest_path: str, split: str = "train") -> Corpus:
             raise ValueError(f"{manifest_path}:{lineno}: {kind} file {listed} does not exist")
     path = annotation_paths[split]
     queries = load_annotations(path)
+    if not queries:
+        raise ValueError(f"{path}: split {split!r} has no queries")
     videos = {q.video_id for q in queries}
     per_mod = {mod: load_features(p, mod, videos) for mod, p in feature_paths.items()}
     for i, q in enumerate(queries):

@@ -238,9 +238,9 @@ def train(
     drop their gradient buffers), and the earlier epochs draw their
     shuffles and negatives without training, so the result equals one
     uninterrupted run. A batch whose loss, or a step that leaves a trainable
-    parameter, not finite stops the run with a ValueError naming the epoch
-    and the batch index. A `start_epoch` past train_cfg.epochs is a
-    ValueError.
+    parameter, not finite, and a ranking example that drew no negative,
+    stop the run with a ValueError naming the epoch and the batch index. A
+    `start_epoch` past train_cfg.epochs is a ValueError.
     """
     if start_epoch > train_cfg.epochs:
         raise ValueError(f"cannot resume after epoch {start_epoch}: the training config "
@@ -274,6 +274,10 @@ def train(
             ]
             if epoch < start_epoch:
                 continue
+            for ex, negs in zip(batch, negatives):
+                if cfg.loss == "ranking" and not (negs.intra or negs.inter):
+                    raise ValueError(f"epoch {epoch} batch {b}: query {ex.sentence!r} of video "
+                                     f"{ex.video_id!r} has no negative to rank against")
             tape = Tape()
             scored = batch_scores(tape, corpus, batch, negatives, cfg, params, vocab)
             loss = batch_loss(tape, scored, cfg)

@@ -267,6 +267,27 @@ def test_eval_names_the_manifest_line_of_a_missing_file(ws, tmp_path, capsys, li
         f"error: {manifest}:{lineno}: {kind} file {corpus / name} does not exist\n")
 
 
+def test_an_empty_split_names_its_annotation_file(ws, tmp_path, capsys):
+    """A corpus generated without test videos has an empty test split: eval
+    fails naming its annotation file, and ablate fails before it trains."""
+    (tmp_path / "gen.cfg").write_text(GEN_CFG.replace("n_test_videos = 3", "n_test_videos = 0"),
+                                      encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(corpus)]) == 0
+    manifest = str(corpus / "corpus.manifest")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("cells = a\n" + MODEL_CFG, encoding="utf-8")
+    capsys.readouterr()
+    want = f"error: {corpus / 'queries_test.json'}: split 'test' has no queries\n"
+    assert main(["eval", "--corpus", manifest, "--model", str(ws["model"]),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == want
+    assert main(["ablate", "--corpus", manifest, "--grid", str(grid),
+                 "--train-config", str(ws["root"] / "train.cfg"), "--out", str(tmp_path / "abl")]) == 1
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "abl" / "cells").exists()
+
+
 def test_inspect_command(ws, tmp_path, monkeypatch, capsys):
     before = {d: sorted(os.listdir(ws[d])) for d in ("corpus", "model")}
     monkeypatch.chdir(tmp_path)

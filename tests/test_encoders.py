@@ -138,19 +138,24 @@ def test_encode_queries_gradient_reaches_only_the_tokens_read(rng):
         np.testing.assert_allclose(together[name], p.grad, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
+# at weight scale 30 the gates saturate to exactly 0 or 1 and tanh to +-1,
+# so many gradient terms are zeros of either sign
+@pytest.mark.parametrize("scale", [1.0, 30.0])
 @pytest.mark.parametrize("lengths, frozen_embed", [
     ((4, 1, 2, 4, 3), False),  # ragged, the longest first and last
     ((3, 3, 3), False),        # all equal: no row ends early
     ((5,), False),             # one row
     ((2, 5, 1, 5), True),      # a frozen pretrained embedding
 ])
-def test_lstm_equals_the_numpy_reference_bit_for_bit(lengths, frozen_embed):
+def test_lstm_equals_the_numpy_reference_bit_for_bit(lengths, frozen_embed, scale):
     """The LSTM node's value and every parameter's gradient, on a recording
     tape, equal the plain-numpy reference bit for bit, and an inference
     tape gives the same value."""
     for seed in range(5):
         rng = np.random.default_rng(seed)
         params = _lang_params(rng, vocab_size=7, hidden=int(rng.integers(1, 6)), joint=3)
+        for name in ("lang.w", "lang.u", "lang.b"):
+            params[name].value *= scale
         if frozen_embed:
             params["lang.embed"].freeze()
         lists = [rng.integers(0, 7, size=k).tolist() for k in lengths]

@@ -491,6 +491,22 @@ def test_train_tall_loss_runs(rng):
     assert history[-1]["loss"] < history[0]["loss"]
 
 
+def test_a_ranking_example_without_a_negative_names_it(rng):
+    """One-segment videos hold no intra-video negative, and none is drawn
+    from other videos: the ranking loss names the example, while the TALL
+    loss, whose positive term needs no negative, still trains."""
+    features = {vid: tiny_video(rng, 1, 3, ("rgb",), vid) for vid in ("v0", "v1")}
+    corpus = Corpus(features, [TemporalQuery("v0", "Plain a.", Moment(0, 0)),
+                               TemporalQuery("v1", "Plain b.", Moment(0, 0))])
+    tcfg = TrainConfig(epochs=2, batch_size=2, negatives_inter=0)
+    with pytest.raises(ValueError, match=r"^epoch 0 batch 0: query 'Plain [ab]\.' of video 'v[01]' "
+                                         r"has no negative to rank against$"):
+        train(corpus, tiny_model_config(), tcfg)
+    tall = tiny_model_config(loss="tall", similarity="tall_sim", context_mode="before_after")
+    _, history = train(corpus, tall, tcfg)
+    assert len(history) == 2 and all(np.isfinite(row["loss"]) for row in history)
+
+
 def test_train_strong_supervision_path(rng):
     corpus = small_corpus(rng)
     cfg = tiny_model_config(context_supervision="strong")
