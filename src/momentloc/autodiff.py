@@ -546,14 +546,12 @@ class Tape:
 
         return self._make(out, back)
 
-    def group_max(self, x: Node, sizes: Sequence[int]) -> tuple[Node, np.ndarray]:
+    def group_max(self, x: Node, sizes: Sequence[int]) -> Node:
         """Max over each group of a vector's entries, the groups being
         consecutive runs of `sizes[g]` entries. Ties go to the earliest entry
-        of the group, which alone receives the gradient. Returns the (groups,)
-        node and the index of each group's chosen entry."""
+        of the group, which alone receives the gradient. Shape (groups,)."""
         sizes = _partition(x, sizes, "group_max")
-        rows = group_argmax(x.value, sizes)
-        return self._read(x, rows), rows
+        return self._read(x, group_argmax(x.value, sizes))
 
     def segment_sums(self, x: Node, sizes: Sequence[int]) -> Node:
         """Sum of each group of a vector's entries, the groups being

@@ -28,7 +28,7 @@ TEMPORAL_WORDS = ("before", "after", "then", "while")
 QUERY_WORDS = ("none",) + TEMPORAL_WORDS
 
 # Words counted by word_stats (whole-token, case-insensitive).
-STAT_WORDS = ("before", "after", "then", "while", "yet", "during", "until")
+STAT_WORDS = TEMPORAL_WORDS + ("yet", "during", "until")
 
 _PUNCT = string.punctuation
 
@@ -357,7 +357,6 @@ class SyntheticCorpus:
     train: Corpus
     test: Corpus
     truth: SymbolicGroundTruth
-    config: SyntheticCorpusConfig
 
 
 _EVENT_FMT = "ev{:03d}"
@@ -490,7 +489,7 @@ def generate_synthetic(cfg: SyntheticCorpusConfig) -> SyntheticCorpus:
         corpus = Corpus(features, queries)
         corpus.validate()
         splits[prefix] = corpus
-    return SyntheticCorpus(splits["tr"], splits["te"], truth, cfg)
+    return SyntheticCorpus(splits["tr"], splits["te"], truth)
 
 
 # -- on-disk corpus ---------------------------------------------------------------

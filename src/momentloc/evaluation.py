@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Tape
-from .dataset import Corpus, TemporalQuery, tokenize
+from .dataset import QUERY_WORDS, Corpus, TemporalQuery, tokenize
 from .encoders import SegmentFeatureTable, encode_queries, encode_query
 from .model import ModelBundle, ScoredMoment, check_query_context, score_grid
 from .temporal import Moment, iou, moments_of, segment_iou
 
-BUCKET_ORDER = ("none", "before", "after", "then", "while")
 EVAL_MODES = ("latent", "gt_context")
 
 
@@ -85,7 +84,7 @@ def compute_metrics(results: Sequence[QueryResult]) -> MetricsReport:
     for r in results:
         per_word.setdefault(r.word, []).append(r)
     buckets: dict[str, BucketMetrics] = {}
-    for word in BUCKET_ORDER:
+    for word in QUERY_WORDS:
         group = per_word.pop(word, None)
         if group:
             buckets[word] = _bucket(group)
@@ -230,8 +229,6 @@ def _by_video(corpus: Corpus, bundle: ModelBundle, mode: str, words: Sequence[st
     analyses. Every ranking is one `rank_moments` call with its text's row of
     that stack (`take_row`).
     """
-    if mode not in EVAL_MODES:
-        raise ValueError(f"eval mode must be one of {EVAL_MODES}, got {mode!r}")
     by_video: dict[str, list[TemporalQuery]] = {}
     for q in corpus.queries:
         by_video.setdefault(q.video_id, []).append(q)
@@ -357,9 +354,9 @@ def format_comparison_table(rows: Sequence[tuple[str, MetricsReport]]) -> str:
     temporal word (R@1, mIoU x100) and a final Average group (R@1, R@5, mIoU)."""
     if not rows:
         raise ValueError("no rows")
-    words = [w for w in BUCKET_ORDER if any(w in rep.buckets for _, rep in rows)]
+    words = [w for w in QUERY_WORDS if any(w in rep.buckets for _, rep in rows)]
     extra = sorted(
-        {w for _, rep in rows for w in rep.buckets} - set(BUCKET_ORDER)
+        {w for _, rep in rows for w in rep.buckets} - set(QUERY_WORDS)
     )
     words += extra
     header_1 = ["model"]

@@ -505,7 +505,7 @@ def score_grid(
     fused_per_pair = np.zeros(len(base_rows))
     for m in cfg.modalities:
         sims = _similarity_rows(tape, fvs[m], fl_ready, cfg, params, m)
-        best, _ = tape.group_max(sims, sizes)
+        best = tape.group_max(sims, sizes)
         weighted = tape.scale(best, weights[m])
         fused = weighted if fused is None else tape.add(fused, weighted)
         fused_per_pair += weights[m] * sims.value

@@ -558,7 +558,7 @@ def test_group_max_gradient_away_from_ties():
         w = rng.normal(size=3)
 
         def build(tape):
-            best, _ = tape.group_max(tape.param(p), sizes)
+            best = tape.group_max(tape.param(p), sizes)
             return tape.matmul(best, tape.constant(w))
 
         tape = Tape()
@@ -570,8 +570,7 @@ def test_group_max_gradient_away_from_ties():
 def test_group_max_ties_route_to_first_argmax():
     p = Parameter("p", [1.0, 3.0, 3.0, 2.0, 5.0, 5.0])
     tape = Tape()
-    best, rows = tape.group_max(tape.param(p), [3, 1, 2])
-    assert rows.tolist() == [1, 3, 4]
+    best = tape.group_max(tape.param(p), [3, 1, 2])
     assert best.value.tolist() == [3.0, 2.0, 5.0]
     backward(tape, tape.sum_all(best))
     assert p.grad.tolist() == [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]

@@ -749,6 +749,38 @@ def test_train_resume_past_the_configured_epochs_fails(ws, tmp_path, capsys):
     assert not (tmp_path / "one" / "manifest.json").exists()
 
 
+def test_train_logs_each_new_epoch_without_quiet(ws, tmp_path, capsys):
+    """Without --quiet, train prints one line per epoch it trains, with the
+    loss and learning rate history.csv records, then its summary line; a
+    resumed run logs only its new epochs. The log changes no output file."""
+    model_cfg = ("--model-config", str(ws["root"] / "model.cfg"))
+
+    def train(out, epochs, *extra):
+        cfg = tmp_path / f"decay{epochs}.cfg"
+        cfg.write_text(f"epochs = {epochs}\nbatch_size = 4\nlr = 0.05\nseed = 1\n"
+                       "lr_decay_every = 2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--corpus", ws["manifest"], "--train-config", str(cfg),
+                     *extra, "--out", str(out)]) == 0
+        with open(out / "history.csv", newline="") as fh:
+            losses = [float(r["loss"]) for r in csv.DictReader(fh)]
+        return capsys.readouterr().out.splitlines(), losses
+
+    quiet, _ = train(tmp_path / "quiet", 3, *model_cfg, "--quiet")
+    loud, losses = train(tmp_path / "loud", 3, *model_cfg)
+    summary = f"final loss {losses[-1]:.6f}"
+    assert quiet == [f"trained 3 epochs, {summary} -> {tmp_path / 'quiet'}"]
+    assert loud == [f"epoch    0  loss {losses[0]:.6f}  lr 0.05",
+                    f"epoch    1  loss {losses[1]:.6f}  lr 0.05",
+                    f"epoch    2  loss {losses[2]:.6f}  lr 0.005",
+                    f"trained 3 epochs, {summary} -> {tmp_path / 'loud'}"]
+    assert _same_model(tmp_path / "quiet", tmp_path / "loud")
+    train(tmp_path / "two", 2, *model_cfg, "--quiet")
+    resumed, _ = train(tmp_path / "resumed", 3, "--resume", str(tmp_path / "two"))
+    assert resumed == [loud[2], f"trained 1 epochs, {summary} -> {tmp_path / 'resumed'}"]
+    assert _same_model(tmp_path / "loud", tmp_path / "resumed")
+
+
 def test_train_resume_history_errors(ws, tmp_path, capsys):
     model = tmp_path / "model"
     shutil.copytree(ws["model"], model)
